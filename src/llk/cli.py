@@ -235,15 +235,16 @@ def parse_space_file(raw: bytes) -> SpaceFile:
 
 def space_payload(X: cs.FiniteCausalSpace) -> dict:
     """finite_causal SpaceFile document for a sampled space."""
-    n = X.size
+    # Row by row: converting whole matrices at once would keep a second
+    # full-size copy alive and raise peak memory on large spaces.
     tau = [
-        [float(X.tau[i, j]) if X.leq[i, j] else None for j in range(n)]
-        for i in range(n)
+        [t if lk else None for t, lk in zip(tau_row.tolist(), leq_row.tolist())]
+        for tau_row, leq_row in zip(X.tau, X.leq)
     ]
-    leq = [[int(X.leq[i, j]) for j in range(n)] for i in range(n)]
+    leq = [row.tolist() for row in X.leq.view(np.uint8)]
     doc = {"kind": "finite_causal", "labels": list(X.labels), "tau": tau, "leq": leq}
     if X.coords is not None:
-        doc["coords"] = [[float(v) for v in row] for row in X.coords]
+        doc["coords"] = X.coords.tolist()
     return doc
 
 

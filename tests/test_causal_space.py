@@ -250,6 +250,121 @@ def test_validate_flags_chronological_gap():
     assert not rep.verdict
 
 
+def reference_validate(X, tol=cs.RTI_TOL):
+    """Triple-loop audit in the documented scan order: stage by stage,
+    the reverse triangle stage by middle point k, then (i, j) row-major."""
+    tau, leq, n = X.tau, X.leq, X.size
+    found = []
+    for i in range(n):
+        for j in range(n):
+            if tau[i, j] > 0.0 and not leq[i, j]:
+                found.append(((i, j), float(tau[i, j]), 0.0, float(tau[i, j]),
+                              "timelike pair is not leq-related"))
+    for rel, note in (
+        (leq, "leq is not transitive"),
+        (tau > 0.0, "chronological relation is not transitive"),
+    ):
+        for i in range(n):
+            for j in range(n):
+                if not rel[i, j] and any(rel[i, k] and rel[k, j] for k in range(n)):
+                    found.append(((i, j), 1.0, 0.0, 1.0, note))
+    checked = 3 * n * n
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if not (leq[i, k] and leq[k, j]):
+                    continue
+                checked += 1
+                sums = tau[i, k] + tau[k, j]
+                if tau[i, j] + tol < sums:
+                    found.append(((i, k, j), float(tau[i, j]), float(sums),
+                                  float(sums - tau[i, j]),
+                                  "reverse triangle inequality fails through the middle point"))
+    return cs.ComparisonReport(
+        checked=checked,
+        violations=tuple(cs.Violation(*v) for v in found[: cs.VIOLATION_CAP]),
+        violation_count=len(found),
+        max_deficit=max([0.0] + [v[3] for v in found]),
+        verdict=not found,
+    )
+
+
+def corrupted_model_space(seed, n=15, flips=4, nudges=4):
+    """Model sample with some off-diagonal leq entries flipped and some
+    tau entries moved, which breaks every audited axiom somewhere."""
+    rng = np.random.default_rng(seed)
+    X = random_model_space(rng, n)
+    tau, leq = X.tau.copy(), X.leq.copy()
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for r in rng.choice(len(off), flips, replace=False):
+        leq[off[r]] = not leq[off[r]]
+    for r in rng.choice(len(off), nudges, replace=False):
+        tau[off[r]] = abs(tau[off[r]] + rng.normal(0.0, 0.5))
+    return cs.FiniteCausalSpace(X.labels, tau, leq, X.coords)
+
+
+def scrambled_space(seed, n=15):
+    """Random tau and leq: far more than VIOLATION_CAP violations."""
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(0.0, 2.0, (n, n))
+    np.fill_diagonal(tau, 0.0)
+    leq = rng.random((n, n)) < 0.5
+    np.fill_diagonal(leq, True)
+    return cs.FiniteCausalSpace(tuple(f"q{k:02d}" for k in range(n)), tau, leq)
+
+
+def relabelled(X, perm):
+    coords = None if X.coords is None else X.coords[perm]
+    return cs.FiniteCausalSpace(
+        tuple(X.labels[k] for k in perm),
+        X.tau[np.ix_(perm, perm)],
+        X.leq[np.ix_(perm, perm)],
+        coords,
+    )
+
+
+VALIDATE_CASES = [
+    pytest.param(lambda: diamond_space(2.0, 3)[0], id="model-diamond"),
+    *(pytest.param(lambda s=s: corrupted_model_space(s), id=f"corrupted-{s}")
+      for s in range(8)),
+    pytest.param(lambda: corrupted_model_space(8, flips=20, nudges=20), id="corrupted-heavy"),
+    pytest.param(lambda: scrambled_space(0), id="scrambled"),
+]
+
+
+@pytest.mark.parametrize("make", VALIDATE_CASES)
+def test_validate_matches_triple_loop_reference(make):
+    X = make()
+    assert cs.validate_space(X) == reference_validate(X)
+
+
+def test_validate_matches_reference_at_zero_tolerance():
+    # Additive time separations along the fibers meet the reverse
+    # triangle bound with equality, so only a strict comparison passes.
+    X = suspension_space(3, 5)
+    assert cs.validate_space(X, tol=0.0) == reference_validate(X, tol=0.0)
+
+
+def test_validate_truncates_in_scan_order():
+    X = scrambled_space(0)
+    rep = cs.validate_space(X)
+    assert rep.violation_count > cs.VIOLATION_CAP
+    assert len(rep.violations) == cs.VIOLATION_CAP
+    assert rep == reference_validate(X)
+
+
+@pytest.mark.parametrize("make", VALIDATE_CASES)
+def test_validate_summary_ignores_point_order(make):
+    X = make()
+    rep = cs.validate_space(X)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(X.size)
+        other = cs.validate_space(relabelled(X, perm))
+        assert (other.verdict, other.checked, other.violation_count, other.max_deficit) == (
+            rep.verdict, rep.checked, rep.violation_count, rep.max_deficit
+        )
+
+
 # ---------------------------------------------------------------- chains
 
 

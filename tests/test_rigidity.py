@@ -336,6 +336,24 @@ def test_splitting_reconstructs_every_separation():
     assert worst <= GRID_TOL
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_splitting_ignores_point_order(seed):
+    _, _, X = suspension()
+    perm = np.random.default_rng(seed).permutation(X.size)
+    Y = cs.FiniteCausalSpace(
+        tuple(X.labels[k] for k in perm),
+        X.tau[np.ix_(perm, perm)],
+        X.leq[np.ix_(perm, perm)],
+        X.coords[perm],
+    )
+    line = rg.find_line(Y)
+    result = rg.build_splitting(Y, line)
+    assert len(line.indices) == N_TIMES
+    assert result.verdict
+    assert result.slice_space.size == N_FIBERS
+    assert result.residual <= LOOSE
+
+
 def test_refined_grid_keeps_the_verdict():
     result = splitting(41)
     assert result.verdict
