@@ -445,12 +445,23 @@ def construct_asymptote(
             f"point {p} is not timelike related to both ends of the line"
         )
     lev, ok = _member_levels(g_par, th, in_dom)
-    members = _select_members(X, th, lev, ok, p)
+    return _asymptote(X, th, lev, ok, p, {})
+
+
+def _asymptote(X: cs.FiniteCausalSpace, th, lev, ok, p: int, lines: dict) -> LineSample:
+    """The selected members through p, chained into a line.
+
+    lines caches the chained lines by member tuple, which is also the
+    line's indices: asymptotes through many points share one selection.
+    """
+    members = tuple(_select_members(X, th, lev, ok, p))
     if len(members) < 3:
         raise ConvergenceError(
             f"asymptote through point {p} keeps only {len(members)} stable members"
         )
-    return _chain_into_line(X, members, th)
+    if members not in lines:
+        lines[members] = _chain_into_line(X, members, th)
+    return lines[members]
 
 
 def _c_value(tau: float, s: float, t: float) -> float:
@@ -617,16 +628,8 @@ def extract_slice(
     lines = {}
     counts = {}
     for p in np.nonzero(in_dom)[0]:
-        members = _select_members(X, th, lev, ok, int(p))
-        if len(members) < 3:
-            raise ConvergenceError(
-                f"asymptote through point {int(p)} keeps only "
-                f"{len(members)} stable members"
-            )
-        key = tuple(members)
+        key = _asymptote(X, th, lev, ok, int(p), lines).indices
         counts[key] = counts.get(key, 0) + 1
-        if key not in lines:
-            lines[key] = _chain_into_line(X, members, th)
     keys = sorted(lines, key=lambda k: (min(k), k))
 
     parent = list(range(len(keys)))

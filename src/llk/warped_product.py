@@ -5,8 +5,9 @@ over an open interval I with positive warping f.  Time separation and
 causal classification of two points reduce to the two-dimensional
 comparison strip: only the base distance enters.  The cos warping on
 (-pi/2, pi/2) reproduces the model strip exactly; constant warpings are
-Minkowski strips; tabulated warpings are handled by geodesic shooting
-on the conserved quantity f(t)^2 x'.
+Minkowski strips; tabulated warpings are piecewise linear, and along a
+geodesic with conserved quantity p = f(t)^2 x' every integral over a
+linear piece is elementary, so they are summed exactly per piece.
 
 Sampling a finite metric space against a time grid yields a finite
 causal space with closed-form entries for the cos warping.
@@ -39,15 +40,8 @@ NULL_BAND = 1e-9
 # Metric axioms are audited with this slack.
 METRIC_TOL = 1e-9
 
-# Five-point Gauss-Legendre rule on [-1, 1].
-_GL_NODES = np.array([
-    -0.9061798459386640, -0.5384693101056831, 0.0,
-    0.5384693101056831, 0.9061798459386640,
-])
-_GL_WEIGHTS = np.array([
-    0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-    0.4786286704993665, 0.2369268850561891,
-])
+# Cap on the Newton steps of the table separation solver.
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -196,43 +190,21 @@ def _check_inside(f: WarpingSpec, name: str, t: float) -> None:
 
 
 def _table_pieces(f: WarpingSpec, lo: float, hi: float):
-    """Integration piece edges: [lo, hi] split at interior knots."""
+    """Width and end values (w, f0, f1) of each linear piece of the
+    table on [lo, hi], which is split at the interior knots."""
     knots = np.asarray(f.knots)
     inner = knots[(knots > lo) & (knots < hi)]
-    return np.concatenate(([lo], inner, [hi]))
-
-
-def _simpson_piecewise(g, edges: np.ndarray, tol: float) -> float:
-    """Composite Simpson per piece, uniformly refined until the summed
-    update falls below tol.  Pieces are smooth by construction (the
-    integrand has kinks only at knots, which are piece edges)."""
-    lo, hi = edges[:-1], edges[1:]
-    width = hi - lo
-
-    def total(m: int) -> float:
-        k = np.arange(m + 1)
-        nodes = lo[:, None] + width[:, None] * (k[None, :] / m)
-        w = np.full(m + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return float(np.sum((width / (3.0 * m)) * np.sum(g(nodes) * w[None, :], axis=1)))
-
-    m = 2
-    prev = total(m)
-    for _ in range(12):
-        m *= 2
-        cur = total(m)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise ConvergenceError("Simpson refinement did not reach the tolerance")
+    edges = np.concatenate(([lo], inner, [hi]))
+    vals = np.interp(edges, knots, f.values)
+    return np.diff(edges), vals[:-1], vals[1:]
 
 
 def null_offset(f: WarpingSpec, t0: float, t1: float) -> float:
     """Maximal base displacement causally reachable from time t0 to t1.
 
     This is the integral of 1/f: closed form for cos and constant
-    warpings, piecewise adaptive Simpson at tolerance 1e-10 for tables.
+    warpings, and for tables the sum over the linear pieces of
+    log(f1/f0)/b = (w/f0) log1p(u)/u with slope b and u = (f1 - f0)/f0.
     """
     _check_inside(f, "t0", t0)
     _check_inside(f, "t1", t1)
@@ -244,125 +216,64 @@ def null_offset(f: WarpingSpec, t0: float, t1: float) -> float:
         return ms.conformal_time(t1) - ms.conformal_time(t0)
     if f.kind == CONSTANT:
         return (t1 - t0) / f.value
-    knots = np.asarray(f.knots)
-    vals = np.asarray(f.values)
-    edges = _table_pieces(f, t0, t1)
-    return _simpson_piecewise(lambda ts: 1.0 / np.interp(ts, knots, vals), edges, 1e-10)
+    w, f0, f1 = _table_pieces(f, t0, t1)
+    u = (f1 - f0) / f0
+    flat = u == 0.0
+    ratio = np.where(flat, 1.0, np.log1p(u) / np.where(flat, 1.0, u))
+    return float(np.sum(w / f0 * ratio))
 
 
-def _gl_integrate(g, edges: np.ndarray) -> float:
-    """Five-point Gauss-Legendre quadrature summed over the pieces."""
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * g(nodes)))
+def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: float) -> float:
+    """Time separation over a table warping, from the geodesic whose
+    conserved quantity p = f^2 x' carries it across dx.
 
-
-def _refined_pieces(f: WarpingSpec, lo: float, hi: float, max_width: float = 0.01):
-    """Knot-aligned pieces additionally split to at most max_width, so
-    coarse tables cannot starve the fixed-order quadrature."""
-    base = _table_pieces(f, lo, hi)
-    out = [base[0]]
-    for a, b in zip(base[:-1], base[1:]):
-        parts = max(1, int(math.ceil((b - a) / max_width)))
-        out.extend(a + (b - a) * np.arange(1, parts + 1) / parts)
-    return np.asarray(out)
-
-
-def _shoot_table_tau(f: WarpingSpec, lo: float, hi: float, dx: float) -> float:
-    """Time separation by shooting on the conserved quantity p = f^2 x'.
-
-    The base displacement dx(p) of the geodesic with constant p is
-    strictly increasing toward the null offset, so bisection on p
-    converges; tau is then the proper-time integral along the solution.
+    On a linear piece of width w from f0 to f1, with r = sqrt(f^2 + p^2)
+    and q = p / (f0 f1 (r0 + r1)), the integrals along the geodesic are
+    elementary: the base displacement, the integral of p/(f r), is
+    z arsinh(v)/v with z = q w (f0 + f1) and v = q (f1^2 - f0^2); its
+    derivative in p is w (f0 + f1) / (r0 r1 (r0 + r1)); the proper time,
+    the integral of f/r, is w (f0 + f1) / (r0 + r1).  The displacement
+    increases in p toward exactly the null offset, and is concave, so
+    Newton steps from p = 0 climb to the root without overshooting for
+    every dx short of the cone; a bracket with bisection guards them
+    against rounding.
     """
-    knots = np.asarray(f.knots)
-    vals = np.asarray(f.values)
-    edges = _refined_pieces(f, lo, hi)
-
-    def fvals(ts):
-        return np.interp(ts, knots, vals)
-
-    def displacement(p: float) -> float:
-        return _gl_integrate(lambda ts: p / (fvals(ts) * np.hypot(fvals(ts), p)), edges)
-
-    def proper_time(p: float) -> float:
-        return _gl_integrate(lambda ts: fvals(ts) / np.hypot(fvals(ts), p), edges)
-
     if dx == 0.0:
-        return proper_time(0.0)
-    p_hi = 1.0
-    for _ in range(80):
-        if displacement(p_hi) >= dx:
+        return hi - lo
+    w, f0, f1 = _table_pieces(f, lo, hi)
+    span = w * (f0 + f1)
+
+    def displacement(p: float):
+        """Displacement minus dx, and its derivative in p."""
+        r0, r1 = np.hypot(f0, p), np.hypot(f1, p)
+        q = p / (f0 * f1 * (r0 + r1))
+        v = q * (f1 - f0) * (f0 + f1)
+        flat = v == 0.0
+        shrink = np.where(flat, 1.0, np.arcsinh(v) / np.where(flat, 1.0, v))
+        gap = float(np.sum(q * span * shrink)) - dx
+        return gap, float(np.sum(span / (r0 * r1 * (r0 + r1))))
+
+    p, p_lo, p_hi = 0.0, 0.0, math.inf
+    for _ in range(_MAX_STEPS):
+        gap, slope = displacement(p)
+        if gap == 0.0:
             break
-        p_hi *= 2.0
-    else:
-        return _pl_path_tau(f, lo, hi, dx)
-    p_lo = 0.0
-    for _ in range(80):
-        p_mid = 0.5 * (p_lo + p_hi)
-        if displacement(p_mid) < dx:
-            p_lo = p_mid
+        if gap < 0.0:
+            p_lo = p
         else:
-            p_hi = p_mid
-    return proper_time(0.5 * (p_lo + p_hi))
-
-
-def _pl_path_tau(f: WarpingSpec, lo: float, hi: float, dx: float) -> float:
-    """Fallback: maximize proper time over piecewise-linear paths by
-    coordinate ascent with dyadic refinement of the time partition."""
-
-    knots = np.asarray(f.knots)
-    vals = np.asarray(f.values)
-
-    def segment(t0, t1, x0, x1):
-        slope = (x1 - x0) / (t1 - t0)
-        edges = _refined_pieces(f, t0, t1)
-
-        def g(ts):
-            rad = 1.0 - (np.interp(ts, knots, vals) * slope) ** 2
-            return np.sqrt(np.maximum(rad, 0.0)) * (rad >= 0.0)
-
-        if np.any(1.0 - (np.interp(edges, knots, vals) * slope) ** 2 < 0.0):
-            return -math.inf
-        return _gl_integrate(g, edges)
-
-    best = 0.0
-    prev_best = -math.inf
-    for depth in range(1, 13):
-        segs = 2 ** depth
-        ts = np.linspace(lo, hi, segs + 1)
-        xs = np.linspace(0.0, dx, segs + 1)
-        for _ in range(40):
-            moved = 0.0
-            for i in range(1, segs):
-                a, b = xs[i - 1], xs[i + 1]
-                width = abs(b - a)
-                span = (min(a, b) - width - 1.0, max(a, b) + width + 1.0)
-                left, right = span
-                for _ in range(60):
-                    m1 = left + (right - left) / 3.0
-                    m2 = right - (right - left) / 3.0
-                    v1 = segment(ts[i - 1], ts[i], xs[i - 1], m1) + segment(ts[i], ts[i + 1], m1, xs[i + 1])
-                    v2 = segment(ts[i - 1], ts[i], xs[i - 1], m2) + segment(ts[i], ts[i + 1], m2, xs[i + 1])
-                    if v1 < v2:
-                        left = m1
-                    else:
-                        right = m2
-                new_x = 0.5 * (left + right)
-                moved = max(moved, abs(new_x - xs[i]))
-                xs[i] = new_x
-            if moved < 1e-10:
-                break
-        total = sum(
-            segment(ts[i], ts[i + 1], xs[i], xs[i + 1]) for i in range(segs)
-        )
-        best = max(best, total)
-        if abs(best - prev_best) < 1e-9:
+            p_hi = p
+        step = p - gap / slope
+        nxt = step if p_lo < step < p_hi else 0.5 * (p_lo + p_hi)
+        # after a Newton step this small the next one is below rounding;
+        # near the cone, where the gap is flat in p, rounding noise can
+        # instead keep the steps larger until the bracket collapses
+        done = abs(nxt - p) <= 1e-12 * p or p_hi - p_lo <= 4e-16 * p_lo
+        p = nxt
+        if done:
             break
-        prev_best = best
-    return best
+    else:
+        raise ConvergenceError(f"geodesic to displacement {dx!r} did not converge")
+    return float(np.sum(span / (np.hypot(f0, p) + np.hypot(f1, p))))
 
 
 def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.IntervalResult:
@@ -371,8 +282,8 @@ def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.In
     The pair is causal iff the base displacement does not exceed the
     null offset and the times are ordered; strictness on both gives
     timelike.  The cos kind delegates to the model strip closed form;
-    constant is the Minkowski formula; tables are solved by geodesic
-    shooting.
+    constant is the Minkowski formula; tables sum the exact per-piece
+    integrals along the geodesic that reaches dx.
     """
     _check_inside(f, "s", s)
     _check_inside(f, "t", t)
@@ -391,7 +302,7 @@ def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.In
         span = hi - lo
         tau = math.sqrt(span * span - (f.value * dx) ** 2)
     else:
-        tau = _shoot_table_tau(f, lo, hi, dx)
+        tau = _table_tau(f, lo, hi, dx)
     return ms.IntervalResult(ms.TIMELIKE if ordered else ms.PAST_DIRECTED, tau)
 
 
@@ -409,8 +320,8 @@ def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> Finit
 
     The cos kind delegates to sample_suspension; constant warpings fill
     the matrices with the vectorized Minkowski closed form; table
-    warpings shoot per distinct (time pair, distance) combination with
-    memoization.  Point order and labels follow sample_suspension.
+    warpings solve once per distinct (time pair, distance) combination
+    with memoization.  Point order and labels follow sample_suspension.
     """
     if f.kind == COS:
         return sample_suspension(S, t_grid)

@@ -1,10 +1,10 @@
 """Tests for warped-product time separations over finite metric bases.
 
-The table-kind solver is cross-checked against the two closed-form
-kinds: a dense tabulation of the cosine profile must reproduce the
-model-space separations, and a two-knot constant table must reproduce
-the Minkowski formula.  Both comparisons exercise the shooting path
-against an algorithm that shares no code with it.
+The table-kind solver is cross-checked against closed forms that share
+no code with it: a dense tabulation of the cosine profile must
+reproduce the model-space separations, a two-knot constant table the
+Minkowski formula, and a two-knot table of f = b t, whose strip is the
+flat Milne wedge, the wedge's exact null offsets and separations.
 """
 
 import math
@@ -15,12 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from llk import model_space as ms
 from llk import warped_product as wp
-from llk.errors import (
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-    StructuralError,
-)
+from llk.errors import DomainError, ParameterError, StructuralError
 
 EXACT = 1e-12
 CROSS_CHECK = 1e-6
@@ -245,7 +240,8 @@ def test_table_separation_matches_cos_closed_form():
 
 
 def test_table_separation_matches_constant_closed_form():
-    # a two-knot table runs the shooting solver, the constant kind does not
+    # a two-knot table runs the table solver, the constant kind the
+    # Minkowski formula
     table = wp.table_warping([-1.0, 6.0], [1.0, 1.0])
     exact = wp.constant_warping(1.0, (-1.0, 6.0))
     rng = np.random.default_rng(10)
@@ -259,7 +255,32 @@ def test_table_separation_matches_constant_closed_form():
         res_t = wp.comparison_space_tau(table, s, t, dx)
         assert res_t.relation == "timelike"
         assert abs(res_t.tau - res_e.tau) < CROSS_CHECK
+        # near the cone, where the geodesic's p grows without bound
+        for k in (3, 6, 8):
+            near = (t - s) * (1.0 - 10.0 ** -k)
+            if near >= (t - s) - wp.NULL_BAND:
+                continue
+            res_e = wp.comparison_space_tau(exact, s, t, near)
+            res_t = wp.comparison_space_tau(table, s, t, near)
+            assert res_t.relation == res_e.relation == "timelike"
+            assert abs(res_t.tau - res_e.tau) < 1e-10
         checked += 1
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+def test_sloped_table_matches_milne_wedge(b):
+    # f = b t makes the strip the flat Milne wedge: (t, x) sits at
+    # (t cosh(b x), t sinh(b x)) in Minkowski coordinates
+    f = wp.table_warping([0.5, 3.0], [b * 0.5, b * 3.0])
+    for s, t in ((0.6, 2.9), (1.0, 1.5), (0.7, 0.71), (2.0, 2.9)):
+        reach = wp.null_offset(f, s, t)
+        assert abs(reach - math.log(t / s) / b) < EXACT
+        for frac in (0.0, 1e-100, 0.3, 0.9, 0.999, 1.0 - 1e-6):
+            dx = reach * frac
+            res = wp.comparison_space_tau(f, s, t, dx)
+            exact = math.sqrt((t - s) ** 2 - 4.0 * s * t * math.sinh(b * dx / 2.0) ** 2)
+            assert res.relation == "timelike"
+            assert abs(res.tau - exact) < 1e-10
 
 
 def test_separation_is_monotone_in_displacement():
