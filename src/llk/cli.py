@@ -520,7 +520,11 @@ def _cmd_subdivide(parsed, options):
 
 def _cmd_split(parsed, options):
     X = _materialize(parsed, options)
-    gamma = rg.find_line(X)
+    try:
+        gamma = rg.find_line(X)
+    except SizeBoundError as exc:
+        # a line at least pi long is the geometry failing the strip, not bad input
+        return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
     result = rg.build_splitting(X, gamma, tol=options.tol_disc)
     S = result.slice_space
     check = {

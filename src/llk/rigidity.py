@@ -340,22 +340,20 @@ def _select_members(
     order.
     """
     h = _membership_defect(X, th, p)
-    best = {}
-    for x in np.nonzero(ok)[0]:
-        x = int(x)
-        if x == p or not math.isfinite(h[x]):
-            continue
-        key = int(lev[x])
-        cand = (float(h[x]), x)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    best[int(lev[p])] = (0.0, p)
-    defects = sorted(v for v, _ in best.values())
-    cutoff = max(3.0 * defects[len(defects) // 2], MEMBER_FLOOR)
-    picked = sorted(
-        ((x, v) for v, x in best.values() if v <= cutoff),
-        key=lambda rec: (th[rec[0]], rec[0]),
-    )
+    cand = np.nonzero(ok & np.isfinite(h))[0]
+    cand = cand[cand != p]
+    # per level the smallest defect, then the smaller index; p owns its level
+    cand = cand[np.lexsort((cand, h[cand], lev[cand]))]
+    first = np.ones(len(cand), dtype=bool)
+    first[1:] = lev[cand[1:]] != lev[cand[:-1]]
+    best = cand[first]
+    best = np.append(best[lev[best] != lev[p]], p)
+    defects = np.append(h[best[:-1]], 0.0)
+    cutoff = max(3.0 * float(np.sort(defects)[len(defects) // 2]), MEMBER_FLOOR)
+    keep = defects <= cutoff
+    best, defects = best[keep], defects[keep]
+    order = np.lexsort((best, th[best]))
+    picked = list(zip(best[order].tolist(), defects[order].tolist()))
     return _chained_through(X, picked, p)
 
 
@@ -365,31 +363,51 @@ def _chained_through(X: cs.FiniteCausalSpace, picked, p: int):
     picked holds (index, defect) pairs in time order including p.  Two
     independent passes find the best chain ending at p from the left
     and starting at p to the right; candidates compare by length first,
-    then by smaller summed defect, so the result is deterministic.
+    then by smaller summed defect, then by earlier position, so the
+    result is deterministic.  When every pair is timelike related in
+    time order, the passes need not run: the longest chain into
+    position k then has all k + 1 positions, and only position k - 1
+    reaches that length, so the passes would return the whole selection.
     """
     order = [x for x, _ in picked]
-    defect = {x: v for x, v in picked}
+    defect = np.array([v for _, v in picked], dtype=float)
+    n = len(order)
+    linked = X.tau[np.ix_(order, order)] > 0.0
+    if (linked | np.tri(n, dtype=bool)).all():
+        return order
     ip = order.index(p)
+    left = _chain_positions(linked[: ip + 1, : ip + 1], defect[: ip + 1])
+    right = _chain_positions(linked[ip:, ip:][::-1, ::-1].T, defect[ip:][::-1])
+    return [order[k] for k in left[:-1]] + [order[n - 1 - k] for k in right[::-1]]
 
-    def side(indices, linked):
-        best = {}
-        for pos, x in enumerate(indices):
-            best[x] = (1, defect[x], None)
-            for y in indices[:pos]:
-                if linked(y, x):
-                    cand = (best[y][0] + 1, best[y][1] + defect[x], y)
-                    if (-cand[0], cand[1]) < (-best[x][0], best[x][1]):
-                        best[x] = cand
-        out = []
-        x = indices[-1] if indices else None
-        while x is not None:
-            out.append(x)
-            x = best[x][2]
-        return out[::-1]
 
-    left = side(order[: ip + 1], lambda y, x: X.tau[y, x] > 0.0)
-    right = side(order[ip:][::-1], lambda y, x: X.tau[x, y] > 0.0)
-    return left[:-1] + right[::-1]
+def _chain_positions(linked: np.ndarray, defect: np.ndarray) -> list:
+    """Best chain ending at the last position, as positions in order.
+
+    linked[y, x] says position y may precede position x.  Each position
+    takes, over its linked predecessors, the largest length, then the
+    smallest summed defect, then the earliest position.
+    """
+    k = len(defect)
+    length = np.ones(k, dtype=int)
+    total = defect.copy()
+    prev = np.full(k, -1)
+    for x in range(1, k):
+        ys = np.nonzero(linked[:x, x])[0]
+        if len(ys) == 0:
+            continue
+        ys = ys[length[ys] == length[ys].max()]
+        sums = total[ys] + defect[x]
+        at = int(np.argmin(sums))
+        length[x] = length[ys[at]] + 1
+        total[x] = sums[at]
+        prev[x] = ys[at]
+    out = []
+    x = k - 1
+    while x >= 0:
+        out.append(x)
+        x = int(prev[x])
+    return out[::-1]
 
 
 def _chain_into_line(X: cs.FiniteCausalSpace, members, th) -> LineSample:
@@ -464,41 +482,69 @@ def _asymptote(X: cs.FiniteCausalSpace, th, lev, ok, p: int, lines: dict) -> Lin
     return lines[members]
 
 
-def _c_value(tau: float, s: float, t: float) -> float:
-    arg = (math.cos(tau) - math.sin(s) * math.sin(t)) / (math.cos(s) * math.cos(t))
-    return math.acosh(max(arg, 1.0))
+def _c_values(tau: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """arcosh((cos tau - sin s sin t) / (cos s cos t)), entry by entry.
 
-
-def _cone_crossing(X: cs.FiniteCausalSpace, i: int, l_idx, l_par):
-    """Parameter where the future cone of point i meets the line.
-
-    The grid infimum is the first causally related row; when that row
-    is strictly timelike the crossing is pulled inside the bracketing
-    interval by solving u sin t + v cos t = 1, the two-row model fit of
-    the point against the line.  Returns None when no row is related.
+    The arcosh is math.acosh on purpose: np.arccosh can differ from it
+    in the last place, and these values reach the reports.
     """
-    first = None
-    for k in range(len(l_idx)):
-        if X.leq[i, l_idx[k]]:
-            first = k
-            break
-    if first is None:
-        return None
-    hi = float(l_par[first])
-    if X.tau[i, l_idx[first]] <= 0.0:
-        return hi
-    rows = []
-    ks = [k for k in range(len(l_idx)) if X.tau[i, l_idx[k]] > 0.0]
-    js = [k for k in range(len(l_idx)) if X.tau[l_idx[k], i] > 0.0]
-    if ks:
-        rows.append((float(l_par[ks[-1]]), math.cos(float(X.tau[i, l_idx[ks[-1]]]))))
-    if js:
-        rows.append((float(l_par[js[0]]), math.cos(float(X.tau[l_idx[js[0]], i]))))
-    if len(rows) < 2 and len(ks) >= 2:
-        rows.append((float(l_par[ks[-2]]), math.cos(float(X.tau[i, l_idx[ks[-2]]]))))
-    if len(rows) < 2:
-        return hi
-    (t1, c1), (t2, c2) = rows
+    arg = (np.cos(tau) - np.sin(s) * np.sin(t)) / (np.cos(s) * np.cos(t))
+    return np.array([math.acosh(a) for a in np.maximum(arg, 1.0).tolist()])
+
+
+def _cone_crossing(related, fut, past, l_par):
+    """Parameters where the future cones of some points meet a line.
+
+    related, fut and past hold, per point (row) and line row (column),
+    the causal relation, the time separation to the row, and the time
+    separation from it.  The grid infimum is the first causally related
+    row; when that row is strictly timelike the crossing is pulled
+    inside the bracketing interval by solving u sin t + v cos t = 1,
+    the two-row model fit of the point against the line.  The rows are
+    the last timelike future row and the first timelike past row, or
+    the second-last future row when there is no past one.  Returns the
+    points with a related row, as row positions, and their crossings.
+    """
+    m = len(l_par)
+    rows = np.arange(len(fut))
+    first = related.argmax(axis=1)
+    timelike = fut > 0.0
+    last = m - 1 - timelike[:, ::-1].argmax(axis=1)
+    timelike[rows, last] = False
+    second = m - 1 - timelike[:, ::-1].argmax(axis=1)
+    to_past = past > 0.0
+    has_past = to_past.any(axis=1)
+    first_past = to_past.argmax(axis=1)
+    solvable = (fut[rows, first] > 0.0) & (has_past | timelike.any(axis=1))
+    other = np.where(has_past, first_past, second)
+    tau_other = np.where(has_past, past[rows, first_past], fut[rows, second])
+    par = l_par.tolist()
+    hits, crossings = [], []
+    for r, (hit, k, fit, k1, tau1, k2, tau2) in enumerate(
+        zip(
+            related.any(axis=1).tolist(),
+            first.tolist(),
+            solvable.tolist(),
+            last.tolist(),
+            fut[rows, last].tolist(),
+            other.tolist(),
+            tau_other.tolist(),
+        )
+    ):
+        if not hit:
+            continue
+        hits.append(r)
+        if fit:
+            lo = par[k - 1] if k > 0 else -ms.HALF_PI
+            crossings.append(_crossing_fit(par[k], lo, par[k1], tau1, par[k2], tau2))
+        else:
+            crossings.append(par[k])
+    return np.array(hits, dtype=int), np.array(crossings, dtype=float)
+
+
+def _crossing_fit(hi: float, lo: float, t1: float, tau1: float, t2: float, tau2: float):
+    """Crossing inside [lo, hi] from the two rows (t1, tau1) and (t2, tau2)."""
+    c1, c2 = math.cos(tau1), math.cos(tau2)
     den = math.sin(t1 - t2)
     u = (c1 * math.cos(t2) - c2 * math.cos(t1)) / den
     v = (c2 * math.sin(t1) - c1 * math.sin(t2)) / den
@@ -507,7 +553,6 @@ def _cone_crossing(X: cs.FiniteCausalSpace, i: int, l_idx, l_par):
         return hi
     phi = math.atan2(v, u)
     base = math.asin(min(1.0, 1.0 / radius))
-    lo = float(l_par[first - 1]) if first > 0 else -ms.HALF_PI
     cands = [
         t
         for t0 in (base - phi, math.pi - base - phi)
@@ -534,6 +579,11 @@ def c_functions(
     too close to the strip edge (min cosine under edge_cos) are listed
     but excluded from the median and the verdict.  tol defaults to
     twice the median parameter step of the two lines.
+
+    All four tables are built as arrays over the lines' tau blocks and
+    share one arcosh kernel.  excluded lists the pair entries row-major
+    in (s, t), each ab entry before its ba entry, then null_a, then
+    null_b.
     """
     _require_line(X, alpha, "alpha")
     _require_line(X, beta, "beta")
@@ -542,59 +592,54 @@ def c_functions(
         tol = 2.0 * float(np.median(steps))
     a_idx, a_par = _line_arrays(alpha)
     b_idx, b_par = _line_arrays(beta)
-    tables = {"ab": [], "ba": [], "null_a": [], "null_b": []}
-    kept = []
-    excluded = []
-
-    def record(table, s, t, value):
-        tables[table].append((float(s), float(t), float(value)))
-        if min(math.cos(s), math.cos(t)) < edge_cos:
-            excluded.append((table, float(s), float(t), float(value)))
-        else:
-            kept.append(float(value))
-
-    for i, s in zip(a_idx, a_par):
-        for j, t in zip(b_idx, b_par):
-            if X.tau[i, j] > 0.0:
-                record("ab", s, t, _c_value(float(X.tau[i, j]), s, t))
-            if X.tau[j, i] > 0.0:
-                record("ba", s, t, _c_value(float(X.tau[j, i]), s, t))
-    for i, s in zip(a_idx, a_par):
-        t_c = _cone_crossing(X, int(i), b_idx, b_par)
-        if t_c is not None:
-            record("null_a", s, t_c, _c_value(0.0, s, t_c))
-    for j, t in zip(b_idx, b_par):
-        s_c = _cone_crossing(X, int(j), a_idx, a_par)
-        if s_c is not None:
-            record("null_b", t, s_c, _c_value(0.0, t, s_c))
-
-    if not any(tables.values()):
+    # axis 2 puts the ab and ba entries of one parameter pair side by
+    # side, so nonzero walks the pairs row-major with ab before ba
+    tau_ab = X.tau[a_idx][:, b_idx]
+    tau_ba = X.tau[b_idx][:, a_idx]
+    pair_tau = np.stack([tau_ab, tau_ba.T], axis=2)
+    i, j, table = (pair_tau > 0.0).nonzero()
+    hit_a, t_cross = _cone_crossing(X.leq[a_idx][:, b_idx], tau_ab, tau_ba.T, b_par)
+    hit_b, s_cross = _cone_crossing(X.leq[b_idx][:, a_idx], tau_ba, tau_ab.T, a_par)
+    s = np.concatenate([a_par[i], a_par[hit_a], b_par[hit_b]])
+    t = np.concatenate([b_par[j], t_cross, s_cross])
+    tau = np.concatenate([pair_tau[i, j, table], np.zeros(len(hit_a) + len(hit_b))])
+    table = np.concatenate([table, np.full(len(hit_a), 2), np.full(len(hit_b), 3)])
+    if len(table) == 0:
         raise DomainError("the lines share no causally related parameter pairs")
-    if kept:
+    value = _c_values(tau, s, t)
+
+    names = ("ab", "ba", "null_a", "null_b")
+    tables = [
+        tuple(zip(s[at].tolist(), t[at].tolist(), value[at].tolist()))
+        for at in (table == k for k in range(len(names)))
+    ]
+    edge = np.minimum(np.cos(s), np.cos(t)) < edge_cos
+    excluded = tuple(
+        zip(
+            [names[k] for k in table[edge].tolist()],
+            s[edge].tolist(),
+            t[edge].tolist(),
+            value[edge].tolist(),
+        )
+    )
+    kept = value[~edge]
+    if len(kept):
         constant = float(np.median(kept))
-        deviation = float(np.max(np.abs(np.array(kept) - constant)))
+        deviation = float(np.max(np.abs(kept - constant)))
     else:
-        constant = float(np.median([e[3] for e in excluded]))
+        constant = float(np.median(value))
         deviation = math.inf
     return ParallelReport(
-        c_ab=tuple(tables["ab"]),
-        c_ba=tuple(tables["ba"]),
-        c_null_a=tuple(tables["null_a"]),
-        c_null_b=tuple(tables["null_b"]),
+        c_ab=tables[0],
+        c_ba=tables[1],
+        c_null_a=tables[2],
+        c_null_b=tables[3],
         constant=constant,
         deviation=deviation,
         verdict=deviation <= tol,
         tol=float(tol),
-        excluded=tuple(excluded),
+        excluded=excluded,
     )
-
-
-def check_parallel(
-    X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, tol: float = None
-):
-    """Whether two lines run parallel, and at what spacelike distance."""
-    report = c_functions(X, alpha, beta, tol=tol)
-    return report.verdict, report.constant
 
 
 def _floyd_warshall(dist: np.ndarray) -> np.ndarray:

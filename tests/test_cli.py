@@ -158,6 +158,16 @@ def test_myers_flags_the_flat_strip(tmp_path):
     assert abs(check["max_deficit"] - (3.9 - math.pi)) < 1e-9
 
 
+def test_split_reports_a_line_too_long_for_the_strip(tmp_path):
+    out = tmp_path / "split.json"
+    assert run_cli("split", FIXTURES / "flat_strip.json", out) == 1
+    doc = json.loads(out.read_text())
+    check = doc["checks"][0]
+    assert doc["verdict"] is False
+    assert check["verdict"] is False
+    assert "size bound pi" in check["reason"]
+
+
 def test_grid_flag_refines_the_time_grid(tmp_path):
     out = tmp_path / "split11.json"
     assert (

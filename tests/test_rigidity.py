@@ -234,8 +234,9 @@ def test_asymptote_idempotent_over_its_members(level, k, pick):
 )
 def test_fiber_pairs_run_parallel_at_base_distance(a, b):
     S, _, X = suspension()
-    parallel, c = rg.check_parallel(X, fiber_line(a), fiber_line(b))
-    assert parallel
+    report = rg.c_functions(X, fiber_line(a), fiber_line(b))
+    assert report.verdict
+    c = report.constant
     # a line against itself measures 0 only up to the arcosh noise
     # floor sqrt(eps), distinct fibers are exact
     assert abs(c - S.dist[a, b]) < (1e-6 if a == b else LOOSE)
@@ -254,9 +255,9 @@ def test_parallel_distance_adds_along_arcs(i, left, right):
     if k <= j:
         k = j + 1
     _, _, X = suspension()
-    c_ij = rg.check_parallel(X, fiber_line(i), fiber_line(j))[1]
-    c_jk = rg.check_parallel(X, fiber_line(j), fiber_line(k))[1]
-    c_ik = rg.check_parallel(X, fiber_line(i), fiber_line(k))[1]
+    c_ij = rg.c_functions(X, fiber_line(i), fiber_line(j)).constant
+    c_jk = rg.c_functions(X, fiber_line(j), fiber_line(k)).constant
+    c_ik = rg.c_functions(X, fiber_line(i), fiber_line(k)).constant
     assert abs(c_ij + c_jk - c_ik) < LOOSE
 
 
@@ -292,6 +293,275 @@ def test_c_functions_need_cross_relations():
     beta = rg.line_from_chain(X, cs.make_chain(X, [2, 3]))
     with pytest.raises(DomainError):
         rg.c_functions(X, alpha, beta)
+
+
+# ---------------------------------------------------------------- references
+#
+# Loop versions of the array code in rigidity: the scalar c-function
+# tables with their per-point cone crossing, and the per-level member
+# selection with its pairwise chain DP.  The array code must agree with
+# them exactly, not within a tolerance, because their values reach the
+# split report.
+
+
+def reference_c_value(tau, s, t):
+    arg = (math.cos(tau) - math.sin(s) * math.sin(t)) / (math.cos(s) * math.cos(t))
+    return math.acosh(max(arg, 1.0))
+
+
+def reference_cone_crossing(X, i, l_idx, l_par):
+    first = None
+    for k in range(len(l_idx)):
+        if X.leq[i, l_idx[k]]:
+            first = k
+            break
+    if first is None:
+        return None
+    hi = float(l_par[first])
+    if X.tau[i, l_idx[first]] <= 0.0:
+        return hi
+    rows = []
+    ks = [k for k in range(len(l_idx)) if X.tau[i, l_idx[k]] > 0.0]
+    js = [k for k in range(len(l_idx)) if X.tau[l_idx[k], i] > 0.0]
+    if ks:
+        rows.append((float(l_par[ks[-1]]), math.cos(float(X.tau[i, l_idx[ks[-1]]]))))
+    if js:
+        rows.append((float(l_par[js[0]]), math.cos(float(X.tau[l_idx[js[0]], i]))))
+    if len(rows) < 2 and len(ks) >= 2:
+        rows.append((float(l_par[ks[-2]]), math.cos(float(X.tau[i, l_idx[ks[-2]]]))))
+    if len(rows) < 2:
+        return hi
+    (t1, c1), (t2, c2) = rows
+    den = math.sin(t1 - t2)
+    u = (c1 * math.cos(t2) - c2 * math.cos(t1)) / den
+    v = (c2 * math.sin(t1) - c1 * math.sin(t2)) / den
+    radius = math.hypot(u, v)
+    if radius < 1.0:
+        return hi
+    phi = math.atan2(v, u)
+    base = math.asin(min(1.0, 1.0 / radius))
+    lo = float(l_par[first - 1]) if first > 0 else -ms.HALF_PI
+    cands = [
+        t
+        for t0 in (base - phi, math.pi - base - phi)
+        for t in (t0 - 2.0 * math.pi, t0, t0 + 2.0 * math.pi)
+        if lo - 1e-9 <= t <= hi + 1e-9
+    ]
+    if not cands:
+        return hi
+    return min(cands, key=lambda t: abs(t - hi))
+
+
+def reference_c_functions(X, alpha, beta, edge_cos=rg.EDGE_COS):
+    steps = np.concatenate([np.diff(alpha.params), np.diff(beta.params)])
+    tol = 2.0 * float(np.median(steps))
+    a_idx, a_par = np.array(alpha.indices), np.array(alpha.params)
+    b_idx, b_par = np.array(beta.indices), np.array(beta.params)
+    tables = {"ab": [], "ba": [], "null_a": [], "null_b": []}
+    kept = []
+    excluded = []
+
+    def record(table, s, t, value):
+        tables[table].append((float(s), float(t), float(value)))
+        if min(math.cos(s), math.cos(t)) < edge_cos:
+            excluded.append((table, float(s), float(t), float(value)))
+        else:
+            kept.append(float(value))
+
+    for i, s in zip(a_idx, a_par):
+        for j, t in zip(b_idx, b_par):
+            if X.tau[i, j] > 0.0:
+                record("ab", s, t, reference_c_value(float(X.tau[i, j]), s, t))
+            if X.tau[j, i] > 0.0:
+                record("ba", s, t, reference_c_value(float(X.tau[j, i]), s, t))
+    for i, s in zip(a_idx, a_par):
+        t_c = reference_cone_crossing(X, int(i), b_idx, b_par)
+        if t_c is not None:
+            record("null_a", s, t_c, reference_c_value(0.0, s, t_c))
+    for j, t in zip(b_idx, b_par):
+        s_c = reference_cone_crossing(X, int(j), a_idx, a_par)
+        if s_c is not None:
+            record("null_b", t, s_c, reference_c_value(0.0, t, s_c))
+    if kept:
+        constant = float(np.median(kept))
+        deviation = float(np.max(np.abs(np.array(kept) - constant)))
+    else:
+        constant = float(np.median([e[3] for e in excluded]))
+        deviation = math.inf
+    return rg.ParallelReport(
+        c_ab=tuple(tables["ab"]),
+        c_ba=tuple(tables["ba"]),
+        c_null_a=tuple(tables["null_a"]),
+        c_null_b=tuple(tables["null_b"]),
+        constant=constant,
+        deviation=deviation,
+        verdict=deviation <= tol,
+        tol=tol,
+        excluded=tuple(excluded),
+    )
+
+
+def reference_chained_through(X, picked, p):
+    order = [x for x, _ in picked]
+    defect = {x: v for x, v in picked}
+    ip = order.index(p)
+
+    def side(indices, linked):
+        best = {}
+        for pos, x in enumerate(indices):
+            best[x] = (1, defect[x], None)
+            for y in indices[:pos]:
+                if linked(y, x):
+                    cand = (best[y][0] + 1, best[y][1] + defect[x], y)
+                    if (-cand[0], cand[1]) < (-best[x][0], best[x][1]):
+                        best[x] = cand
+        out = []
+        x = indices[-1] if indices else None
+        while x is not None:
+            out.append(x)
+            x = best[x][2]
+        return out[::-1]
+
+    left = side(order[: ip + 1], lambda y, x: X.tau[y, x] > 0.0)
+    right = side(order[ip:][::-1], lambda y, x: X.tau[x, y] > 0.0)
+    return left[:-1] + right[::-1]
+
+
+def reference_picked(X, th, lev, ok, p):
+    h = rg._membership_defect(X, th, p)
+    best = {}
+    for x in np.nonzero(ok)[0]:
+        x = int(x)
+        if x == p or not math.isfinite(h[x]):
+            continue
+        key = int(lev[x])
+        cand = (float(h[x]), x)
+        if key not in best or cand < best[key]:
+            best[key] = cand
+    best[int(lev[p])] = (0.0, p)
+    defects = sorted(v for v, _ in best.values())
+    cutoff = max(3.0 * defects[len(defects) // 2], rg.MEMBER_FLOOR)
+    return sorted(
+        ((x, v) for v, x in best.values() if v <= cutoff),
+        key=lambda rec: (th[rec[0]], rec[0]),
+    )
+
+
+def fully_linked(X, picked):
+    order = [x for x, _ in picked]
+    return all(X.tau[x, y] > 0.0 for k, x in enumerate(order) for y in order[k + 1 :])
+
+
+def shuffled(X, seed):
+    perm = np.random.default_rng(seed).permutation(X.size)
+    Y = cs.FiniteCausalSpace(
+        tuple(X.labels[k] for k in perm),
+        X.tau[np.ix_(perm, perm)],
+        X.leq[np.ix_(perm, perm)],
+        X.coords[perm],
+    )
+    return Y, np.argsort(perm)
+
+
+def unlinked_suspension(seed, drop=0.03):
+    """Jittered suspension with some timelike relations made null."""
+    _, _, X = suspension()
+    rng = np.random.default_rng(seed)
+    timelike = X.tau > 0.0
+    tau = np.where(
+        timelike, np.maximum(X.tau + rng.uniform(-1e-3, 1e-3, X.tau.shape), 1e-12), 0.0
+    )
+    tau[timelike & (rng.random(tau.shape) < drop)] = 0.0
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq)
+
+
+def selections_match_reference(X, gamma):
+    """Every in-domain selection equals the loop version; counts DP runs."""
+    g_idx, g_par = np.array(gamma.indices), np.array(gamma.params)
+    th, in_dom = rg._model_times(X, g_idx, g_par)
+    lev, ok = rg._member_levels(g_par, th, in_dom)
+    dp_runs = 0
+    for p in np.nonzero(in_dom)[0].tolist():
+        picked = reference_picked(X, th, lev, ok, p)
+        expect = reference_chained_through(X, picked, p)
+        assert rg._chained_through(X, picked, p) == expect
+        assert rg._select_members(X, th, lev, ok, p) == expect
+        dp_runs += not fully_linked(X, picked)
+    return dp_runs
+
+
+def test_c_functions_match_reference_on_fiber_pairs():
+    _, _, X = suspension()
+    for a in range(N_FIBERS):
+        for b in range(a, N_FIBERS):
+            alpha, beta = fiber_line(a), fiber_line(b)
+            assert rg.c_functions(X, alpha, beta) == reference_c_functions(X, alpha, beta)
+
+
+def test_c_functions_match_reference_on_tilted_pair():
+    _, grid, _ = suspension()
+    vertical = [ms.AdsPrimePoint(float(t), 0.0) for t in grid]
+    tilted = [
+        ms.geodesic_point(ms.GeodesicParams(0.5, 0.3), float(l))
+        for l in np.linspace(-1.0, 1.0, 15)
+    ]
+    X = cs.sample_model_points(vertical + tilted)
+    alpha = rg.line_from_chain(X, cs.make_chain(X, list(range(len(vertical)))))
+    beta = rg.line_from_chain(X, cs.make_chain(X, list(range(len(vertical), X.size))))
+    for pair in ((alpha, beta), (beta, alpha)):
+        report = rg.c_functions(X, *pair)
+        assert not report.verdict
+        assert report == reference_c_functions(X, *pair)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_array_pipeline_matches_reference_on_shuffled_orders(seed):
+    S, _, X = suspension()
+    Y, where = shuffled(X, seed)
+    lines = {}
+    for k in (0, 1, 5, 6):
+        column = [int(where[fiber(level, k)]) for level in range(N_TIMES)]
+        lines[k] = rg.line_from_chain(Y, cs.make_chain(Y, column))
+    for a, b in ((0, 1), (1, 6), (5, 0), (6, 6)):
+        report = rg.c_functions(Y, lines[a], lines[b])
+        assert report == reference_c_functions(Y, lines[a], lines[b])
+    assert selections_match_reference(Y, rg.find_line(Y)) == 0
+
+
+def test_selection_matches_reference_when_selections_break_chains():
+    X = unlinked_suspension(0)
+    assert selections_match_reference(X, rg.find_line(X)) > 0
+
+
+def test_selection_ties_match_reference():
+    # With fiber 0 reduced to one point p, its two neighbours sit at the
+    # same base distance, so their defects against p tie exactly on
+    # several levels and the smaller index must win.
+    _, _, X = suspension()
+    p = fiber(10, 0)
+    keep = [x for x in range(X.size) if x % N_FIBERS != 0 or x == p]
+    Y = cs.FiniteCausalSpace(
+        tuple(X.labels[x] for x in keep),
+        X.tau[np.ix_(keep, keep)],
+        X.leq[np.ix_(keep, keep)],
+    )
+    selections_match_reference(Y, rg.find_line(Y))
+
+
+def test_extract_slice_tables_match_reference(monkeypatch):
+    X = unlinked_suspension(0)
+    c_functions = rg.c_functions
+    calls = []
+
+    def checked(X, alpha, beta):
+        report = c_functions(X, alpha, beta)
+        assert report == reference_c_functions(X, alpha, beta)
+        calls.append(report)
+        return report
+
+    monkeypatch.setattr(rg, "c_functions", checked)
+    rg.extract_slice(X, rg.find_line(X))
+    assert calls
 
 
 # ---------------------------------------------------------------- slices
@@ -339,13 +609,7 @@ def test_splitting_reconstructs_every_separation():
 @pytest.mark.parametrize("seed", range(10))
 def test_splitting_ignores_point_order(seed):
     _, _, X = suspension()
-    perm = np.random.default_rng(seed).permutation(X.size)
-    Y = cs.FiniteCausalSpace(
-        tuple(X.labels[k] for k in perm),
-        X.tau[np.ix_(perm, perm)],
-        X.leq[np.ix_(perm, perm)],
-        X.coords[perm],
-    )
+    Y, _ = shuffled(X, seed)
     line = rg.find_line(Y)
     result = rg.build_splitting(Y, line)
     assert len(line.indices) == N_TIMES
