@@ -178,21 +178,16 @@ class FiniteCausalSpace:
 def sample_model_points(points, labels=None) -> FiniteCausalSpace:
     """Finite causal space of model-strip points with closed-form tau.
 
-    Classification matches ads_interval entrywise: arguments within
-    ARG_SLACK of the cone count as null with tau = 0.
+    Pairs are classified by ms.ads_separation, which matches
+    ads_interval entrywise.
     """
     pts = list(points)
     if not pts:
         raise ParameterError("need at least one point")
     t = np.array([p.t for p in pts])
     x = np.array([p.x for p in pts])
-    arg = np.sin(t)[:, None] * np.sin(t)[None, :] + np.cos(t)[:, None] * np.cos(t)[
-        None, :
-    ] * np.cosh(x[None, :] - x[:, None])
     order = t[:, None] <= t[None, :]
-    leq = order & (arg <= 1.0 + ms.ARG_SLACK)
-    timelike = leq & (arg < 1.0 - ms.ARG_SLACK)
-    tau = np.where(timelike, np.arccos(np.clip(arg, -1.0, 1.0)), 0.0)
+    leq, _, tau = ms.ads_separation(t, t, x[None, :] - x[:, None], order)
     if labels is None:
         width = len(str(len(pts) - 1))
         labels = tuple(f"p{k:0{width}d}" for k in range(len(pts)))

@@ -13,8 +13,8 @@ with the materialized finite_causal SpaceFile and geodesics with a CSV
 table; both are equally deterministic.
 
 Randomized sweeps draw each sample from its own counter-based stream
-keyed by (seed, sample index), so any partition of samples over workers
-sees the same triangles.
+keyed by (seed, sample index) and run the samples in order in one
+thread; --jobs is accepted but does not change the report.
 """
 
 import argparse
@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,13 +420,6 @@ def _subdivision_sample(X, seed, sample, min_sep, tol):
     return None
 
 
-def _fan_out(worker, samples: int, jobs: int):
-    if jobs <= 1:
-        return [worker(k) for k in range(samples)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(samples)))
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -469,11 +461,9 @@ def _cmd_myers(parsed, options):
 def _cmd_curvature(parsed, options):
     X = _materialize(parsed, options)
     tol = _effective_tol_disc(options, X)
-    results = _fan_out(
-        lambda k: _curvature_sample(X, options.seed, k, tol, tol),
-        options.samples,
-        options.jobs,
-    )
+    results = [
+        _curvature_sample(X, options.seed, k, tol, tol) for k in range(options.samples)
+    ]
     drawn = [r for r in results if isinstance(r, tuple)]
     unrealizable = sum(1 for r in results if r == "unrealizable")
     triangle = _merge_reports([r[0] for r in drawn])
@@ -495,11 +485,9 @@ def _cmd_curvature(parsed, options):
 def _cmd_subdivide(parsed, options):
     X = _materialize(parsed, options)
     tol = _effective_tol_disc(options, X)
-    results = _fan_out(
-        lambda k: _subdivision_sample(X, options.seed, k, tol, tol),
-        options.samples,
-        options.jobs,
-    )
+    results = [
+        _subdivision_sample(X, options.seed, k, tol, tol) for k in range(options.samples)
+    ]
     drawn = [r for r in results if isinstance(r, tuple)]
     unrealizable = sum(1 for r in results if r == "unrealizable")
     checks = []
@@ -585,6 +573,9 @@ def run_command(command: str, raw: bytes, options) -> tuple:
     Returns (output bytes, exit code): a ReportFile for check commands,
     a SpaceFile for suspend, a CSV table for geodesics.
     """
+    for flag, value in (("--samples", options.samples), ("--jobs", options.jobs)):
+        if value < 1:
+            raise ParameterError(f"{flag} must be at least 1, got {value}")
     if command == "geodesics":
         return emit_geodesic_table(parse_geodesic_file(raw), options.step), EXIT_PASS
     parsed = parse_space_file(raw)

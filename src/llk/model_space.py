@@ -12,6 +12,9 @@ separation and causal classification, the timelike law of cosines with its
 configuration sign, comparison-triangle realization, and unit-speed
 geodesics together with their conformal-time bookkeeping.
 
+Array kernels: ads_separation classifies blocks of pairs as ads_interval
+does, and ads_fiber_cosh inverts its closed form for the fiber distance.
+
 Curvature is normalized to K = -1 throughout; callers rescale.
 Inverse-trig arguments are clamped into their legal domain when within
 ARG_SLACK of it and rejected otherwise.
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -167,6 +172,29 @@ def ads_interval(p: AdsPrimePoint, q: AdsPrimePoint) -> IntervalResult:
     float noise at the cone cannot flip a classification.
     """
     return _classify(_tau_argument(p, q), p.t <= q.t)
+
+
+def ads_separation(s, t, dx, order):
+    """(leq, timelike, tau) of the pairs (s[i], t[j]) at fiber distance dx[i, j].
+
+    order[i, j] says whether the pair may be future directed; the cone
+    band and tau = arccos(arg), 0 off timelike pairs, are as in _classify.
+    """
+    arg = np.cosh(dx)
+    arg *= np.cos(s)[:, None] * np.cos(t)[None, :]
+    arg += np.sin(s)[:, None] * np.sin(t)[None, :]
+    leq = order & (arg <= 1.0 + ARG_SLACK)
+    timelike = leq & (arg < 1.0 - ARG_SLACK)
+    tau = np.arccos(np.clip(arg, -1.0, 1.0, out=arg), out=arg)
+    tau[~timelike] = 0.0
+    return leq, timelike, tau
+
+
+def ads_fiber_cosh(tau, s, t):
+    """cosh of the fiber distance of a pair at times s, t and separation
+    tau, inverting ads_separation; rounding below 1 is clamped to 1."""
+    arg = (np.cos(tau) - np.sin(s) * np.sin(t)) / (np.cos(s) * np.cos(t))
+    return np.maximum(arg, 1.0)
 
 
 def embed_ads(p: AdsPrimePoint) -> AmbientPoint:

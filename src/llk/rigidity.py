@@ -47,10 +47,6 @@ ZERO_C = 1e-9
 SPAN_TOL = 1e-9
 
 
-def _clamp_unit(v: float) -> float:
-    return min(1.0, max(-1.0, v))
-
-
 @dataclass(frozen=True)
 class LineSample:
     """Sampled timelike line of near-maximal length.
@@ -314,11 +310,11 @@ def _membership_defect(X: cs.FiniteCausalSpace, th: np.ndarray, p: int) -> np.nd
     fwd = X.tau[p] > 0.0
     rev = X.tau[:, p] > 0.0
     tau_px = np.where(fwd, X.tau[p], X.tau[:, p])
+    # np.arccosh, not math.acosh as in c_functions: the two differ in the
+    # last place on about a quarter of these defects, which rank the
+    # candidates, and a scalar loop adds about 0.15 s to a 972-point split
     with np.errstate(invalid="ignore", divide="ignore"):
-        arg = (np.cos(tau_px) - math.sin(th[p]) * np.sin(th)) / (
-            math.cos(th[p]) * np.cos(th)
-        )
-        h = np.arccosh(np.maximum(arg, 1.0))
+        h = np.arccosh(ms.ads_fiber_cosh(tau_px, th[p], th))
     return np.where(fwd | rev, h, np.inf)
 
 
@@ -482,16 +478,6 @@ def _asymptote(X: cs.FiniteCausalSpace, th, lev, ok, p: int, lines: dict) -> Lin
     return lines[members]
 
 
-def _c_values(tau: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """arcosh((cos tau - sin s sin t) / (cos s cos t)), entry by entry.
-
-    The arcosh is math.acosh on purpose: np.arccosh can differ from it
-    in the last place, and these values reach the reports.
-    """
-    arg = (np.cos(tau) - np.sin(s) * np.sin(t)) / (np.cos(s) * np.cos(t))
-    return np.array([math.acosh(a) for a in np.maximum(arg, 1.0).tolist()])
-
-
 def _cone_crossing(related, fut, past, l_par):
     """Parameters where the future cones of some points meet a line.
 
@@ -581,9 +567,9 @@ def c_functions(
     twice the median parameter step of the two lines.
 
     All four tables are built as arrays over the lines' tau blocks and
-    share one arcosh kernel.  excluded lists the pair entries row-major
-    in (s, t), each ab entry before its ba entry, then null_a, then
-    null_b.
+    share one ads_fiber_cosh call.  excluded lists the pair entries
+    row-major in (s, t), each ab entry before its ba entry, then null_a,
+    then null_b.
     """
     _require_line(X, alpha, "alpha")
     _require_line(X, beta, "beta")
@@ -606,7 +592,9 @@ def c_functions(
     table = np.concatenate([table, np.full(len(hit_a), 2), np.full(len(hit_b), 3)])
     if len(table) == 0:
         raise DomainError("the lines share no causally related parameter pairs")
-    value = _c_values(tau, s, t)
+    # math.acosh, not np.arccosh: the two can differ in the last place,
+    # and these values reach the reports
+    value = np.array([math.acosh(a) for a in ms.ads_fiber_cosh(tau, s, t).tolist()])
 
     names = ("ab", "ba", "null_a", "null_b")
     tables = [
@@ -798,12 +786,8 @@ def build_splitting(
     signed_x = tau_x - tau_x.T
 
     dmat = slice_space.dist[np.ix_(bidx, bidx)]
-    arg = np.sin(svals)[:, None] * np.sin(svals)[None, :] + np.cos(svals)[
-        :, None
-    ] * np.cos(svals)[None, :] * np.cosh(dmat)
     future = svals[None, :] > svals[:, None]
-    timelike_w = future & (arg < 1.0 - wp.NULL_BAND)
-    wtau = np.where(timelike_w, np.arccos(np.clip(arg, -1.0, 1.0)), 0.0)
+    leq_w, timelike_w, wtau = ms.ads_separation(svals, svals, dmat, future)
     signed_w = wtau - wtau.T
 
     distinct = xidx[:, None] != xidx[None, :]
@@ -811,7 +795,7 @@ def build_splitting(
 
     null_x = leq_x & (tau_x <= 0.0) & distinct
     cls_x = np.where(tau_x > 0.0, 2, np.where(null_x, 1, 0))
-    null_w = future & (np.abs(arg - 1.0) <= wp.NULL_BAND)
+    null_w = leq_w & ~timelike_w
     cls_w = np.where(timelike_w, 2, np.where(null_w, 1, 0))
     mismatch = (cls_x != cls_w) & distinct
 
@@ -890,7 +874,7 @@ def stacking_audit(
     # relative rapidity of the glued segments at y2-bar: both future
     # representatives sit on the same side of the shared side p-bar,y2-bar
     glued = math.acos(
-        _clamp_unit(
+        ms._clamp_unit(
             math.cos(len12) * math.cos(len23)
             - math.sin(len12) * math.sin(len23) * math.cosh(omega1 - omega2)
         )
@@ -958,7 +942,7 @@ def check_slice_alexandrov(
     def angle(a, b, c):
         num = ch[a, b] * ch[a, c] - ch[b, c]
         den = sh[a, b] * sh[a, c]
-        return math.acos(_clamp_unit(num / den))
+        return math.acos(ms._clamp_unit(num / den))
 
     records = []
     count = 0

@@ -386,13 +386,7 @@ def sample_suspension(S: FiniteMetricSpace, t_grid) -> FiniteCausalSpace:
     t = np.repeat(np.asarray(grid), nb)
     base = np.tile(np.arange(nb), len(grid))
     D = S.dist[np.ix_(base, base)]
-    arg = np.sin(t)[:, None] * np.sin(t)[None, :] + np.cos(t)[:, None] * np.cos(t)[
-        None, :
-    ] * np.cosh(D)
-    order = t[:, None] <= t[None, :]
-    leq = order & (arg <= 1.0 + ms.ARG_SLACK)
-    timelike = leq & (arg < 1.0 - ms.ARG_SLACK)
-    tau = np.where(timelike, np.arccos(np.clip(arg, -1.0, 1.0)), 0.0)
+    leq, _, tau = ms.ads_separation(t, t, D, t[:, None] <= t[None, :])
     labels = tuple(
         f"{S.labels[b]}@{g}" for g in range(len(grid)) for b in range(nb)
     )

@@ -194,6 +194,25 @@ def test_suspend_rejects_sampled_spaces(tmp_path, capsys):
     assert "suspension_request" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("curvature", ("--samples", "-5")),
+        ("curvature", ("--samples", "0")),
+        ("subdivide", ("--samples", "0")),
+        ("curvature", ("--jobs", "0")),
+        ("validate", ("--jobs", "-1")),
+    ],
+)
+def test_nonpositive_samples_or_jobs_are_usage_errors(tmp_path, capsys, command, flags):
+    out = tmp_path / "x.json"
+    assert run_cli(command, FIXTURES / "ads_diamond_81.json", out, *flags) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "llk.errors.ParameterError" in err
+    assert f"{flags[0]} must be at least 1" in err
+
+
 def test_missing_input_is_a_usage_error(tmp_path, capsys):
     assert run_cli("validate", tmp_path / "absent.json", tmp_path / "x.json") == 2
     assert "error" in capsys.readouterr().err

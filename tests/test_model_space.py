@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llk import causal_space as cs
 from llk import model_space as ms
+from llk import rigidity as rg
+from llk import warped_product as wp
 from llk.errors import (
     DomainError,
     InfeasibleError,
@@ -458,3 +461,137 @@ def test_causal_boundary_tau_limits():
     assert abs(ms.causal_boundary_tau(t0, math.pi / 2 - 1e-9) - (math.pi / 2 - t0)) < 1e-7
     with pytest.raises(DomainError):
         ms.causal_boundary_tau(-math.pi / 2, 0.0)
+
+
+# ---------------------------------------------------------------- array kernels
+
+
+def reference_separation(s, t, dx, order):
+    """The classification the samplers and build_splitting wrote out
+    inline before ads_separation, kept verbatim as the oracle."""
+    arg = np.sin(s)[:, None] * np.sin(t)[None, :] + np.cos(s)[:, None] * np.cos(t)[
+        None, :
+    ] * np.cosh(dx)
+    leq = order & (arg <= 1.0 + ms.ARG_SLACK)
+    timelike = leq & (arg < 1.0 - ms.ARG_SLACK)
+    tau = np.where(timelike, np.arccos(np.clip(arg, -1.0, 1.0)), 0.0)
+    return leq, timelike, tau
+
+
+def assert_same_separation(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def circle_suspension():
+    n = 12
+    k = np.arange(n)
+    gap = np.abs(k[:, None] - k[None, :])
+    S = wp.FiniteMetricSpace(
+        tuple(f"c{i:02d}" for i in range(n)), (4.0 / n) * np.minimum(gap, n - gap)
+    )
+    grid = np.linspace(-ms.HALF_PI + 0.05, ms.HALF_PI - 0.05, 21)
+    return S, grid, wp.sample_suspension(S, grid)
+
+
+def test_separation_matches_inline_reference_on_suspension():
+    S, grid, X = circle_suspension()
+    t = np.repeat(grid, S.size)
+    base = np.tile(np.arange(S.size), len(grid))
+    D = S.dist[np.ix_(base, base)]
+    order = t[:, None] <= t[None, :]
+    want = reference_separation(t, t, D, order)
+    assert_same_separation(ms.ads_separation(t, t, D, order), want)
+    assert np.array_equal(X.leq, want[0])
+    assert X.tau.tobytes() == want[2].tobytes()
+
+
+def test_separation_matches_inline_reference_on_shuffled_model_points():
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-1.5, 1.5, 200)
+    x = rng.uniform(-3.0, 3.0, 200)
+    # a vertical pair, a pair on the cone and a coincident pair
+    t = np.append(t, [0.0, 0.5, 0.5, 0.0])
+    x = np.append(x, [0.0, 0.0, ms.conformal_time(0.5), 0.0])
+    perm = rng.permutation(len(t))
+    t, x = t[perm], x[perm]
+    X = cs.sample_model_points(ms.AdsPrimePoint(a, b) for a, b in zip(t, x))
+    dx = x[None, :] - x[:, None]
+    order = t[:, None] <= t[None, :]
+    want = reference_separation(t, t, dx, order)
+    assert_same_separation(ms.ads_separation(t, t, dx, order), want)
+    assert np.array_equal(X.leq, want[0])
+    assert X.tau.tobytes() == want[2].tobytes()
+    assert np.count_nonzero(want[0] & ~want[1]) > X.size  # off-diagonal null pairs
+
+
+def test_separation_matches_inline_reference_on_reconstruction():
+    _, _, X = circle_suspension()
+    result = rg.build_splitting(X, rg.find_line(X))
+    svals = np.array([q for _, q, _ in result.samples])
+    bidx = np.array([result.slice_space.index(b) for b, _, _ in result.samples])
+    xidx = np.array([x for _, _, x in result.samples])
+    dmat = result.slice_space.dist[np.ix_(bidx, bidx)]
+    future = svals[None, :] > svals[:, None]
+    want = reference_separation(svals, svals, dmat, future)
+    assert_same_separation(ms.ads_separation(svals, svals, dmat, future), want)
+    tau_x = X.tau[np.ix_(xidx, xidx)]
+    distinct = xidx[:, None] != xidx[None, :]
+    gap = (tau_x - tau_x.T) - (want[2] - want[2].T)
+    assert result.residual == float(np.max(np.abs(np.where(distinct, gap, 0.0))))
+
+
+def least_float(f, target, lo, hi):
+    """Smallest float x in (lo, hi] with f(x) >= target, f increasing."""
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        if mid <= lo or mid >= hi:
+            mid = np.nextafter(lo, hi)
+        if f(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("bound", [1.0 + ms.ARG_SLACK, 1.0 - ms.ARG_SLACK])
+def test_separation_classes_at_the_cone_band_match_classify(bound):
+    # arg = cosh(dx) at s = t = 0, and arg = cos(t) at s = dx = 0
+    if bound > 1.0:
+        f, target = np.cosh, bound
+    else:
+        f, target = (lambda v: -np.cos(v)), -bound
+    at = least_float(f, target, 0.0, 1e-4)
+    above = least_float(f, np.nextafter(target, np.inf), 0.0, 1e-4)
+    points = (np.nextafter(at, 0.0), at, above)
+    if bound > 1.0:
+        cases = [(0.0, d) for d in points]
+        args = [float(np.cosh(d)) for d in points]
+    else:
+        cases = [(v, 0.0) for v in points]
+        args = [float(np.cos(v)) for v in points]
+    assert args[1] == bound
+    assert len(set(args)) == 3
+    for (t, d), arg in zip(cases, args):
+        leq, timelike, tau = ms.ads_separation(
+            np.array([0.0]), np.array([t]), np.array([[d]]), np.array([[True]])
+        )
+        want = ms._classify(arg, True)
+        assert bool(leq[0, 0]) == (want.relation != ms.UNRELATED)
+        assert bool(timelike[0, 0]) == (want.relation == ms.TIMELIKE)
+        assert (tau[0, 0] > 0.0) == (want.tau > 0.0)
+
+
+def test_fiber_cosh_inverts_separation_away_from_the_cone():
+    rng = np.random.default_rng(5)
+    s = rng.uniform(-1.3, 1.3, 60)
+    t = rng.uniform(-1.3, 1.3, 60)
+    dx = np.abs(rng.uniform(-2.0, 2.0, (60, 60)))
+    _, timelike, tau = ms.ads_separation(s, t, dx, s[:, None] <= t[None, :])
+    away = timelike & (tau > 0.05)
+    assert np.count_nonzero(away) > 200
+    i, j = np.nonzero(away)
+    c = ms.ads_fiber_cosh(tau[i, j], s[i], t[j])
+    recovered = np.array([math.acosh(v) for v in c.tolist()])
+    assert np.max(np.abs(recovered - dx[i, j])) < 1e-9
