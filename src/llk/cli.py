@@ -100,6 +100,16 @@ def _number(value, path: str):
     return value
 
 
+def _entries(row, path: str, entry):
+    """entry(v, path) over a row; entry paths are built only to name a bad one."""
+    try:
+        return [entry(v, path) for v in row]
+    except StructuralError:
+        for c, v in enumerate(row):
+            entry(v, f"{path}[{c}]")
+        raise
+
+
 def _matrix(rows, n: int, path: str, entry):
     if not isinstance(rows, list) or len(rows) != n:
         _fail(path, f"expected {n} rows")
@@ -108,7 +118,7 @@ def _matrix(rows, n: int, path: str, entry):
         if not isinstance(row, list) or len(row) != n:
             got = len(row) if isinstance(row, list) else type(row).__name__
             _fail(f"{path}[{r}]", f"expected {n} entries, got {got}")
-        out.append([entry(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
+        out.append(_entries(row, f"{path}[{r}]", entry))
     return out
 
 
@@ -129,23 +139,22 @@ def _parse_finite_causal(doc) -> SpaceFile:
         return None if v is None else _number(v, path)
 
     def leq_entry(v, path):
-        if v not in (0, 1):
+        if isinstance(v, bool) or v not in (0, 1):
             _fail(path, f"expected 0 or 1, got {v!r}")
         return int(v)
 
     tau_rows = _matrix(doc.get("tau"), n, "tau", tau_entry)
     leq_rows = _matrix(doc.get("leq"), n, "leq", leq_entry)
-    tau = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            entry = tau_rows[i][j]
-            if entry is None:
-                if leq_rows[i][j]:
-                    _fail(f"tau[{i}][{j}]", "null (+inf) entry on a related pair")
-            else:
-                if entry > 0.0 and not leq_rows[i][j]:
-                    _fail(f"tau[{i}][{j}]", "positive entry on an unrelated pair")
-                tau[i, j] = entry
+    tau = np.array(tau_rows, dtype=float)  # null entries become NaN
+    leq = np.array(leq_rows, dtype=bool)
+    null = np.isnan(tau)
+    bad = np.where(null, leq, (tau > 0.0) & ~leq)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)  # the first in row-major order
+        if null[i, j]:
+            _fail(f"tau[{i}][{j}]", "null (+inf) entry on a related pair")
+        _fail(f"tau[{i}][{j}]", "positive entry on an unrelated pair")
+    tau[null] = 0.0
     coords = None
     if doc.get("coords") is not None:
         rows = doc["coords"]
@@ -160,10 +169,8 @@ def _parse_finite_causal(doc) -> SpaceFile:
                 width = len(row)
             elif len(row) != width:
                 _fail(f"coords[{r}]", f"expected {width} entries, got {len(row)}")
-            coords.append([_number(v, f"coords[{r}][{c}]") for c, v in enumerate(row)])
-    space = cs.FiniteCausalSpace(
-        tuple(labels), tau, np.array(leq_rows, dtype=bool), coords
-    )
+            coords.append(_entries(row, f"coords[{r}]", _number))
+    space = cs.FiniteCausalSpace(tuple(labels), tau, leq, coords)
     return SpaceFile(kind="finite_causal", space=space)
 
 
@@ -232,19 +239,47 @@ def parse_space_file(raw: bytes) -> SpaceFile:
     _fail("kind", f"unknown kind {kind!r}")
 
 
-def space_payload(X: cs.FiniteCausalSpace) -> dict:
-    """finite_causal SpaceFile document for a sampled space."""
-    # Row by row: converting whole matrices at once would keep a second
-    # full-size copy alive and raise peak memory on large spaces.
-    tau = [
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _render_rows(rows) -> bytes:
+    """Number rows as the items of an indent-2 list under a top-level key.
+
+    Each row goes through the C encoder in one call, and its ", "
+    separators are then broken into indented lines; that is safe because
+    a row holds only numbers and null.
+    """
+    encode = _ROW_ENCODER.encode
+    return b",\n".join(
+        ("    [\n      " + encode(row)[1:-1].replace(", ", ",\n      ") + "\n    ]").encode()
+        if row
+        else b"    []"
+        for row in rows
+    )
+
+
+def render_space(X: cs.FiniteCausalSpace) -> bytes:
+    """finite_causal SpaceFile of a sampled space.
+
+    The bytes are those of _render_json on the document with the keys
+    coords (when present), kind, labels, leq and tau, written without the
+    pure-Python encoder that json.dumps falls back to when it indents.
+    """
+    tau = (
         [t if lk else None for t, lk in zip(tau_row.tolist(), leq_row.tolist())]
         for tau_row, leq_row in zip(X.tau, X.leq)
-    ]
-    leq = [row.tolist() for row in X.leq.view(np.uint8)]
-    doc = {"kind": "finite_causal", "labels": list(X.labels), "tau": tau, "leq": leq}
+    )
+    leq = (row.tolist() for row in X.leq.view(np.uint8))
+    labels = ",\n    ".join(json.dumps(label) for label in X.labels).encode()
+    parts = [b"{\n"]
     if X.coords is not None:
-        doc["coords"] = X.coords.tolist()
-    return doc
+        parts += [b'  "coords": [\n', _render_rows(X.coords.tolist()), b"\n  ],\n"]
+    parts += [
+        b'  "kind": "finite_causal",\n  "labels": [\n    ', labels, b"\n  ],\n",
+        b'  "leq": [\n', _render_rows(leq), b"\n  ],\n",
+        b'  "tau": [\n', _render_rows(tau), b"\n  ]\n}\n",
+    ]
+    return b"".join(parts)
 
 
 def parse_geodesic_file(raw: bytes):
@@ -435,6 +470,11 @@ def _effective_tol_disc(options, X: cs.FiniteCausalSpace) -> float:
 
 def _materialize(parsed: SpaceFile, options) -> cs.FiniteCausalSpace:
     if parsed.kind == "finite_causal":
+        if options.grid is not None:
+            raise ParameterError(
+                "--grid applies to a suspension_request input, not finite_causal "
+                f"(got --grid {options.grid})"
+            )
         return parsed.space
     t_grid = parsed.t_grid
     if options.grid is not None:
@@ -582,7 +622,7 @@ def run_command(command: str, raw: bytes, options) -> tuple:
     if command == "suspend":
         if parsed.kind != "suspension_request":
             raise ParameterError("suspend needs a suspension_request input")
-        return _render_json(space_payload(_materialize(parsed, options))), EXIT_PASS
+        return render_space(_materialize(parsed, options)), EXIT_PASS
     checks, work_units = _CHECK_COMMANDS[command](parsed, options)
     digest = hashlib.sha256(raw).hexdigest()
     report = report_payload(command, options, parsed, checks, work_units, digest)

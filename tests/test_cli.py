@@ -6,15 +6,19 @@ report byte for byte, independently of the worker count.  Small inline
 documents exercise the diagnostic paths.
 """
 
+import hashlib
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
 
+from llk import causal_space as cs
 from llk import cli
 from llk import model_space as ms
+from llk import warped_product as wp
 from llk.errors import ParameterError, StructuralError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -43,13 +47,46 @@ def doc_bytes(doc):
     return (json.dumps(doc) + "\n").encode()
 
 
+def reference_space_bytes(X):
+    """The json.dumps rendering of a space that render_space must reproduce."""
+    tau = [
+        [t if lk else None for t, lk in zip(tau_row.tolist(), leq_row.tolist())]
+        for tau_row, leq_row in zip(X.tau, X.leq)
+    ]
+    leq = [row.tolist() for row in X.leq.view(np.uint8)]
+    doc = {"kind": "finite_causal", "labels": list(X.labels), "tau": tau, "leq": leq}
+    if X.coords is not None:
+        doc["coords"] = X.coords.tolist()
+    return cli._render_json(doc)
+
+
+def fixture_space(name):
+    return cli.parse_space_file((FIXTURES / name).read_bytes()).space
+
+
+def fixture_suspension():
+    parsed = cli.parse_space_file((FIXTURES / "suspension_circle12.json").read_bytes())
+    return wp.sample_warped_product(parsed.warping, parsed.base, parsed.t_grid)
+
+
+def shuffled_model_sample():
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-1.5, 1.5, 200)
+    x = rng.uniform(-3.0, 3.0, 200)
+    # a vertical pair, a pair on the cone and a coincident pair
+    t = np.append(t, [0.0, 0.5, 0.5, 0.0])
+    x = np.append(x, [0.0, 0.0, ms.conformal_time(0.5), 0.0])
+    perm = rng.permutation(len(t))
+    return cs.sample_model_points(ms.AdsPrimePoint(a, b) for a, b in zip(t[perm], x[perm]))
+
+
 # ---------------------------------------------------------------- parsing
 
 
 def test_round_trip_preserves_space_files():
     raw = (FIXTURES / "ads_diamond_81.json").read_bytes()
     first = cli.parse_space_file(raw)
-    again = cli.parse_space_file(cli._render_json(cli.space_payload(first.space)))
+    again = cli.parse_space_file(cli.render_space(first.space))
     assert again.space.labels == first.space.labels
     assert np.array_equal(again.space.tau, first.space.tau)
     assert np.array_equal(again.space.leq, first.space.leq)
@@ -106,6 +143,195 @@ def test_positive_tau_must_mark_related_pairs():
     }
     with pytest.raises(StructuralError, match=r"tau\[0\]\[1\]"):
         cli.parse_space_file(doc_bytes(doc))
+
+
+def square_doc(n=6):
+    """A valid finite_causal document: n unrelated points."""
+    return {
+        "kind": "finite_causal",
+        "labels": [f"p{k}" for k in range(n)],
+        "tau": [[0] * n for _ in range(n)],
+        "leq": [[int(i == j) for j in range(n)] for i in range(n)],
+    }
+
+
+def bad_tau_doc():
+    doc = square_doc()
+    doc["tau"][2][5] = "x"
+    doc["tau"][2][4] = 0.5  # a number: the entry check passes it
+    doc["tau"][3][0] = "y"
+    return doc
+
+
+def bad_leq_doc():
+    doc = square_doc()
+    doc["leq"][0][3] = 2
+    doc["leq"][0][4] = "z"
+    return doc
+
+
+def bad_coords_doc():
+    doc = square_doc()
+    doc["coords"] = [[0.0, 0.0] for _ in range(6)]
+    doc["coords"][1][1] = None
+    return doc
+
+
+def bad_dist_doc():
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    doc["base"]["dist"][1][0] = "far"
+    doc["base"]["dist"][1][3] = True
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (bad_tau_doc(), "tau[2][5]: expected a number, got 'x'"),
+        (bad_leq_doc(), "leq[0][3]: expected 0 or 1, got 2"),
+        (bad_coords_doc(), "coords[1][1]: expected a number, got None"),
+        (bad_dist_doc(), "base.dist[1][0]: expected a number, got 'far'"),
+    ],
+)
+def test_entry_errors_name_the_first_bad_entry(doc, message):
+    with pytest.raises(StructuralError) as err:
+        cli.parse_space_file(doc_bytes(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("leq", True, "leq[1][4]: expected 0 or 1, got True"),
+        ("leq", False, "leq[1][4]: expected 0 or 1, got False"),
+        ("tau", True, "tau[1][4]: expected a number, got True"),
+    ],
+)
+def test_json_booleans_are_not_relation_entries(key, value, message):
+    doc = square_doc()
+    doc[key][1][4] = value
+    with pytest.raises(StructuralError) as err:
+        cli.parse_space_file(doc_bytes(doc))
+    assert str(err.value) == message
+
+
+def test_leq_accepts_integral_floats():
+    doc = square_doc()
+    doc["leq"][1][4] = 1.0
+    doc["leq"][2][2] = 1.0
+    X = cli.parse_space_file(doc_bytes(doc)).space
+    assert X.leq[1, 4] and X.leq[2, 2]
+    assert np.count_nonzero(X.leq) == 7
+
+
+@pytest.mark.parametrize(
+    "null_at, positive_at, message",
+    [
+        ((3, 1), (0, 4), "tau[0][4]: positive entry on an unrelated pair"),
+        ((0, 4), (3, 1), "tau[0][4]: null (+inf) entry on a related pair"),
+        ((2, 5), (2, 3), "tau[2][3]: positive entry on an unrelated pair"),
+    ],
+)
+def test_relation_errors_name_the_first_pair_in_row_order(null_at, positive_at, message):
+    doc = square_doc()
+    i, j = null_at
+    doc["tau"][i][j] = None
+    doc["leq"][i][j] = 1
+    i, j = positive_at
+    doc["tau"][i][j] = 0.25
+    with pytest.raises(StructuralError) as err:
+        cli.parse_space_file(doc_bytes(doc))
+    assert str(err.value) == message
+
+
+def test_null_tau_parses_as_zero_on_unrelated_pairs():
+    doc = square_doc()
+    doc["tau"][0][1] = None
+    doc["tau"][1][0] = None
+    doc["tau"][2][3] = 0.75
+    doc["leq"][2][3] = 1
+    X = cli.parse_space_file(doc_bytes(doc)).space
+    want = np.zeros((6, 6))
+    want[2, 3] = 0.75
+    assert np.array_equal(X.tau, want)
+
+
+# ---------------------------------------------------------------- writer
+
+
+def diamond_without_coords():
+    X = fixture_space("ads_diamond_81.json")
+    return cs.FiniteCausalSpace(X.labels, X.tau, X.leq)
+
+
+def one_point():
+    return cs.FiniteCausalSpace(("solo",), [[0.0]], [[True]])
+
+
+def awkward_labels():
+    X = fixture_space("ads_diamond_81.json")
+    labels = ('say "hi"', "back\\slash", "caf\u00e9 \u221e", "tab\there", "\U0001d4c1")
+    return cs.FiniteCausalSpace(labels, X.tau[:5, :5], X.leq[:5, :5], X.coords[:5])
+
+
+def zero_width_coords():
+    X = fixture_space("ads_diamond_81.json")
+    return cs.FiniteCausalSpace(X.labels[:3], X.tau[:3, :3], X.leq[:3, :3], np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fixture_space("ads_diamond_81.json"),
+        fixture_suspension,
+        shuffled_model_sample,
+        diamond_without_coords,
+        one_point,
+        awkward_labels,
+        zero_width_coords,
+    ],
+    ids=["diamond", "suspension", "shuffled_model", "no_coords", "one_point", "labels",
+         "zero_width_coords"],
+)
+def test_render_space_matches_json_dumps(build):
+    X = build()
+    assert cli.render_space(X) == reference_space_bytes(X)
+
+
+def test_render_space_rejects_non_finite_numbers():
+    X = fixture_space("ads_diamond_81.json")
+    tau = X.tau.copy()
+    tau[0, 1] = np.nan  # FiniteCausalSpace refuses NaN, so go around it
+    with pytest.raises(ValueError):
+        cli.render_space(types.SimpleNamespace(labels=X.labels, tau=tau, leq=X.leq, coords=None))
+    i, j = np.argwhere(X.leq & (X.tau > 0.0))[0]
+    tau = X.tau.copy()
+    tau[i, j] = np.inf
+    with pytest.raises(ValueError):
+        cli.render_space(cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords))
+    coords = X.coords.copy()
+    coords[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        cli.render_space(cs.FiniteCausalSpace(X.labels, X.tau, X.leq, coords))
+
+
+@pytest.mark.parametrize(
+    "extra, digest, size",
+    [
+        ((), "4167eac79935e83b1ddf304450bab3f42568ed43de920fcf87524e6a5c5769e7", 1_636_482),
+        (
+            ("--grid", "41"),
+            "204d505d714861c2fcf338e3d0ec968824fe14334cbb4632c6bfc9aba085cae0",
+            6_176_746,
+        ),
+    ],
+)
+def test_suspend_output_is_pinned(tmp_path, extra, digest, size):
+    out = tmp_path / "space.json"
+    assert run_cli("suspend", FIXTURES / "suspension_circle12.json", out, *extra) == 0
+    raw = out.read_bytes()
+    assert len(raw) == size
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- reports
@@ -211,6 +437,18 @@ def test_nonpositive_samples_or_jobs_are_usage_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "llk.errors.ParameterError" in err
     assert f"{flags[0]} must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "command, grid", [("validate", "1"), ("split", "41"), ("curvature", "21")]
+)
+def test_grid_on_a_sampled_space_is_a_usage_error(tmp_path, capsys, command, grid):
+    out = tmp_path / "x.json"
+    assert run_cli(command, FIXTURES / "ads_diamond_81.json", out, "--grid", grid) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "llk.errors.ParameterError" in err
+    assert "--grid applies to a suspension_request input" in err
 
 
 def test_missing_input_is_a_usage_error(tmp_path, capsys):

@@ -69,8 +69,8 @@ def flat_strip_request(n_times=21, height=4.0, margin=0.05):
     }
 
 
-def write_json(path, doc):
-    path.write_bytes(cli._render_json(doc))
+def write_bytes(path, raw):
+    path.write_bytes(raw)
     print(f"wrote {path.relative_to(ROOT)}")
 
 
@@ -86,11 +86,11 @@ def main():
     GOLDEN.mkdir(exist_ok=True)
 
     diamond = FIXTURES / "ads_diamond_81.json"
-    write_json(diamond, cli.space_payload(diamond_space()))
+    write_bytes(diamond, cli.render_space(diamond_space()))
     suspension = FIXTURES / "suspension_circle12.json"
-    write_json(suspension, suspension_request())
+    write_bytes(suspension, cli._render_json(suspension_request()))
     strip = FIXTURES / "flat_strip.json"
-    write_json(strip, flat_strip_request())
+    write_bytes(strip, cli._render_json(flat_strip_request()))
 
     write_golden("ads_diamond_81.validate.json", "validate", diamond)
     write_golden(
