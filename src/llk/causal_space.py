@@ -276,11 +276,6 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
     )
 
 
-def _order_valid(leq: np.ndarray, order: np.ndarray) -> bool:
-    sub = leq[np.ix_(order, order)]
-    return not np.tril(sub, -1).any()
-
-
 def _kahn_order(leq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     sub = leq[np.ix_(nodes, nodes)].copy()
     np.fill_diagonal(sub, False)
@@ -302,30 +297,40 @@ def _kahn_order(leq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.array(order, dtype=int)
 
 
-def _topological_order(X: FiniteCausalSpace, nodes: np.ndarray) -> np.ndarray:
-    """Topological order of the node subset, smallest-index deterministic.
+def _interval_order(X: FiniteCausalSpace, nodes: np.ndarray):
+    """Topological order of the node subset and the leq block in that order.
 
-    Uses the time coordinate as a sort key when coords are present and
-    the resulting order respects leq; otherwise falls back to Kahn's
-    algorithm, which also detects cycles.
+    Sorts by the time coordinate, ties by index, when coords are present
+    and that order respects leq; otherwise falls back to Kahn's
+    algorithm, smallest index first, which also detects cycles.
     """
     if X.coords is not None:
         order = nodes[np.lexsort((nodes, X.coords[nodes, 0]))]
-        if _order_valid(X.leq, order):
-            return order
-    return _kahn_order(X.leq, nodes)
+        sub = X.leq[np.ix_(order, order)]
+        if not np.tril(sub, -1).any():
+            return order, sub
+    order = _kahn_order(X.leq, nodes)
+    return order, X.leq[np.ix_(order, order)]
 
 
 def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     """Chain from i to j maximizing the summed time separation.
 
     Dynamic programming over a topological order of the causal interval
-    [i, j]; ties (within a rounding collar, since floating sums along a
-    realizer drift by an ulp per hop) break toward the achieving point
-    that comes first in that order, never by input index, so the chain
-    walks through every point lying on a realizer whatever the point
-    labelling.  The value never exceeds tau(i, j) on a space satisfying
-    the reverse triangle inequality, up to the same collar.
+    [i, j], in which i comes first and j last.  W holds tau on the
+    strictly related pairs and -inf elsewhere; best[r] is the value of
+    the longest chain from row r to j.  Walking down from j, consecutive
+    rows none of which has a successor inside their own run form an
+    antichain block, and each block takes its best in one reduction over
+    the rows already done.  Every candidate is the single sum
+    tau(r, s) + best[s] and max is exact, so the values do not depend on
+    how the rows are blocked.  Ties (within a rounding collar, since
+    floating sums along a realizer drift by an ulp per hop) break toward
+    the achieving point that comes first in the order, never by input
+    index, so the chain walks through every point lying on a realizer
+    whatever the point labelling.  The value never exceeds tau(i, j) on
+    a space satisfying the reverse triangle inequality, up to the same
+    collar.
     """
     n = X.size
     for name, v in (("i", i), ("j", j)):
@@ -335,34 +340,30 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
         raise ChainError(f"points {i} and {j} are not causally related")
     if i == j:
         return Chain((i,), (0.0,))
-    nodes = np.nonzero(X.leq[i] & X.leq[:, j])[0]
-    order = _topological_order(X, nodes)
+    order, sub = _interval_order(X, np.nonzero(X.leq[i] & X.leq[:, j])[0])
+    W = X.tau[np.ix_(order, order)]
+    W[~sub] = -np.inf
+    np.fill_diagonal(W, -np.inf)
+    first = np.argmax(W > -np.inf, axis=1).tolist()  # first successor per row
     m = len(order)
-    pos = {int(node): r for r, node in enumerate(order)}
-    ri, rj = pos[i], pos[j]
-    T = X.tau[np.ix_(order, order)]
-    A = X.leq[np.ix_(order, order)].copy()
-    np.fill_diagonal(A, False)
-    best = np.full(m, -np.inf)
-    best[rj] = 0.0
-    for r in range(m - 1, -1, -1):
-        if r == rj:
-            continue
-        succ = A[r] & (best > -np.inf)
-        if succ.any():
-            best[r] = np.max(T[r, succ] + best[succ])
-    if best[ri] == -np.inf:
-        raise ChainError(f"points {i} and {j} are not connected by a chain")
-    indices = [int(i)]
-    params = [0.0]
-    r = ri
-    while r != rj:
-        succ = np.nonzero(A[r] & (best > -np.inf))[0]
-        achieving = succ[T[r, succ] + best[succ] >= best[r] - RECON_COLLAR]
-        r_next = achieving[0]
-        params.append(params[-1] + float(T[r, r_next]))
-        r = int(r_next)
-        indices.append(int(order[r]))
+    best = np.zeros(m)
+    hi = m - 1
+    # -inf + inf is NaN on an unrelated pair in front of an infinite best;
+    # fmax skips it, and every row has the finite-or-inf candidate via j.
+    with np.errstate(invalid="ignore"):
+        while hi > 0:
+            lo = hi - 1
+            while lo > 0 and first[lo - 1] >= hi:
+                lo -= 1
+            best[lo:hi] = np.fmax.reduce(W[lo:hi, hi:] + best[hi:], axis=1)
+            hi = lo
+        indices, params = [int(i)], [0.0]
+        r = 0
+        while r != m - 1:
+            s = int(np.argmax(W[r] + best >= best[r] - RECON_COLLAR))
+            params.append(params[-1] + float(W[r, s]))
+            indices.append(int(order[s]))
+            r = s
     return Chain(tuple(indices), tuple(params))
 
 

@@ -89,12 +89,19 @@ def _load_json(raw: bytes, path: str = "<input>"):
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         _fail(path, f"not JSON: {exc}")
+    except StructuralError:
+        raise
+    except ValueError as exc:  # an integer with more digits than int() reads
+        _fail(path, f"unreadable number: {exc}")
 
 
 def _number(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(path, "integer beyond the float range")
     if not math.isfinite(value):
         _fail(path, "non-finite number outside the null (+inf) encoding")
     return value

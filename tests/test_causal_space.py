@@ -9,11 +9,15 @@ constant-warping strip must violate it.
 
 import itertools
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llk import causal_space as cs
+from llk import cli
 from llk import model_space as ms
 from llk import warped_product as wp
 from llk.errors import (
@@ -430,6 +434,177 @@ def test_longest_chain_detects_cycles_without_coordinates():
     X = cs.FiniteCausalSpace(("a", "b"), tau, leq)
     with pytest.raises(CausalityError):
         cs.longest_chain(X, 0, 1)
+
+
+# ------------------------------------------------- block DP against its oracle
+
+
+def reference_longest_chain(X, i, j):
+    """The per-node DP that longest_chain replaced, kept as its oracle:
+    one masked max per point of the interval, walking down a topological
+    order, and the earliest achiever in that order on reconstruction."""
+    if i == j:
+        return cs.Chain((i,), (0.0,))
+    nodes = np.nonzero(X.leq[i] & X.leq[:, j])[0]
+    order = None
+    if X.coords is not None:
+        order = nodes[np.lexsort((nodes, X.coords[nodes, 0]))]
+        if np.tril(X.leq[np.ix_(order, order)], -1).any():
+            order = None
+    if order is None:
+        order = cs._kahn_order(X.leq, nodes)
+    m = len(order)
+    pos = {int(node): r for r, node in enumerate(order)}
+    ri, rj = pos[i], pos[j]
+    T = X.tau[np.ix_(order, order)]
+    A = X.leq[np.ix_(order, order)].copy()
+    np.fill_diagonal(A, False)
+    best = np.full(m, -np.inf)
+    best[rj] = 0.0
+    for r in range(m - 1, -1, -1):
+        if r == rj:
+            continue
+        succ = A[r] & (best > -np.inf)
+        if succ.any():
+            best[r] = np.max(T[r, succ] + best[succ])
+    indices = [int(i)]
+    params = [0.0]
+    r = ri
+    while r != rj:
+        succ = np.nonzero(A[r] & (best > -np.inf))[0]
+        achieving = succ[T[r, succ] + best[succ] >= best[r] - cs.RECON_COLLAR]
+        r_next = achieving[0]
+        params.append(params[-1] + float(T[r, r_next]))
+        r = int(r_next)
+        indices.append(int(order[r]))
+    return cs.Chain(tuple(indices), tuple(params))
+
+
+def seeded_net_space(seed, warping, n_times=21):
+    """A 12-point circle net jittered by the seed, sampled at n_times
+    levels: 252 points at the default, as at --grid 21."""
+    rng = np.random.default_rng(seed)
+    sites = 2 * np.arange(12) + rng.integers(0, 2, size=12)
+    gap = np.abs(sites[:, None] - sites[None, :])
+    S = wp.FiniteMetricSpace(
+        tuple(f"c{k:02d}" for k in range(12)), np.minimum(gap, 24 - gap) * (4.0 / 24)
+    )
+    if warping == "cos":
+        grid = np.linspace(-ms.HALF_PI + 0.05, ms.HALF_PI - 0.05, n_times)
+        return wp.sample_suspension(S, grid)
+    grid = np.linspace(0.05, 3.95, n_times)
+    return wp.sample_warped_product(wp.constant_warping(1.0, (0.0, 4.0)), S, grid)
+
+
+def ads81_space():
+    raw = (Path(__file__).resolve().parents[1] / "fixtures" / "ads_diamond_81.json").read_bytes()
+    return cli.parse_space_file(raw).space
+
+
+def strict_pairs(X):
+    return np.argwhere(X.leq & ~np.eye(X.size, dtype=bool))
+
+
+def without_coords(X, rng):
+    return cs.FiniteCausalSpace(X.labels, X.tau, X.leq)
+
+
+def with_infinite_tau(X, rng):
+    rel = strict_pairs(X)
+    hit = rel[rng.choice(len(rel), len(rel) // 10, replace=False)]
+    tau = X.tau.copy()
+    tau[hit[:, 0], hit[:, 1]] = np.inf
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+def with_dropped_leq(X, rng):
+    rel = strict_pairs(X)
+    hit = rel[rng.choice(len(rel), len(rel) // 5, replace=False)]
+    leq = X.leq.copy()
+    leq[hit[:, 0], hit[:, 1]] = False
+    return cs.FiniteCausalSpace(X.labels, X.tau, leq, X.coords)
+
+
+def with_inflated_tau(X, rng):
+    """tau scaled up by up to half on a fifth of the related pairs, which
+    breaks the reverse triangle inequality."""
+    rel = strict_pairs(X)
+    hit = rel[rng.choice(len(rel), len(rel) // 5, replace=False)]
+    tau = X.tau.copy()
+    tau[hit[:, 0], hit[:, 1]] *= rng.uniform(1.0, 1.5, size=len(hit))
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+ORACLE_SPACES = {
+    "cos21": lambda: seeded_net_space(3, "cos"),
+    "flat21": lambda: seeded_net_space(4, "flat"),
+    "ads81": ads81_space,
+}
+ORACLE_VARIANTS = {
+    "plain": lambda X, rng: X,
+    "no-coords": without_coords,
+    "inf-tau": with_infinite_tau,
+    "dropped-leq": with_dropped_leq,
+    "inflated-tau": with_inflated_tau,
+}
+
+
+@pytest.mark.parametrize("variant", ORACLE_VARIANTS)
+@pytest.mark.parametrize("space", ORACLE_SPACES)
+def test_longest_chain_equals_per_node_reference(space, variant):
+    rng = np.random.default_rng(7)
+    X = ORACLE_VARIANTS[variant](ORACLE_SPACES[space](), rng)
+    rel = strict_pairs(X)
+    far = rel[X.tau[rel[:, 0], rel[:, 1]] >= np.quantile(X.tau[X.leq], 0.9)]
+    pairs = [
+        (int(a), int(b))
+        for pool in (rel, far)
+        for a, b in pool[rng.choice(len(pool), 30, replace=False)]
+    ]
+    got = []
+    for a, b in pairs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got.append(cs.longest_chain(X, a, b))
+        assert got[-1] == reference_longest_chain(X, a, b), (a, b)
+    assert sum(len(ch.indices) > 2 for ch in got) >= 5
+    assert any(math.isinf(ch.value) for ch in got) == (variant == "inf-tau")
+
+
+def test_longest_chain_detects_cycles_behind_coordinates():
+    X = seeded_net_space(3, "cos")
+    a, b = X.index("c00@5"), X.index("c00@9")
+    leq = X.leq.copy()
+    leq[b, a] = True
+    Y = cs.FiniteCausalSpace(X.labels, X.tau, leq, X.coords)
+    with pytest.raises(CausalityError):
+        cs.longest_chain(Y, X.index("c00@0"), X.index("c00@20"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=40))
+def test_longest_chain_value_ignores_point_order(seed, n):
+    rng = np.random.default_rng(seed)
+    X = random_model_space(rng, n)
+    perm = rng.permutation(n)
+    Y = relabelled(X, perm)
+    where = np.argsort(perm)  # X's point k is Y's point where[k]
+    for a, b in strict_pairs(X):
+        got = cs.longest_chain(Y, int(where[a]), int(where[b])).value
+        assert abs(got - cs.longest_chain(X, int(a), int(b)).value) <= EXACT
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=40))
+def test_longest_chain_value_survives_time_reversal(seed, n):
+    X = random_model_space(np.random.default_rng(seed), n)
+    coords = X.coords * np.array([-1.0, 1.0])
+    R = cs.FiniteCausalSpace(X.labels, X.tau.T, X.leq.T, coords)
+    for a, b in strict_pairs(X):
+        forward = cs.longest_chain(X, int(a), int(b))
+        back = cs.longest_chain(R, int(b), int(a))
+        assert back.indices[0] == b and back.indices[-1] == a
+        assert abs(back.value - forward.value) <= EXACT
 
 
 def test_make_chain_validates_connectivity():

@@ -456,6 +456,29 @@ def test_missing_input_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1" + "0" * 400, "tau[0][0]: integer beyond the float range"),
+        (
+            "1" + "0" * 4400,
+            "<input>: unreadable number: Exceeds the limit (4300 digits) "
+            "for integer string conversion",
+        ),
+    ],
+    ids=["beyond-float", "beyond-int-digits"],
+)
+def test_oversized_integers_are_usage_errors(tmp_path, capsys, entry, message):
+    infile = tmp_path / "one.json"
+    infile.write_text(
+        '{"kind": "finite_causal", "labels": ["a"], "leq": [[1]], "tau": [[%s]]}' % entry
+    )
+    out = tmp_path / "x.json"
+    assert run_cli("validate", infile, out) == 2
+    assert not out.exists()
+    assert f"error [llk.errors.StructuralError] {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- geodesics
 
 
