@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,10 @@ METRIC_TOL = 1e-9
 
 # Cap on the Newton steps of the table separation solver.
 _MAX_STEPS = 200
+
+# The table solver works on at most this many (displacement, piece)
+# cells at a time, which bounds its temporaries to a few MB.
+_SOLVE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,21 @@ class WarpingSpec:
             object.__setattr__(self, "knots", knots)
             object.__setattr__(self, "values", values)
 
+    @cached_property
+    def table(self):
+        """Knots and values of a table as read-only float arrays."""
+        arrays = np.array(self.knots), np.array(self.values)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
     def at(self, t: float) -> float:
         """Warping value f(t)."""
         if self.kind == COS:
             return math.cos(t)
         if self.kind == CONSTANT:
             return self.value
-        return float(np.interp(t, self.knots, self.values))
+        return float(np.interp(t, *self.table))
 
 
 def cos_warping() -> WarpingSpec:
@@ -192,10 +205,10 @@ def _check_inside(f: WarpingSpec, name: str, t: float) -> None:
 def _table_pieces(f: WarpingSpec, lo: float, hi: float):
     """Width and end values (w, f0, f1) of each linear piece of the
     table on [lo, hi], which is split at the interior knots."""
-    knots = np.asarray(f.knots)
+    knots, values = f.table
     inner = knots[(knots > lo) & (knots < hi)]
     edges = np.concatenate(([lo], inner, [hi]))
-    vals = np.interp(edges, knots, f.values)
+    vals = np.interp(edges, knots, values)
     return np.diff(edges), vals[:-1], vals[1:]
 
 
@@ -223,9 +236,10 @@ def null_offset(f: WarpingSpec, t0: float, t1: float) -> float:
     return float(np.sum(w / f0 * ratio))
 
 
-def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: float) -> float:
-    """Time separation over a table warping, from the geodesic whose
-    conserved quantity p = f^2 x' carries it across dx.
+def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarray:
+    """Time separations over a table warping, one per base displacement
+    in dx, from the geodesic whose conserved quantity p = f^2 x' carries
+    it across that displacement; every dx must lie short of the cone.
 
     On a linear piece of width w from f0 to f1, with r = sqrt(f^2 + p^2)
     and q = p / (f0 f1 (r0 + r1)), the integrals along the geodesic are
@@ -237,43 +251,62 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: float) -> float:
     Newton steps from p = 0 climb to the root without overshooting for
     every dx short of the cone; a bracket with bisection guards them
     against rounding.
+
+    Every displacement is one lane of (lanes, pieces) arrays with its
+    own bracket, and leaves the active set once its own stopping rule
+    holds.  Each lane's sums run along a contiguous row, so a lane's
+    result does not depend on which other lanes share the solve.
     """
-    if dx == 0.0:
-        return hi - lo
+    tau = np.full(len(dx), hi - lo)
+    lanes = np.flatnonzero(dx != 0.0)
+    if not lanes.size:
+        return tau
     w, f0, f1 = _table_pieces(f, lo, hi)
-    span = w * (f0 + f1)
-
-    def displacement(p: float):
-        """Displacement minus dx, and its derivative in p."""
-        r0, r1 = np.hypot(f0, p), np.hypot(f1, p)
-        q = p / (f0 * f1 * (r0 + r1))
-        v = q * (f1 - f0) * (f0 + f1)
-        flat = v == 0.0
-        shrink = np.where(flat, 1.0, np.arcsinh(v) / np.where(flat, 1.0, v))
-        gap = float(np.sum(q * span * shrink)) - dx
-        return gap, float(np.sum(span / (r0 * r1 * (r0 + r1))))
-
-    p, p_lo, p_hi = 0.0, 0.0, math.inf
-    for _ in range(_MAX_STEPS):
-        gap, slope = displacement(p)
-        if gap == 0.0:
-            break
-        if gap < 0.0:
-            p_lo = p
+    prod, rise, total = f0 * f1, f1 - f0, f0 + f1
+    span = w * total
+    # f1 of each piece is f0 of the next, so r = sqrt(f^2 + p^2) is taken
+    # once per knot and shared by the two pieces that meet there
+    ends = np.append(f0, f1[-1])
+    block = max(1, _SOLVE_CELLS // len(w))
+    for first in range(0, lanes.size, block):
+        idx = lanes[first:first + block]
+        target = dx[idx]
+        p = np.zeros(idx.size)
+        p_lo = np.zeros(idx.size)
+        p_hi = np.full(idx.size, math.inf)
+        for _ in range(_MAX_STEPS):
+            col = p[:, None]
+            r = np.hypot(ends, col)
+            r0, r1 = r[:, :-1], r[:, 1:]
+            q = col / (prod * (r0 + r1))
+            v = q * rise * total
+            flat = v == 0.0
+            shrink = np.where(flat, 1.0, np.arcsinh(v) / np.where(flat, 1.0, v))
+            gap = np.sum(q * span * shrink, axis=1) - target
+            slope = np.sum(span / (r0 * r1 * (r0 + r1)), axis=1)
+            hit = gap == 0.0
+            below = gap < 0.0
+            p_lo = np.where(below, p, p_lo)
+            p_hi = np.where(below, p_hi, p)
+            step = p - gap / slope
+            nxt = np.where((p_lo < step) & (step < p_hi), step, 0.5 * (p_lo + p_hi))
+            # after a Newton step this small the next one is below rounding;
+            # near the cone, where the gap is flat in p, rounding noise can
+            # instead keep the steps larger until the bracket collapses
+            done = hit | (np.abs(nxt - p) <= 1e-12 * p) | (p_hi - p_lo <= 4e-16 * p_lo)
+            p = np.where(hit, p, nxt)
+            if done.any():
+                r = np.hypot(ends, p[done, None])
+                tau[idx[done]] = np.sum(span / (r[:, :-1] + r[:, 1:]), axis=1)
+                keep = ~done
+                idx, target, p, p_lo, p_hi = idx[keep], target[keep], p[keep], p_lo[keep], p_hi[keep]
+                if not idx.size:
+                    break
         else:
-            p_hi = p
-        step = p - gap / slope
-        nxt = step if p_lo < step < p_hi else 0.5 * (p_lo + p_hi)
-        # after a Newton step this small the next one is below rounding;
-        # near the cone, where the gap is flat in p, rounding noise can
-        # instead keep the steps larger until the bracket collapses
-        done = abs(nxt - p) <= 1e-12 * p or p_hi - p_lo <= 4e-16 * p_lo
-        p = nxt
-        if done:
-            break
-    else:
-        raise ConvergenceError(f"geodesic to displacement {dx!r} did not converge")
-    return float(np.sum(span / (np.hypot(f0, p) + np.hypot(f1, p))))
+            raise ConvergenceError(
+                f"geodesic to displacement {float(dx[idx[0]])!r} did not converge"
+            )
+    return tau
 
 
 def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.IntervalResult:
@@ -302,7 +335,7 @@ def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.In
         span = hi - lo
         tau = math.sqrt(span * span - (f.value * dx) ** 2)
     else:
-        tau = _table_tau(f, lo, hi, dx)
+        tau = float(_table_tau(f, lo, hi, np.array([dx]))[0])
     return ms.IntervalResult(ms.TIMELIKE if ordered else ms.PAST_DIRECTED, tau)
 
 
@@ -320,8 +353,11 @@ def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> Finit
 
     The cos kind delegates to sample_suspension; constant warpings fill
     the matrices with the vectorized Minkowski closed form; table
-    warpings solve once per distinct (time pair, distance) combination
-    with memoization.  Point order and labels follow sample_suspension.
+    warpings classify the distinct base distances against the null
+    offset of each pair of time levels a <= b and solve for all the
+    timelike ones in one batched Newton solve, then fill the (a, b)
+    block of the matrices through the inverse map of the distances.
+    Point order and labels follow sample_suspension.
     """
     if f.kind == COS:
         return sample_suspension(S, t_grid)
@@ -329,10 +365,10 @@ def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> Finit
     nb = S.size
     t = np.repeat(np.asarray(grid), nb)
     base = np.tile(np.arange(nb), len(grid))
-    D = S.dist[np.ix_(base, base)]
     labels = tuple(f"{S.labels[b]}@{g}" for g in range(len(grid)) for b in range(nb))
     coords = np.column_stack([t, base.astype(float)])
     if f.kind == CONSTANT:
+        D = S.dist[np.ix_(base, base)]
         dt = t[None, :] - t[:, None]
         order = dt >= 0.0
         reach = np.where(order, dt, 0.0) / f.value
@@ -343,20 +379,20 @@ def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> Finit
         return FiniteCausalSpace(labels, tau, leq, coords)
     n = len(labels)
     tau = np.zeros((n, n))
-    leq = np.eye(n, dtype=bool)
-    memo = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j or t[i] > t[j]:
-                continue
-            key = (t[i], t[j], D[i, j])
-            res = memo.get(key)
-            if res is None:
-                res = comparison_space_tau(f, float(t[i]), float(t[j]), float(D[i, j]))
-                memo[key] = res
-            if res.relation in (ms.TIMELIKE, ms.NULL):
-                leq[i, j] = True
-                tau[i, j] = res.tau
+    leq = np.zeros((n, n), dtype=bool)
+    dists, inv = np.unique(S.dist, return_inverse=True)
+    inv = inv.reshape(nb, nb)
+    for a, lo in enumerate(grid):
+        rows = slice(a * nb, (a + 1) * nb)
+        for b in range(a, len(grid)):
+            hi = grid[b]
+            reach = null_offset(f, lo, hi)
+            timelike = dists < reach - NULL_BAND
+            sep = np.zeros(len(dists))
+            sep[timelike] = _table_tau(f, lo, hi, dists[timelike])
+            cols = slice(b * nb, (b + 1) * nb)
+            leq[rows, cols] = (dists <= reach + NULL_BAND)[inv]
+            tau[rows, cols] = sep[inv]
     return FiniteCausalSpace(labels, tau, leq, coords)
 
 

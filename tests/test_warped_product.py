@@ -4,10 +4,13 @@ The table-kind solver is cross-checked against closed forms that share
 no code with it: a dense tabulation of the cosine profile must
 reproduce the model-space separations, a two-knot constant table the
 Minkowski formula, and a two-knot table of f = b t, whose strip is the
-flat Milne wedge, the wedge's exact null offsets and separations.
+flat Milne wedge, the wedge's exact null offsets and separations.  The
+batched table sampler is also held bit for bit to the scalar per-pair
+solver it replaced, which is kept here as the reference.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from llk import model_space as ms
 from llk import warped_product as wp
-from llk.errors import DomainError, ParameterError, StructuralError
+from llk.errors import ConvergenceError, DomainError, ParameterError, StructuralError
 
 EXACT = 1e-12
 CROSS_CHECK = 1e-6
@@ -39,6 +42,97 @@ def dense_cos_table(step=0.0005, margin=1e-9):
     knots = np.arange(-ms.HALF_PI + margin, ms.HALF_PI, step)
     knots = np.append(knots, ms.HALF_PI - margin)
     return wp.table_warping(knots, np.cos(knots))
+
+
+def cos_power_table(knots, power=1.0, margin=1e-9):
+    ts = np.linspace(-ms.HALF_PI + margin, ms.HALF_PI - margin, knots)
+    return wp.table_warping(ts, np.cos(ts) ** power)
+
+
+def jittered_circle_net(seed, n=12, sites=24, circumference=4.0):
+    """Twelve points on a circle of circumference 4, point k at lattice
+    site 2k or 2k + 1 of 24, drawn from the seed: at most 13 distinct
+    distances, each shared by many pairs."""
+    rng = random.Random(seed)
+    pos = [2 * k + rng.randrange(2) for k in range(n)]
+    spacing = circumference / sites
+    dist = [[min(abs(a - b), sites - abs(a - b)) * spacing for b in pos] for a in pos]
+    return wp.FiniteMetricSpace(tuple(f"c{k:02d}" for k in range(n)), np.array(dist))
+
+
+def reference_table_tau(f, lo, hi, dx):
+    """The scalar Newton/bisection solve of one table separation."""
+    if dx == 0.0:
+        return hi - lo
+    w, f0, f1 = wp._table_pieces(f, lo, hi)
+    span = w * (f0 + f1)
+
+    def displacement(p):
+        r0, r1 = np.hypot(f0, p), np.hypot(f1, p)
+        q = p / (f0 * f1 * (r0 + r1))
+        v = q * (f1 - f0) * (f0 + f1)
+        flat = v == 0.0
+        shrink = np.where(flat, 1.0, np.arcsinh(v) / np.where(flat, 1.0, v))
+        gap = float(np.sum(q * span * shrink)) - dx
+        return gap, float(np.sum(span / (r0 * r1 * (r0 + r1))))
+
+    p, p_lo, p_hi = 0.0, 0.0, math.inf
+    for _ in range(200):
+        gap, slope = displacement(p)
+        if gap == 0.0:
+            break
+        if gap < 0.0:
+            p_lo = p
+        else:
+            p_hi = p
+        step = p - gap / slope
+        nxt = step if p_lo < step < p_hi else 0.5 * (p_lo + p_hi)
+        done = abs(nxt - p) <= 1e-12 * p or p_hi - p_lo <= 4e-16 * p_lo
+        p = nxt
+        if done:
+            break
+    else:
+        raise AssertionError(f"reference solve for {dx!r} did not converge")
+    return float(np.sum(span / (np.hypot(f0, p) + np.hypot(f1, p))))
+
+
+def reference_table_sample(f, S, grid):
+    """(leq, tau) of a table sample from one scalar solve per distinct
+    (time pair, distance), pair by pair."""
+    nb = S.size
+    t = np.repeat(np.asarray(grid, dtype=float), nb)
+    base = np.tile(np.arange(nb), len(grid))
+    D = S.dist[np.ix_(base, base)]
+    n = len(t)
+    tau = np.zeros((n, n))
+    leq = np.eye(n, dtype=bool)
+    memo = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j or t[i] > t[j]:
+                continue
+            key = (t[i], t[j], D[i, j])
+            if key not in memo:
+                lo, hi, dx = float(t[i]), float(t[j]), float(D[i, j])
+                reach = wp.null_offset(f, lo, hi)
+                if dx > reach + wp.NULL_BAND:
+                    memo[key] = None
+                elif dx >= reach - wp.NULL_BAND:
+                    memo[key] = 0.0
+                else:
+                    memo[key] = reference_table_tau(f, lo, hi, dx)
+            if memo[key] is not None:
+                leq[i, j] = True
+                tau[i, j] = memo[key]
+    return leq, tau
+
+
+def assert_matches_reference(f, S, grid):
+    X = wp.sample_warped_product(f, S, grid)
+    leq, tau = reference_table_sample(f, S, grid)
+    assert np.array_equal(X.leq, leq)
+    assert np.array_equal(X.tau, tau)
+    return X
 
 
 # ---------------------------------------------------------------- profiles
@@ -85,6 +179,19 @@ def test_table_profile_rejects_interval_beyond_knots():
 def test_table_interpolates_linearly_between_knots():
     f = wp.table_warping([0.0, 1.0], [1.0, 3.0])
     assert abs(f.at(0.25) - 1.5) < EXACT
+
+
+def test_table_arrays_are_read_only_and_leave_equality_alone():
+    f = wp.table_warping([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    g = wp.table_warping([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    knots, values = f.table
+    assert f.table is f.table
+    assert knots.tolist() == list(f.knots) and values.tolist() == list(f.values)
+    for a in (knots, values):
+        with pytest.raises(ValueError):
+            a[0] = 9.0
+    assert f == g and hash(f) == hash(g)
+    assert f != wp.table_warping([0.0, 0.5, 1.0], [1.0, 2.0, 4.0])
 
 
 def test_cos_profile_interval_is_pinned():
@@ -295,6 +402,27 @@ def test_separation_is_monotone_in_displacement():
     assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
+def test_table_separation_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for f in (cos_power_table(33), cos_power_table(65, 1.5), wp.table_warping([0.0, 4.0], [1.0, 1.0])):
+        a, b = f.interval
+        for _ in range(40):
+            s, t = sorted(rng.uniform(a + 0.05, b - 0.05, size=2))
+            dx = rng.uniform(0.0, 1.2) * wp.null_offset(f, s, t)
+            res = wp.comparison_space_tau(f, s, t, dx)
+            if res.relation == "timelike":
+                assert res.tau == reference_table_tau(f, s, t, dx)
+
+
+def test_table_solver_reports_a_lane_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(wp, "_MAX_STEPS", 1)
+    f = cos_power_table(33)
+    with pytest.raises(ConvergenceError, match=r"^geodesic to displacement 0\.3 did not converge$"):
+        wp.comparison_space_tau(f, -0.5, 0.5, 0.3)
+    with pytest.raises(ConvergenceError, match=r"^geodesic to displacement .+ did not converge$"):
+        wp.sample_warped_product(f, circle_space(4, 2.0), [-0.5, 0.5])
+
+
 def test_wp_interval_uses_base_distance():
     f = wp.constant_warping(1.0, (-1.0, 6.0))
     S = segment_space(4, 1.5)
@@ -341,6 +469,87 @@ def test_sampled_table_product_matches_suspension_closed_form():
     Y = wp.sample_suspension(S, grid)
     assert np.array_equal(X.leq, Y.leq)
     assert np.max(np.abs(X.tau - Y.tau)) < CROSS_CHECK
+
+
+BENCH_GRID = np.linspace(-ms.HALF_PI + 0.05, ms.HALF_PI - 0.05, 7)
+
+
+@pytest.mark.parametrize(
+    "knots, nets", [(33, (0, 1, 2)), (2049, (0, 1))], ids=["cos33", "cos2049"]
+)
+def test_batched_table_sample_matches_scalar_reference_on_circle_nets(knots, nets):
+    f = cos_power_table(knots)
+    for net in nets:
+        assert_matches_reference(f, jittered_circle_net(net), BENCH_GRID)
+
+
+def test_batched_table_sample_does_not_depend_on_the_lane_block(monkeypatch):
+    f = cos_power_table(65, 1.5)
+    S = jittered_circle_net(4)
+    whole = wp.sample_warped_product(f, S, BENCH_GRID)
+    monkeypatch.setattr(wp, "_SOLVE_CELLS", 1)
+    alone = assert_matches_reference(f, S, BENCH_GRID)
+    assert np.array_equal(whole.tau, alone.tau)
+
+
+def test_batched_table_sample_matches_scalar_reference_off_cos():
+    # f'' + f changes sign for cos^1.5, and the flat table has no slope
+    S = jittered_circle_net(3)
+    assert_matches_reference(cos_power_table(65, 1.5), S, BENCH_GRID)
+    flat = wp.table_warping(np.linspace(0.0, 4.0, 9), np.ones(9))
+    assert_matches_reference(flat, S, np.linspace(0.05, 3.95, 7))
+
+
+def test_batched_table_sample_on_one_base_point_and_one_time_level():
+    f = cos_power_table(33)
+    S = circle_space(4, 2.0)
+    X = assert_matches_reference(f, S, BENCH_GRID)
+    nb = S.size
+    for a, lo in enumerate(BENCH_GRID):
+        for b, hi in enumerate(BENCH_GRID):
+            block = (slice(a * nb, (a + 1) * nb), slice(b * nb, (b + 1) * nb))
+            if a == b:
+                # one level: only a point with itself is related
+                assert np.array_equal(X.leq[block], np.eye(nb, dtype=bool))
+                assert not X.tau[block].any()
+            elif a < b:
+                # one base point at two levels: dx = 0, tau = hi - lo
+                assert np.diag(X.leq[block]).all()
+                assert np.array_equal(np.diag(X.tau[block]), np.full(nb, hi - lo))
+            else:
+                assert not X.leq[block].any()
+
+
+@pytest.mark.parametrize(
+    "offset", [-3e-9, -wp.NULL_BAND, -0.5e-9, 0.0, 0.5e-9, wp.NULL_BAND, 3e-9]
+)
+def test_batched_table_sample_classifies_the_null_band(offset):
+    f = cos_power_table(33)
+    grid = [-0.6, 0.4]
+    reach = wp.null_offset(f, *grid)
+    S = wp.FiniteMetricSpace(("a", "b"), np.array([[0.0, reach + offset], [reach + offset, 0.0]]))
+    X = assert_matches_reference(f, S, grid)
+    assert X.leq[0, 3] == (offset <= wp.NULL_BAND)
+    assert (X.tau[0, 3] > 0.0) == (offset < -wp.NULL_BAND)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=12),
+    st.lists(st.floats(0.1, 3.0), min_size=13, max_size=13),
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+    st.floats(0.01, 0.5),
+)
+def test_batched_table_sample_matches_scalar_reference_property(widths, values, fracs, sites, step):
+    knots = np.concatenate(([0.0], np.cumsum(widths)))
+    f = wp.table_warping(knots, values[: len(knots)])
+    grid = np.unique(knots[-1] * np.array(fracs))
+    pos = np.array(sites) * step
+    S = wp.FiniteMetricSpace(
+        tuple(f"s{k}" for k in range(len(pos))), np.abs(pos[:, None] - pos[None, :])
+    )
+    assert_matches_reference(f, S, grid)
 
 
 def test_suspension_sample_layout_and_values():
