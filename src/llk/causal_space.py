@@ -6,7 +6,11 @@ defining axioms (reflexivity, transitivity, timelikeness, the reverse
 triangle inequality), extracts longest chains as discrete stand-ins for
 distance realizers, and runs the comparison checkers: triangle
 comparison against the model strip, angle monotonicity, subdivision
-(Alexandrov lemma) audits, and the diameter bound.
+(Alexandrov lemma) audits, and the diameter bound.  Every audit keeps
+its books in one private accumulator, _Tally, which counts comparisons
+and violations, takes the worst deficit, keeps the first VIOLATION_CAP
+records in scan order and builds the ComparisonReport; merge_reports
+joins several reports under the same cap.
 
 Conventions: tau(i, j) is the forward time separation and is 0 whenever
 i is not below j; leq is reflexive; coords, when present, store a time
@@ -16,6 +20,7 @@ coordinate in column 0 that is isotone for the relation.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,10 +65,12 @@ class ComparisonReport:
     """Outcome of one audit sweep.
 
     checked counts performed comparisons, skipped the ones whose domain
-    was undefined (null pairs, degenerate angles).  violations holds at
-    most VIOLATION_CAP records in deterministic scan order while
-    violation_count is exact.  The excess fields tally the reversed
-    inequality so curvature-above can be read off the same report.
+    was undefined (null pairs, degenerate angles).  The audit's _Tally
+    owns the cap: violations holds at most VIOLATION_CAP records in the
+    order the audit recorded them, which is its documented scan order,
+    while violation_count is exact.  The excess fields tally the
+    reversed inequality so curvature-above can be read off the same
+    report.
     """
 
     checked: int
@@ -194,8 +201,89 @@ def sample_model_points(points, labels=None) -> FiniteCausalSpace:
     return FiniteCausalSpace(labels, tau, leq, np.column_stack([t, x]))
 
 
-def _clip_violations(records):
-    return tuple(records[:VIOLATION_CAP])
+class _Tally:
+    """Books of one audit: comparisons checked, violations counted
+    exactly, the worst deficit, and the first VIOLATION_CAP violation
+    records in the order they were recorded, which is the audit's scan
+    order.  pairs are a (k, slots) integer array or a sequence of
+    tuples; lhs, rhs and deficit broadcast against them, and note is one
+    string or one per entry.
+    """
+
+    def __init__(self, tol: float, worst: float = 0.0):
+        self.tol = tol
+        self.checked = 0
+        self.count = 0
+        self.worst = worst
+        self.records = []
+
+    def sweep(self, pairs, lhs, rhs, deficit, note) -> None:
+        """Record comparisons: each one is checked, the worst deficit is
+        taken over all of them, and a deficit above tol is a violation."""
+        deficit = np.asarray(deficit, dtype=float)
+        self.checked += deficit.size
+        top = np.fmax.reduce(deficit, initial=-np.inf)  # a NaN is never the worst
+        if top > self.worst:
+            self.worst = float(top)
+        if top > self.tol:
+            hit = np.flatnonzero(deficit > self.tol)
+            self.count += hit.size
+            self.keep(_records(hit, pairs, lhs, rhs, deficit, note))
+
+    def found(self, pairs, lhs, rhs, deficit, note) -> None:
+        """Record violations the caller found itself; the worst deficit
+        covers them, whatever their size against tol."""
+        deficit = np.broadcast_to(np.asarray(deficit, dtype=float), (len(pairs),))
+        if deficit.size:
+            self.count += deficit.size
+            self.worst = max(self.worst, float(deficit.max()))
+            self.keep(_records(range(deficit.size), pairs, lhs, rhs, deficit, note))
+
+    def keep(self, records) -> None:
+        """Append violation records while the cap has room."""
+        self.records.extend(itertools.islice(records, VIOLATION_CAP - len(self.records)))
+
+    def report(self, verdict: bool = None, **fields) -> ComparisonReport:
+        """The report of the books; the verdict defaults to the worst
+        deficit staying within tol."""
+        return ComparisonReport(
+            checked=self.checked,
+            violations=tuple(self.records),
+            violation_count=self.count,
+            max_deficit=self.worst,
+            verdict=self.worst <= self.tol if verdict is None else verdict,
+            **fields,
+        )
+
+
+def _records(hit, pairs, lhs, rhs, deficit, note):
+    """Violation records at the positions hit, built only when taken."""
+    lhs, rhs = (np.broadcast_to(np.asarray(v, dtype=float), deficit.shape) for v in (lhs, rhs))
+    for r in hit:
+        pair = pairs[r]
+        yield Violation(
+            tuple(pair.tolist()) if isinstance(pair, np.ndarray) else pair,
+            float(lhs[r]), float(rhs[r]), float(deficit[r]),
+            note if isinstance(note, str) else note[r],
+        )
+
+
+def merge_reports(reports) -> ComparisonReport:
+    """One report over several audits: counts add up, maxima are taken
+    and the violations are the first VIOLATION_CAP records in report
+    order.  Notes are dropped."""
+    reports = list(reports)
+    books = _Tally(0.0, max((r.max_deficit for r in reports), default=0.0))
+    for r in reports:
+        books.checked += r.checked
+        books.count += r.violation_count
+        books.keep(r.violations)
+    return books.report(
+        verdict=all(r.verdict for r in reports),
+        max_excess=max((r.max_excess for r in reports), default=0.0),
+        excess_count=sum(r.excess_count for r in reports),
+        skipped=sum(r.skipped for r in reports),
+    )
 
 
 def _composed(rel: np.ndarray) -> np.ndarray:
@@ -224,56 +312,30 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
     """
     tau, leq = X.tau, X.leq
     n = X.size
-    records = []
-    count = 0
-    max_deficit = 0.0
-
-    def add(pairs, lhs, rhs, deficit, note):
-        # pairs holds one index array per tuple slot, all of equal length.
-        nonlocal count, max_deficit
-        found = len(pairs[0])
-        if not found:
-            return
-        lhs, rhs, deficit = (np.broadcast_to(v, (found,)) for v in (lhs, rhs, deficit))
-        count += found
-        max_deficit = max(max_deficit, float(deficit.max()))
-        for r in range(min(found, VIOLATION_CAP - len(records))):
-            records.append(Violation(
-                tuple(int(p[r]) for p in pairs), float(lhs[r]), float(rhs[r]),
-                float(deficit[r]), note,
-            ))
-
+    books = _Tally(tol)
     bad = np.nonzero((tau > 0.0) & ~leq)
-    add(bad, tau[bad], 0.0, tau[bad], "timelike pair is not leq-related")
-
-    add(np.nonzero(_composed(leq) & ~leq), 1.0, 0.0, 1.0, "leq is not transitive")
-
+    books.found(np.column_stack(bad), tau[bad], 0.0, tau[bad], "timelike pair is not leq-related")
+    books.found(np.argwhere(_composed(leq) & ~leq), 1.0, 0.0, 1.0, "leq is not transitive")
     ll = tau > 0.0
-    add(np.nonzero(_composed(ll) & ~ll), 1.0, 0.0, 1.0,
-        "chronological relation is not transitive")
+    books.found(np.argwhere(_composed(ll) & ~ll), 1.0, 0.0, 1.0,
+                "chronological relation is not transitive")
 
-    checked = 3 * n * n
+    books.checked = 3 * n * n
     for k in range(n):
         past = np.nonzero(leq[:, k])[0]
         fut = np.nonzero(leq[k, :])[0]
-        checked += len(past) * len(fut)
+        books.checked += len(past) * len(fut)
         direct = tau[np.ix_(past, fut)]
         sums = tau[past, k][:, None] + tau[k, fut][None, :]
         bad = direct + tol < sums
         if not bad.any():
             continue
         a, b = np.nonzero(bad)
-        add((past[a], np.full(len(a), k), fut[b]), direct[a, b], sums[a, b],
-            sums[a, b] - direct[a, b],
-            "reverse triangle inequality fails through the middle point")
-
-    return ComparisonReport(
-        checked=checked,
-        violations=_clip_violations(records),
-        violation_count=count,
-        max_deficit=max_deficit,
-        verdict=count == 0,
-    )
+        books.found(np.column_stack((past[a], np.full(len(a), k), fut[b])),
+                    direct[a, b], sums[a, b], sums[a, b] - direct[a, b],
+                    "reverse triangle inequality fails through the middle point")
+    # an axiom failure fails the space whatever its size against tol
+    return books.report(verdict=books.count == 0)
 
 
 def _kahn_order(leq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -456,45 +518,31 @@ def check_triangle_comparison(
         for idx, s in zip(chain.indices, chain.params):
             if idx not in mapped:
                 mapped[idx] = ms.comparison_point(tri, side, s * scale)
-    items = sorted(mapped.items())
-
-    records = []
-    count = 0
-    checked = 0
-    max_deficit = 0.0
-    max_excess = 0.0
-    excess_count = 0
-    for u, pu in items:
-        for v, pv in items:
-            if u == v:
+    keys = sorted(mapped)
+    block = X.tau[keys][:, keys].tolist()
+    pairs, lhs, rhs = [], [], []
+    for a, u in enumerate(keys):
+        pu = mapped[u]
+        for b, v in enumerate(keys):
+            if a == b:
                 continue
-            checked += 1
-            lhs = float(X.tau[u, v])
-            res = ms.ads_interval(pu, pv)
-            rhs = res.tau if res.relation in (ms.TIMELIKE, ms.NULL) else 0.0
-            deficit = lhs - rhs
-            if deficit > max_deficit:
-                max_deficit = deficit
-            if deficit > tol:
-                count += 1
-                if len(records) < VIOLATION_CAP:
-                    records.append(
-                        Violation((u, v), lhs, rhs, deficit, "tau exceeds comparison tau")
-                    )
-            excess = rhs - lhs
-            if excess > max_excess:
-                max_excess = excess
-            if excess > tol:
-                excess_count += 1
-
-    return ComparisonReport(
-        checked=checked,
-        violations=_clip_violations(records),
-        violation_count=count,
-        max_deficit=max_deficit,
-        verdict=max_deficit <= tol,
-        max_excess=max_excess,
-        excess_count=excess_count,
+            pv = mapped[v]
+            pairs.append((u, v))
+            lhs.append(block[a][b])
+            # ads_interval calls a pair running back in time past-directed
+            # or unrelated, and either compares against 0
+            if pu.t > pv.t:
+                rhs.append(0.0)
+            else:
+                res = ms.ads_interval(pu, pv)
+                rhs.append(res.tau if res.relation in (ms.TIMELIKE, ms.NULL) else 0.0)
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    books = _Tally(tol)
+    books.sweep(pairs, lhs, rhs, lhs - rhs, "tau exceeds comparison tau")
+    excess = rhs - lhs
+    return books.report(
+        max_excess=max(0.0, float(np.fmax.reduce(excess, initial=-np.inf))),
+        excess_count=int(np.count_nonzero(excess > tol)),
         notes=tuple(notes),
     )
 
@@ -542,42 +590,19 @@ def check_monotonicity(
     if np.isnan(grid).all():
         raise UndefinedAngleError("no grid pair admits a comparison angle")
 
-    records = []
-    count = 0
-    checked = 0
-    max_deficit = 0.0
-
-    def sweep(values, tag, fixed):
-        nonlocal count, checked, max_deficit
-        defined = [(p, v) for p, v in enumerate(values) if not math.isnan(v)]
-        for (p0, v0), (p1, v1) in zip(defined, defined[1:]):
-            drop = v0 - v1
-            checked += 1
-            if drop > max_deficit:
-                max_deficit = drop
-            if drop > tol:
-                count += 1
-                if len(records) < VIOLATION_CAP:
-                    records.append(
-                        Violation(
-                            (tag, fixed, p0, p1), v0, v1, drop,
-                            "signed comparison angle decreases along the chain",
-                        )
-                    )
-
-    for ia in range(len(arows)):
-        sweep(grid[ia, :], "row", ia)
-    for ib in range(len(brows)):
-        sweep(grid[:, ib], "col", ib)
-
-    return ComparisonReport(
-        checked=checked,
-        violations=_clip_violations(records),
-        violation_count=count,
-        max_deficit=max_deficit,
-        verdict=max_deficit <= tol,
-        skipped=skipped,
-    )
+    # consecutive defined values along every row, then along every column
+    pairs, lhs, rhs = [], [], []
+    for tag, lines in (("row", grid), ("col", grid.T)):
+        for fixed, values in enumerate(lines.tolist()):
+            defined = [(q, v) for q, v in enumerate(values) if not math.isnan(v)]
+            for (q0, v0), (q1, v1) in zip(defined, defined[1:]):
+                pairs.append((tag, fixed, q0, q1))
+                lhs.append(v0)
+                rhs.append(v1)
+    books = _Tally(tol)
+    books.sweep(pairs, lhs, rhs, np.subtract(lhs, rhs),
+                "signed comparison angle decreases along the chain")
+    return books.report(skipped=skipped)
 
 
 @dataclass(frozen=True)
@@ -692,212 +717,110 @@ def check_subdivision(
         )
     s_p = host.params[host.indices.index(p)]
 
-    records = []
-    count = 0
-    checked = 0
-    skipped = 0
-    max_deficit = 0.0
-    notes = []
-
-    def compare(label, lhs, rhs, kind):
-        # kind "ge": expect lhs >= rhs - tol; "le": expect lhs <= rhs + tol
-        nonlocal count, checked, max_deficit
-        checked += 1
-        deficit = (rhs - lhs) if kind == "ge" else (lhs - rhs)
-        if deficit > max_deficit:
-            max_deficit = deficit
-        if deficit > tol:
-            count += 1
-            if len(records) < VIOLATION_CAP:
-                records.append(
-                    Violation(label, lhs, rhs, deficit, f"expected {kind} within tol")
-                )
-
     whole, a13w, clamp_note = _realize_clamped(c12.value, c23.value, c13.value, eps)
-    if clamp_note:
-        notes.append(clamp_note)
-    whole_angles = _realized_angles(whole)
+    notes = [clamp_note] if clamp_note else []
+    whole_angles = dict(zip("xyz", _realized_angles(whole).values()))
 
+    # Set-up: q is the vertex p connects to, the host side runs from x to
+    # its end vertex e, and up says p lies below q.  The two
+    # sub-triangles are named by their vertices in order and realized
+    # from their sides; flips reverse a sub-triangle's angle inequality.
     if which == "across":
+        q, q_name, e_name = j, "y", "z"
         up = X.tau[p, j] > 0.0
-        down = X.tau[j, p] > 0.0
-        if not (up or down):
+        if not (up or X.tau[j, p] > 0.0):
             raise ParameterError(
                 f"p = {p} and the middle vertex {j} are not timelike related"
             )
-        conn = longest_chain(X, p, j) if up else longest_chain(X, j, p)
-        c_py = conn.value
+        c_pq = (longest_chain(X, p, j) if up else longest_chain(X, j, p)).value
         a_xp, a_pz = s_p, c13.value - s_p
         if up:
-            tri1, _, n1 = _realize_clamped(a_xp, c_py, c12.value, eps)
-            tri2, _, n2 = _realize_clamped(c_py, c23.value, a_pz, eps)
-            ang1, ang2 = _realized_angles(tri1), _realized_angles(tri2)
-            angle_p_xy, angle_p_yz = ang1[2], ang2[1]
-            angle_y_sum = ang1[3] + ang2[2]
-            sub1 = (("x", 1, ang1[1]), ("p", 2, ang1[2]), ("y", 3, ang1[3]))
-            sub2 = (("p", 1, ang2[1]), ("y", 2, ang2[2]), ("z", 3, ang2[3]))
+            subs = (("xpy", (a_xp, c_pq, c12.value)), ("pyz", (c_pq, c23.value, a_pz)))
         else:
-            tri1, _, n1 = _realize_clamped(c12.value, c_py, a_xp, eps)
-            tri2, _, n2 = _realize_clamped(c_py, a_pz, c23.value, eps)
-            ang1, ang2 = _realized_angles(tri1), _realized_angles(tri2)
-            angle_p_xy, angle_p_yz = ang1[3], ang2[2]
-            angle_y_sum = ang1[2] + ang2[1]
-            sub1 = (("x", 1, ang1[1]), ("y", 2, ang1[2]), ("p", 3, ang1[3]))
-            sub2 = (("y", 1, ang2[1]), ("p", 2, ang2[2]), ("z", 3, ang2[3]))
-        for n in (n1, n2):
-            if n:
-                notes.append(n)
-
-        scale = a13w / c13.value
-        g13, la13, _ = whole.sides["13"]
-        p_t = ms.geodesic_point(g13, la13 + s_p * scale)
-        y_t = whole.x2
-        res = ms.ads_interval(p_t, y_t) if up else ms.ads_interval(y_t, p_t)
-        tau_py = float(X.tau[p, j] if up else X.tau[j, p])
-        if res.relation != ms.TIMELIKE:
-            notes.append("comparison segment p-y is degenerate; angle audit skipped")
-            skipped += 1
-            tau_bar = res.tau
-            tilde = None
-        else:
-            tau_bar = res.tau
-            if up:
-                fwd, bwd = _segment_angles(p_t, y_t)
-            else:
-                fwd, bwd = _segment_angles(y_t, p_t)
-                fwd, bwd = bwd, fwd
-            # fwd points away from p_t, bwd away from y_t
-            u13_p = ms.geodesic_tangent(g13, la13 + s_p * scale)
-            angle_tp_x = ms.hyperbolic_angle(p_t, (-u13_p[0], -u13_p[1]), fwd)
-            angle_tp_z = ms.hyperbolic_angle(p_t, u13_p, fwd)
-            angle_ty_x = ms.hyperbolic_angle(y_t, _side_tangent(whole, "12", False), bwd)
-            angle_ty_z = ms.hyperbolic_angle(y_t, _side_tangent(whole, "23", True), bwd)
-            if up:
-                tilde = {
-                    "sub1": {"x": whole_angles[1], "p": angle_tp_x, "y": angle_ty_x},
-                    "sub2": {"p": angle_tp_z, "y": angle_ty_z, "z": whole_angles[3]},
-                }
-            else:
-                tilde = {
-                    "sub1": {"x": whole_angles[1], "y": angle_ty_x, "p": angle_tp_x},
-                    "sub2": {"y": angle_ty_z, "p": angle_tp_z, "z": whole_angles[3]},
-                }
-
-        # When the opposite vertex lies below p, time reversal exchanges the
-        # outer vertices, so the angle ordering that certifies convexity flips.
-        diff_angle = (angle_p_xy - angle_p_yz) if up else (angle_p_yz - angle_p_xy)
-        diff_tau = tau_bar - tau_py
-        checked += 1
-        if (diff_angle > tol and diff_tau < -tol) or (diff_angle < -tol and diff_tau > tol):
-            gap = min(abs(diff_angle), abs(diff_tau))
-            count += 1
-            if gap > max_deficit:
-                max_deficit = gap
-            records.append(
-                Violation(("classification",), diff_angle, diff_tau, gap,
-                          "angle ordering contradicts the tau comparison")
-            )
-        shape = "convex" if diff_tau >= -tol else "concave"
-        if abs(diff_tau) <= tol and abs(diff_angle) <= tol:
-            shape = "degenerate"
-        notes.append(f"classified {shape} (angle gap {diff_angle!r}, tau gap {diff_tau!r})")
-
-        if tilde is not None:
-            kind = "ge" if diff_tau >= -tol else "le"
-            for name, triple in (("sub1", sub1), ("sub2", sub2)):
-                for label, _, bar_angle in triple:
-                    compare(
-                        ("angle", name, label), bar_angle, tilde[name][label], kind
-                    )
-            if shape == "degenerate":
-                for name, triple in (("sub1", sub1), ("sub2", sub2)):
-                    for label, _, bar_angle in triple:
-                        compare(
-                            ("angle-rev", name, label), bar_angle, tilde[name][label],
-                            "le" if kind == "ge" else "ge",
-                        )
-        compare(("vertex", "y"), angle_y_sum, whole_angles[2], "ge")
-
+            subs = (("xyp", (c12.value, c_pq, a_xp)), ("ypz", (c_pq, a_pz, c23.value)))
+        host_side, scale, q_t = "13", a13w / c13.value, whole.x2
+        q_sides = (("12", False), ("23", True))
+        flips, vertex_ge = (False, False), True
     else:
+        q, q_name, e_name, up = k, "z", "y", True
         if not X.tau[p, k] > 0.0:
             raise ParameterError(
                 f"p = {p} is not timelike below the opposite vertex {k}"
             )
-        conn = longest_chain(X, p, k)
-        c_pz = conn.value
-        a_xp, a_py = s_p, c12.value - s_p
-        tri1, _, n1 = _realize_clamped(a_xp, c_pz, c13.value, eps)
-        tri2, _, n2 = _realize_clamped(a_py, c23.value, c_pz, eps)
-        for n in (n1, n2):
-            if n:
-                notes.append(n)
-        ang1, ang2 = _realized_angles(tri1), _realized_angles(tri2)
-        angle_p_xz, angle_p_yz = ang1[2], ang2[1]
-        angle_z_sum = ang1[3] + ang2[3]
-        sub1 = (("x", 1, ang1[1]), ("p", 2, ang1[2]), ("z", 3, ang1[3]))
-        sub2 = (("p", 1, ang2[1]), ("y", 2, ang2[2]), ("z", 3, ang2[3]))
+        c_pq = longest_chain(X, p, k).value
+        subs = (("xpz", (s_p, c_pq, c13.value)), ("pyz", (c12.value - s_p, c23.value, c_pq)))
+        host_side, scale, q_t = "12", 1.0, whole.x3
+        q_sides = (("13", False), ("23", False))
+        flips, vertex_ge = (False, True), False
 
-        g12, la12, _ = whole.sides["12"]
-        p_t = ms.geodesic_point(g12, la12 + s_p)
-        z_t = whole.x3
-        res = ms.ads_interval(p_t, z_t)
-        tau_pz = float(X.tau[p, k])
-        if res.relation != ms.TIMELIKE:
-            notes.append("comparison segment p-z is degenerate; angle audit skipped")
-            skipped += 1
-            tau_bar = res.tau
-            tilde = None
+    realized = [_realize_clamped(*sides, eps) for _, sides in subs]
+    notes += [note for _, _, note in realized if note]
+    bar = [
+        dict(zip(names, _realized_angles(tri).values()))
+        for (names, _), (tri, _, _) in zip(subs, realized)
+    ]
+
+    g, la, _ = whole.sides[host_side]
+    p_t = ms.geodesic_point(g, la + s_p * scale)
+    res = ms.ads_interval(p_t, q_t) if up else ms.ads_interval(q_t, p_t)
+    tau_pq = float(X.tau[p, q] if up else X.tau[q, p])
+    skipped = 0
+    if res.relation != ms.TIMELIKE:
+        notes.append(f"comparison segment p-{q_name} is degenerate; angle audit skipped")
+        skipped = 1
+        tilde = None
+    else:
+        # fwd points away from p_t, bwd away from q_t
+        if up:
+            fwd, bwd = _segment_angles(p_t, q_t)
         else:
-            tau_bar = res.tau
-            fwd, bwd = _segment_angles(p_t, z_t)
-            u12_p = ms.geodesic_tangent(g12, la12 + s_p)
-            angle_tp_x = ms.hyperbolic_angle(p_t, (-u12_p[0], -u12_p[1]), fwd)
-            angle_tp_y = ms.hyperbolic_angle(p_t, u12_p, fwd)
-            angle_tz_x = ms.hyperbolic_angle(z_t, _side_tangent(whole, "13", False), bwd)
-            angle_tz_y = ms.hyperbolic_angle(z_t, _side_tangent(whole, "23", False), bwd)
-            tilde = {
-                "sub1": {"x": whole_angles[1], "p": angle_tp_x, "z": angle_tz_x},
-                "sub2": {"p": angle_tp_y, "y": whole_angles[2], "z": angle_tz_y},
-            }
+            bwd, fwd = _segment_angles(q_t, p_t)
+        u_p = ms.geodesic_tangent(g, la + s_p * scale)
+        angle_tp_x = ms.hyperbolic_angle(p_t, (-u_p[0], -u_p[1]), fwd)
+        angle_tp_e = ms.hyperbolic_angle(p_t, u_p, fwd)
+        angle_tq_x, angle_tq_e = (
+            ms.hyperbolic_angle(q_t, _side_tangent(whole, *side), bwd) for side in q_sides
+        )
+        tilde = (
+            {"x": whole_angles["x"], "p": angle_tp_x, q_name: angle_tq_x},
+            {"p": angle_tp_e, q_name: angle_tq_e, e_name: whole_angles[e_name]},
+        )
 
-        diff_angle = angle_p_xz - angle_p_yz
-        diff_tau = tau_bar - tau_pz
-        checked += 1
-        if (diff_angle > tol and diff_tau < -tol) or (diff_angle < -tol and diff_tau > tol):
-            gap = min(abs(diff_angle), abs(diff_tau))
-            count += 1
-            if gap > max_deficit:
-                max_deficit = gap
-            records.append(
-                Violation(("classification",), diff_angle, diff_tau, gap,
-                          "angle ordering contradicts the tau comparison")
-            )
-        shape = "convex" if diff_tau >= -tol else "concave"
-        if abs(diff_tau) <= tol and abs(diff_angle) <= tol:
-            shape = "degenerate"
-        notes.append(f"classified {shape} (angle gap {diff_angle!r}, tau gap {diff_tau!r})")
+    # When q lies below p, time reversal exchanges the outer vertices, so
+    # the angle ordering that certifies convexity flips.
+    diff_angle = bar[0]["p"] - bar[1]["p"] if up else bar[1]["p"] - bar[0]["p"]
+    diff_tau = res.tau - tau_pq
+    books = _Tally(tol)
+    books.checked += 1
+    if (diff_angle > tol and diff_tau < -tol) or (diff_angle < -tol and diff_tau > tol):
+        books.found([("classification",)], diff_angle, diff_tau,
+                    min(abs(diff_angle), abs(diff_tau)),
+                    "angle ordering contradicts the tau comparison")
+    shape = "convex" if diff_tau >= -tol else "concave"
+    if abs(diff_tau) <= tol and abs(diff_angle) <= tol:
+        shape = "degenerate"
+    notes.append(f"classified {shape} (angle gap {diff_angle!r}, tau gap {diff_tau!r})")
 
-        if tilde is not None:
-            kind1 = "ge" if diff_tau >= -tol else "le"
-            kind2 = "le" if kind1 == "ge" else "ge"
-            for name, triple, kind in (("sub1", sub1, kind1), ("sub2", sub2, kind2)):
-                for label, _, bar_angle in triple:
-                    compare(("angle", name, label), bar_angle, tilde[name][label], kind)
-            if shape == "degenerate":
-                for name, triple, kind in (("sub1", sub1, kind2), ("sub2", sub2, kind1)):
-                    for label, _, bar_angle in triple:
-                        compare(("angle-rev", name, label), bar_angle, tilde[name][label], kind)
-        compare(("vertex", "z"), angle_z_sum, whole_angles[3], "le")
-
-    return ComparisonReport(
-        checked=checked,
-        violations=_clip_violations(records),
-        violation_count=count,
-        max_deficit=max_deficit,
-        verdict=max_deficit <= tol,
-        skipped=skipped,
-        notes=tuple(notes),
+    # (label, lhs, rhs, expect lhs >= rhs - tol rather than lhs <= rhs + tol)
+    checks = []
+    if tilde is not None:
+        ge = diff_tau >= -tol
+        rounds = [("angle", ge)]
+        if shape == "degenerate":
+            rounds.append(("angle-rev", not ge))
+        for tag, base in rounds:
+            for name, angles, tilde_angles, flip in zip(("sub1", "sub2"), bar, tilde, flips):
+                for label, angle in angles.items():
+                    checks.append(((tag, name, label), angle, tilde_angles[label], base != flip))
+    checks.append(
+        (("vertex", q_name), bar[0][q_name] + bar[1][q_name], whole_angles[q_name], vertex_ge)
     )
+    labels, lhs, rhs, ges = zip(*checks)
+    books.sweep(
+        labels, lhs, rhs, [r - l if ge else l - r for _, l, r, ge in checks],
+        [f"expected {'ge' if ge else 'le'} within tol" for ge in ges],
+    )
+    return books.report(skipped=skipped, notes=tuple(notes))
 
 
 def myers_check(X: FiniteCausalSpace, tol: float = 1e-9) -> ComparisonReport:
@@ -908,30 +831,11 @@ def myers_check(X: FiniteCausalSpace, tol: float = 1e-9) -> ComparisonReport:
     pi + tol.
     """
     tau = X.tau
-    finite = np.isfinite(tau)
-    listed = finite & (tau > math.pi - tol)
-    records = []
-    count = 0
-    max_deficit = -math.inf
-    for i, j in zip(*np.nonzero(listed)):
-        value = float(tau[i, j])
-        count += 1
-        max_deficit = max(max_deficit, value - math.pi)
-        if len(records) < VIOLATION_CAP:
-            records.append(
-                Violation((int(i), int(j)), value, math.pi, value - math.pi,
-                          "finite time separation near or above the diameter bound")
-            )
-    if count == 0:
-        max_deficit = float(np.max(tau[finite]) - math.pi) if finite.any() else -math.pi
-        return ComparisonReport(
-            checked=int(finite.sum()), violations=(), violation_count=0,
-            max_deficit=max_deficit, verdict=True,
-        )
-    return ComparisonReport(
-        checked=int(finite.sum()),
-        violations=_clip_violations(records),
-        violation_count=count,
-        max_deficit=max_deficit,
-        verdict=max_deficit <= tol,
-    )
+    finite = np.isfinite(tau)  # never empty: the diagonal is zero
+    books = _Tally(tol, float(np.max(tau[finite]) - math.pi))
+    books.checked = int(finite.sum())
+    listed = np.argwhere(finite & (tau > math.pi - tol))
+    value = tau[listed[:, 0], listed[:, 1]]
+    books.found(listed, value, math.pi, value - math.pi,
+                "finite time separation near or above the diameter bound")
+    return books.report()

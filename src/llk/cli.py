@@ -34,6 +34,7 @@ from . import rigidity as rg
 from . import warped_product as wp
 from .errors import (
     GeometryError,
+    InfeasibleError,
     ParameterError,
     SizeBoundError,
     StructuralError,
@@ -349,23 +350,6 @@ def _check_dict(name: str, rep: cs.ComparisonReport, **extra) -> dict:
     return out
 
 
-def _merge_reports(reports) -> cs.ComparisonReport:
-    violations = []
-    for rep in reports:
-        if len(violations) < cs.VIOLATION_CAP:
-            violations.extend(rep.violations[: cs.VIOLATION_CAP - len(violations)])
-    return cs.ComparisonReport(
-        checked=sum(r.checked for r in reports),
-        violations=tuple(violations),
-        violation_count=sum(r.violation_count for r in reports),
-        max_deficit=max((r.max_deficit for r in reports), default=0.0),
-        verdict=all(r.verdict for r in reports),
-        max_excess=max((r.max_excess for r in reports), default=0.0),
-        excess_count=sum(r.excess_count for r in reports),
-        skipped=sum(r.skipped for r in reports),
-    )
-
-
 def report_payload(command, options, parsed, checks, work_units, digest) -> dict:
     verdict = all(c["verdict"] for c in checks)
     return {
@@ -513,8 +497,8 @@ def _cmd_curvature(parsed, options):
     ]
     drawn = [r for r in results if isinstance(r, tuple)]
     unrealizable = sum(1 for r in results if r == "unrealizable")
-    triangle = _merge_reports([r[0] for r in drawn])
-    monotone = _merge_reports([r[1] for r in drawn])
+    triangle = cs.merge_reports([r[0] for r in drawn])
+    monotone = cs.merge_reports([r[1] for r in drawn])
     extra = {
         "tol": tol,
         "triangles": len(drawn),
@@ -539,7 +523,7 @@ def _cmd_subdivide(parsed, options):
     unrealizable = sum(1 for r in results if r == "unrealizable")
     checks = []
     for which in ("across", "future"):
-        rep = _merge_reports([r[1] for r in drawn if r[0] == which])
+        rep = cs.merge_reports([r[1] for r in drawn if r[0] == which])
         checks.append(
             _check_dict(
                 f"subdivision_{which}",
@@ -557,8 +541,8 @@ def _cmd_split(parsed, options):
     X = _materialize(parsed, options)
     try:
         gamma = rg.find_line(X)
-    except SizeBoundError as exc:
-        # a line at least pi long is the geometry failing the strip, not bad input
+    except InfeasibleError as exc:
+        # no usable line, or one at least pi long, is the geometry failing, not bad input
         return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
     result = rg.build_splitting(X, gamma, tol=options.tol_disc)
     S = result.slice_space

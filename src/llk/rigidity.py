@@ -1,12 +1,12 @@
-"""Splitting pipeline: Busemann estimates, asymptotes, parallelism, slices.
+"""Splitting pipeline: lines, asymptotes, parallelism, slices.
 
 Given a finite causal space containing a near-maximal timelike line,
-the operations here recover warped-product structure: Busemann-style
-time estimates give each point a time coordinate, asymptote extraction
-groups points into fibers, the c-functions metrize the fiber space, and
-the assembled map is audited entry by entry against the cosine warped
-product over the recovered base.  Everything is deterministic; no
-operation mutates its input space.
+the operations here recover warped-product structure: a two-row fit
+against the line gives each point a time coordinate, asymptote
+extraction groups points into fibers, the c-functions metrize the
+fiber space, and the assembled map is audited entry by entry against
+the cosine warped product over the recovered base.  Everything is
+deterministic; no operation mutates its input space.
 """
 
 import itertools
@@ -21,10 +21,8 @@ from . import warped_product as wp
 from .errors import (
     ChainError,
     ConvergenceError,
-    DataQualityError,
     DomainError,
     ExtractionError,
-    GeometryError,
     InfeasibleError,
     ParameterError,
     SizeBoundError,
@@ -93,25 +91,6 @@ class LineSample:
     @property
     def value(self) -> float:
         return self.params[-1] - self.params[0]
-
-
-@dataclass(frozen=True)
-class BusemannValue:
-    """Busemann estimates of one point against a line.
-
-    plus and minus are the final entries of the two estimate tails
-    (future and past renormalized time separations); each tail is
-    ordered toward its end of the line.  certificate is the largest
-    upward step observed along either tail: exact data gives 0.0 and
-    the construction rejects anything above its tolerance, so a small
-    positive value certifies how close to monotone the data ran.
-    """
-
-    plus: float
-    minus: float
-    plus_tail: tuple
-    minus_tail: tuple
-    certificate: float
 
 
 @dataclass(frozen=True)
@@ -220,42 +199,6 @@ def _line_arrays(line: LineSample):
 
 def _median_step(line: LineSample) -> float:
     return float(np.median(np.diff(line.params)))
-
-
-def busemann(
-    X: cs.FiniteCausalSpace, gamma: LineSample, x: int, cert_tol: float = 1e-9
-) -> BusemannValue:
-    """Busemann estimates of point x against the line gamma.
-
-    The future value is t_k - tau(x, gamma(t_k)) at the largest sampled
-    t_k with a timelike relation, the past value -t_j - tau(gamma(t_j), x)
-    at the smallest; both estimate tails decrease toward their limits,
-    and an upward step beyond cert_tol marks the data as inconsistent.
-    """
-    _require_line(X, gamma, "gamma")
-    x = int(x)
-    if not 0 <= x < X.size:
-        raise ParameterError(f"x = {x} out of range for {X.size} points")
-    g_idx, g_par = _line_arrays(gamma)
-    to_future = X.tau[x, g_idx]
-    to_past = X.tau[g_idx, x]
-    ks = np.nonzero(to_future > 0.0)[0]
-    js = np.nonzero(to_past > 0.0)[0]
-    if len(ks) == 0 or len(js) == 0:
-        raise DomainError(
-            f"point {x} is not timelike related to both ends of the line"
-        )
-    plus_tail = tuple(float(g_par[k] - to_future[k]) for k in ks)
-    minus_tail = tuple(float(-g_par[j] - to_past[j]) for j in js[::-1])
-    worst = 0.0
-    for tail in (plus_tail, minus_tail):
-        for a, b in zip(tail, tail[1:]):
-            worst = max(worst, b - a)
-    if worst > cert_tol:
-        raise DataQualityError(
-            f"Busemann estimate tail for point {x} increases by {worst!r}"
-        )
-    return BusemannValue(plus_tail[-1], minus_tail[-1], plus_tail, minus_tail, worst)
 
 
 def _model_times(X: cs.FiniteCausalSpace, g_idx: np.ndarray, g_par: np.ndarray):
@@ -820,110 +763,6 @@ def build_splitting(
     )
 
 
-def stacking_audit(
-    X: cs.FiniteCausalSpace,
-    gamma: LineSample,
-    p: int,
-    t1: float,
-    t2: float,
-    t3: float,
-    tol: float = 1e-9,
-) -> cs.ComparisonReport:
-    """Audit that comparison configurations along a line stack.
-
-    Realizes the comparison triangles of (p, y1, y2) and (p, y2, y3) for
-    line rows y_i at params t1 < t2 < t3, glues them along the shared
-    side, and checks that the images of y1, y2, y3 are collinear: the
-    glued distance from y1-bar to y3-bar must equal the sum of the two
-    line segments, as must the sampled separation.  The sweep then
-    verifies the comparison angle at y2 between p and every other usable
-    row is one constant.
-    """
-    _require_line(X, gamma, "gamma")
-    p = int(p)
-    if not 0 <= p < X.size:
-        raise ParameterError(f"p = {p} out of range for {X.size} points")
-    if p in gamma.indices:
-        raise ParameterError("p lies on the line; the stacked triangles degenerate")
-    if not t1 < t2 < t3:
-        raise ParameterError("params must satisfy t1 < t2 < t3")
-    g_par = np.array(gamma.params)
-    rows = []
-    for t in (t1, t2, t3):
-        k = int(np.argmin(np.abs(g_par - t)))
-        if abs(g_par[k] - t) > 1e-9:
-            raise ParameterError(f"t = {t!r} is not a sampled line parameter")
-        rows.append(int(gamma.indices[k]))
-    y1, y2, y3 = rows
-    for y, t in zip(rows, (t1, t2, t3)):
-        if X.tau[p, y] <= 0.0 and X.tau[y, p] <= 0.0:
-            raise DomainError(f"p is not timelike related to the row at t = {t!r}")
-
-    def directed(a, b):
-        return float(X.tau[a, b]), float(X.tau[b, a])
-
-    omega1, _ = ms.comparison_angle(
-        *directed(y1, y2), *directed(y2, p), *directed(y1, p)
-    )
-    omega2, _ = ms.comparison_angle(
-        *directed(y3, y2), *directed(y2, p), *directed(y3, p)
-    )
-    len12 = float(X.tau[y1, y2])
-    len23 = float(X.tau[y2, y3])
-    len13 = float(X.tau[y1, y3])
-    # relative rapidity of the glued segments at y2-bar: both future
-    # representatives sit on the same side of the shared side p-bar,y2-bar
-    glued = math.acos(
-        ms._clamp_unit(
-            math.cos(len12) * math.cos(len23)
-            - math.sin(len12) * math.sin(len23) * math.cosh(omega1 - omega2)
-        )
-    )
-
-    records = []
-    checked = 0
-    max_deficit = 0.0
-
-    def check(pair, lhs, rhs, note):
-        nonlocal checked, max_deficit
-        checked += 1
-        dev = abs(lhs - rhs)
-        if dev > max_deficit:
-            max_deficit = dev
-        if dev > tol:
-            records.append(cs.Violation(pair, lhs, rhs, dev, note))
-
-    check((y1, y2, y3), glued, len12 + len23, "glued images are not collinear")
-    check((y1, y3), len13, len12 + len23, "line separation is not additive")
-
-    sweep = []
-    skipped = 0
-    for k, y in enumerate(gamma.indices):
-        if y == y2:
-            continue
-        try:
-            omega, _ = ms.comparison_angle(
-                *directed(y, y2), *directed(y2, p), *directed(y, p)
-            )
-        except GeometryError:
-            skipped += 1
-            continue
-        sweep.append((k, omega))
-    if sweep:
-        ref = float(np.median([w for _, w in sweep]))
-        for k, omega in sweep:
-            check((y2, gamma.indices[k]), omega, ref, "comparison angle drifts")
-
-    return cs.ComparisonReport(
-        checked=checked,
-        violations=tuple(records[: cs.VIOLATION_CAP]),
-        violation_count=len(records),
-        max_deficit=max_deficit,
-        verdict=max_deficit <= tol,
-        skipped=skipped,
-    )
-
-
 def check_slice_alexandrov(
     S: wp.FiniteMetricSpace, tol: float = 1e-6
 ) -> cs.ComparisonReport:
@@ -944,40 +783,18 @@ def check_slice_alexandrov(
         den = sh[a, b] * sh[a, c]
         return math.acos(ms._clamp_unit(num / den))
 
-    records = []
-    count = 0
-    checked = 0
-    skipped = 0
-    max_deficit = 0.0
     bound = 2.0 * math.pi
+    quads, totals = [], []
+    skipped = 0
     for a in range(n):
         others = [x for x in range(n) if x != a]
         for b, c, d in itertools.combinations(others, 3):
             if min(dist[a, b], dist[a, c], dist[a, d], dist[b, c], dist[c, d], dist[b, d]) <= 0.0:
                 skipped += 1
                 continue
-            total = angle(a, b, c) + angle(a, c, d) + angle(a, d, b)
-            checked += 1
-            deficit = total - bound
-            if deficit > max_deficit:
-                max_deficit = deficit
-            if deficit > tol:
-                count += 1
-                if len(records) < cs.VIOLATION_CAP:
-                    records.append(
-                        cs.Violation(
-                            (a, b, c, d),
-                            total,
-                            bound,
-                            deficit,
-                            "comparison angles at the center exceed a full turn",
-                        )
-                    )
-    return cs.ComparisonReport(
-        checked=checked,
-        violations=tuple(records),
-        violation_count=count,
-        max_deficit=max(max_deficit, 0.0),
-        verdict=max_deficit <= tol,
-        skipped=skipped,
-    )
+            quads.append((a, b, c, d))
+            totals.append(angle(a, b, c) + angle(a, c, d) + angle(a, d, b))
+    books = cs._Tally(tol)
+    books.sweep(quads, totals, bound, np.subtract(totals, bound),
+                "comparison angles at the center exceed a full turn")
+    return books.report(skipped=skipped)

@@ -910,3 +910,571 @@ def test_myers_fails_on_tall_constant_strip():
     assert rep.max_deficit > 0.5
     assert rep.violation_count > 0
     assert all(v.lhs > math.pi for v in rep.violations)
+
+
+# ------------------------------------------------------- reference checkers
+# The checkers and the CLI's report merge as they were before every audit
+# kept its books in one cs._Tally.  Each report field, the capped records
+# in their order, and every raised error must stay the same.
+
+
+def reference_check_triangle_comparison(X, verts, chains, tol, eps=None):
+    i, j, k = cs._check_triangle_inputs(X, verts, chains)
+    c12, c23, c13 = chains
+    if eps is None:
+        eps = tol
+    cs._stale_check(X, chains, ((i, j), (j, k), (i, k)), eps)
+    a12, a23 = c12.value, c23.value
+    tri, a13, clamp_note = cs._realize_clamped(a12, a23, c13.value, eps)
+    notes = [clamp_note] if clamp_note else []
+    for name, chain in (("12", c12), ("23", c23), ("13", c13)):
+        if any(b - a <= 0.0 for a, b in zip(chain.params, chain.params[1:])):
+            notes.append(f"chain {name} contains a null step (suspect realizer)")
+
+    scale13 = a13 / c13.value
+    mapped = {}
+    for side, chain, scale in (("12", c12, 1.0), ("23", c23, 1.0), ("13", c13, scale13)):
+        for idx, s in zip(chain.indices, chain.params):
+            if idx not in mapped:
+                mapped[idx] = ms.comparison_point(tri, side, s * scale)
+    items = sorted(mapped.items())
+
+    records = []
+    count = 0
+    checked = 0
+    max_deficit = 0.0
+    max_excess = 0.0
+    excess_count = 0
+    for u, pu in items:
+        for v, pv in items:
+            if u == v:
+                continue
+            checked += 1
+            lhs = float(X.tau[u, v])
+            res = ms.ads_interval(pu, pv)
+            rhs = res.tau if res.relation in (ms.TIMELIKE, ms.NULL) else 0.0
+            deficit = lhs - rhs
+            if deficit > max_deficit:
+                max_deficit = deficit
+            if deficit > tol:
+                count += 1
+                if len(records) < cs.VIOLATION_CAP:
+                    records.append(
+                        cs.Violation((u, v), lhs, rhs, deficit, "tau exceeds comparison tau")
+                    )
+            excess = rhs - lhs
+            if excess > max_excess:
+                max_excess = excess
+            if excess > tol:
+                excess_count += 1
+
+    return cs.ComparisonReport(
+        checked=checked,
+        violations=tuple(records[: cs.VIOLATION_CAP]),
+        violation_count=count,
+        max_deficit=max_deficit,
+        verdict=max_deficit <= tol,
+        max_excess=max_excess,
+        excess_count=excess_count,
+        notes=tuple(notes),
+    )
+
+
+def reference_check_monotonicity(X, vertex, alpha, beta, tol):
+    vertex = int(vertex)
+    if alpha.indices[0] != vertex or beta.indices[0] != vertex:
+        raise ParameterError("both chains must start at the vertex")
+    for chain in (alpha, beta):
+        if not chain.value < math.pi:
+            raise SizeBoundError("chain length reaches the size bound pi")
+    arows = alpha.indices[1:]
+    brows = beta.indices[1:]
+    grid = np.full((len(arows), len(brows)), np.nan)
+    skipped = 0
+    for ia, a in enumerate(arows):
+        for ib, b in enumerate(brows):
+            if a == b:
+                skipped += 1
+                continue
+            try:
+                grid[ia, ib] = cs._signed_angle_at(X, a, vertex, b)[0]
+            except GeometryError:
+                skipped += 1
+    if np.isnan(grid).all():
+        raise UndefinedAngleError("no grid pair admits a comparison angle")
+
+    records = []
+    count = 0
+    checked = 0
+    max_deficit = 0.0
+
+    def sweep(values, tag, fixed):
+        nonlocal count, checked, max_deficit
+        defined = [(p, v) for p, v in enumerate(values) if not math.isnan(v)]
+        for (p0, v0), (p1, v1) in zip(defined, defined[1:]):
+            drop = v0 - v1
+            checked += 1
+            if drop > max_deficit:
+                max_deficit = drop
+            if drop > tol:
+                count += 1
+                if len(records) < cs.VIOLATION_CAP:
+                    records.append(
+                        cs.Violation(
+                            (tag, fixed, p0, p1), v0, v1, drop,
+                            "signed comparison angle decreases along the chain",
+                        )
+                    )
+
+    for ia in range(len(arows)):
+        sweep(grid[ia, :], "row", ia)
+    for ib in range(len(brows)):
+        sweep(grid[:, ib], "col", ib)
+
+    return cs.ComparisonReport(
+        checked=checked,
+        violations=tuple(records[: cs.VIOLATION_CAP]),
+        violation_count=count,
+        max_deficit=max_deficit,
+        verdict=max_deficit <= tol,
+        skipped=skipped,
+    )
+
+
+def reference_check_subdivision(X, verts, chains, p, which, tol, eps=None):
+    if which not in ("across", "future"):
+        raise ParameterError(f'which must be "across" or "future", got {which!r}')
+    i, j, k = cs._check_triangle_inputs(X, verts, chains)
+    c12, c23, c13 = chains
+    if eps is None:
+        eps = tol
+    cs._stale_check(X, chains, ((i, j), (j, k), (i, k)), eps)
+    p = int(p)
+    host = c13 if which == "across" else c12
+    if p not in host.indices[1:-1]:
+        raise ParameterError(
+            f"p = {p} is not an interior point of the side chain {host.indices}"
+        )
+    s_p = host.params[host.indices.index(p)]
+
+    records = []
+    count = 0
+    checked = 0
+    skipped = 0
+    max_deficit = 0.0
+    notes = []
+
+    def compare(label, lhs, rhs, kind):
+        # kind "ge": expect lhs >= rhs - tol; "le": expect lhs <= rhs + tol
+        nonlocal count, checked, max_deficit
+        checked += 1
+        deficit = (rhs - lhs) if kind == "ge" else (lhs - rhs)
+        if deficit > max_deficit:
+            max_deficit = deficit
+        if deficit > tol:
+            count += 1
+            if len(records) < cs.VIOLATION_CAP:
+                records.append(
+                    cs.Violation(label, lhs, rhs, deficit, f"expected {kind} within tol")
+                )
+
+    whole, a13w, clamp_note = cs._realize_clamped(c12.value, c23.value, c13.value, eps)
+    if clamp_note:
+        notes.append(clamp_note)
+    whole_angles = cs._realized_angles(whole)
+
+    if which == "across":
+        up = X.tau[p, j] > 0.0
+        down = X.tau[j, p] > 0.0
+        if not (up or down):
+            raise ParameterError(
+                f"p = {p} and the middle vertex {j} are not timelike related"
+            )
+        conn = cs.longest_chain(X, p, j) if up else cs.longest_chain(X, j, p)
+        c_py = conn.value
+        a_xp, a_pz = s_p, c13.value - s_p
+        if up:
+            tri1, _, n1 = cs._realize_clamped(a_xp, c_py, c12.value, eps)
+            tri2, _, n2 = cs._realize_clamped(c_py, c23.value, a_pz, eps)
+            ang1, ang2 = cs._realized_angles(tri1), cs._realized_angles(tri2)
+            angle_p_xy, angle_p_yz = ang1[2], ang2[1]
+            angle_y_sum = ang1[3] + ang2[2]
+            sub1 = (("x", 1, ang1[1]), ("p", 2, ang1[2]), ("y", 3, ang1[3]))
+            sub2 = (("p", 1, ang2[1]), ("y", 2, ang2[2]), ("z", 3, ang2[3]))
+        else:
+            tri1, _, n1 = cs._realize_clamped(c12.value, c_py, a_xp, eps)
+            tri2, _, n2 = cs._realize_clamped(c_py, a_pz, c23.value, eps)
+            ang1, ang2 = cs._realized_angles(tri1), cs._realized_angles(tri2)
+            angle_p_xy, angle_p_yz = ang1[3], ang2[2]
+            angle_y_sum = ang1[2] + ang2[1]
+            sub1 = (("x", 1, ang1[1]), ("y", 2, ang1[2]), ("p", 3, ang1[3]))
+            sub2 = (("y", 1, ang2[1]), ("p", 2, ang2[2]), ("z", 3, ang2[3]))
+        for n in (n1, n2):
+            if n:
+                notes.append(n)
+
+        scale = a13w / c13.value
+        g13, la13, _ = whole.sides["13"]
+        p_t = ms.geodesic_point(g13, la13 + s_p * scale)
+        y_t = whole.x2
+        res = ms.ads_interval(p_t, y_t) if up else ms.ads_interval(y_t, p_t)
+        tau_py = float(X.tau[p, j] if up else X.tau[j, p])
+        if res.relation != ms.TIMELIKE:
+            notes.append("comparison segment p-y is degenerate; angle audit skipped")
+            skipped += 1
+            tau_bar = res.tau
+            tilde = None
+        else:
+            tau_bar = res.tau
+            if up:
+                fwd, bwd = cs._segment_angles(p_t, y_t)
+            else:
+                fwd, bwd = cs._segment_angles(y_t, p_t)
+                fwd, bwd = bwd, fwd
+            # fwd points away from p_t, bwd away from y_t
+            u13_p = ms.geodesic_tangent(g13, la13 + s_p * scale)
+            angle_tp_x = ms.hyperbolic_angle(p_t, (-u13_p[0], -u13_p[1]), fwd)
+            angle_tp_z = ms.hyperbolic_angle(p_t, u13_p, fwd)
+            angle_ty_x = ms.hyperbolic_angle(y_t, cs._side_tangent(whole, "12", False), bwd)
+            angle_ty_z = ms.hyperbolic_angle(y_t, cs._side_tangent(whole, "23", True), bwd)
+            if up:
+                tilde = {
+                    "sub1": {"x": whole_angles[1], "p": angle_tp_x, "y": angle_ty_x},
+                    "sub2": {"p": angle_tp_z, "y": angle_ty_z, "z": whole_angles[3]},
+                }
+            else:
+                tilde = {
+                    "sub1": {"x": whole_angles[1], "y": angle_ty_x, "p": angle_tp_x},
+                    "sub2": {"y": angle_ty_z, "p": angle_tp_z, "z": whole_angles[3]},
+                }
+
+        # When the opposite vertex lies below p, time reversal exchanges the
+        # outer vertices, so the angle ordering that certifies convexity flips.
+        diff_angle = (angle_p_xy - angle_p_yz) if up else (angle_p_yz - angle_p_xy)
+        diff_tau = tau_bar - tau_py
+        checked += 1
+        if (diff_angle > tol and diff_tau < -tol) or (diff_angle < -tol and diff_tau > tol):
+            gap = min(abs(diff_angle), abs(diff_tau))
+            count += 1
+            if gap > max_deficit:
+                max_deficit = gap
+            records.append(
+                cs.Violation(("classification",), diff_angle, diff_tau, gap,
+                          "angle ordering contradicts the tau comparison")
+            )
+        shape = "convex" if diff_tau >= -tol else "concave"
+        if abs(diff_tau) <= tol and abs(diff_angle) <= tol:
+            shape = "degenerate"
+        notes.append(f"classified {shape} (angle gap {diff_angle!r}, tau gap {diff_tau!r})")
+
+        if tilde is not None:
+            kind = "ge" if diff_tau >= -tol else "le"
+            for name, triple in (("sub1", sub1), ("sub2", sub2)):
+                for label, _, bar_angle in triple:
+                    compare(
+                        ("angle", name, label), bar_angle, tilde[name][label], kind
+                    )
+            if shape == "degenerate":
+                for name, triple in (("sub1", sub1), ("sub2", sub2)):
+                    for label, _, bar_angle in triple:
+                        compare(
+                            ("angle-rev", name, label), bar_angle, tilde[name][label],
+                            "le" if kind == "ge" else "ge",
+                        )
+        compare(("vertex", "y"), angle_y_sum, whole_angles[2], "ge")
+
+    else:
+        if not X.tau[p, k] > 0.0:
+            raise ParameterError(
+                f"p = {p} is not timelike below the opposite vertex {k}"
+            )
+        conn = cs.longest_chain(X, p, k)
+        c_pz = conn.value
+        a_xp, a_py = s_p, c12.value - s_p
+        tri1, _, n1 = cs._realize_clamped(a_xp, c_pz, c13.value, eps)
+        tri2, _, n2 = cs._realize_clamped(a_py, c23.value, c_pz, eps)
+        for n in (n1, n2):
+            if n:
+                notes.append(n)
+        ang1, ang2 = cs._realized_angles(tri1), cs._realized_angles(tri2)
+        angle_p_xz, angle_p_yz = ang1[2], ang2[1]
+        angle_z_sum = ang1[3] + ang2[3]
+        sub1 = (("x", 1, ang1[1]), ("p", 2, ang1[2]), ("z", 3, ang1[3]))
+        sub2 = (("p", 1, ang2[1]), ("y", 2, ang2[2]), ("z", 3, ang2[3]))
+
+        g12, la12, _ = whole.sides["12"]
+        p_t = ms.geodesic_point(g12, la12 + s_p)
+        z_t = whole.x3
+        res = ms.ads_interval(p_t, z_t)
+        tau_pz = float(X.tau[p, k])
+        if res.relation != ms.TIMELIKE:
+            notes.append("comparison segment p-z is degenerate; angle audit skipped")
+            skipped += 1
+            tau_bar = res.tau
+            tilde = None
+        else:
+            tau_bar = res.tau
+            fwd, bwd = cs._segment_angles(p_t, z_t)
+            u12_p = ms.geodesic_tangent(g12, la12 + s_p)
+            angle_tp_x = ms.hyperbolic_angle(p_t, (-u12_p[0], -u12_p[1]), fwd)
+            angle_tp_y = ms.hyperbolic_angle(p_t, u12_p, fwd)
+            angle_tz_x = ms.hyperbolic_angle(z_t, cs._side_tangent(whole, "13", False), bwd)
+            angle_tz_y = ms.hyperbolic_angle(z_t, cs._side_tangent(whole, "23", False), bwd)
+            tilde = {
+                "sub1": {"x": whole_angles[1], "p": angle_tp_x, "z": angle_tz_x},
+                "sub2": {"p": angle_tp_y, "y": whole_angles[2], "z": angle_tz_y},
+            }
+
+        diff_angle = angle_p_xz - angle_p_yz
+        diff_tau = tau_bar - tau_pz
+        checked += 1
+        if (diff_angle > tol and diff_tau < -tol) or (diff_angle < -tol and diff_tau > tol):
+            gap = min(abs(diff_angle), abs(diff_tau))
+            count += 1
+            if gap > max_deficit:
+                max_deficit = gap
+            records.append(
+                cs.Violation(("classification",), diff_angle, diff_tau, gap,
+                          "angle ordering contradicts the tau comparison")
+            )
+        shape = "convex" if diff_tau >= -tol else "concave"
+        if abs(diff_tau) <= tol and abs(diff_angle) <= tol:
+            shape = "degenerate"
+        notes.append(f"classified {shape} (angle gap {diff_angle!r}, tau gap {diff_tau!r})")
+
+        if tilde is not None:
+            kind1 = "ge" if diff_tau >= -tol else "le"
+            kind2 = "le" if kind1 == "ge" else "ge"
+            for name, triple, kind in (("sub1", sub1, kind1), ("sub2", sub2, kind2)):
+                for label, _, bar_angle in triple:
+                    compare(("angle", name, label), bar_angle, tilde[name][label], kind)
+            if shape == "degenerate":
+                for name, triple, kind in (("sub1", sub1, kind2), ("sub2", sub2, kind1)):
+                    for label, _, bar_angle in triple:
+                        compare(("angle-rev", name, label), bar_angle, tilde[name][label], kind)
+        compare(("vertex", "z"), angle_z_sum, whole_angles[3], "le")
+
+    return cs.ComparisonReport(
+        checked=checked,
+        violations=tuple(records[: cs.VIOLATION_CAP]),
+        violation_count=count,
+        max_deficit=max_deficit,
+        verdict=max_deficit <= tol,
+        skipped=skipped,
+        notes=tuple(notes),
+    )
+
+
+def reference_myers_check(X, tol=1e-9):
+    tau = X.tau
+    finite = np.isfinite(tau)
+    listed = finite & (tau > math.pi - tol)
+    records = []
+    count = 0
+    max_deficit = -math.inf
+    for i, j in zip(*np.nonzero(listed)):
+        value = float(tau[i, j])
+        count += 1
+        max_deficit = max(max_deficit, value - math.pi)
+        if len(records) < cs.VIOLATION_CAP:
+            records.append(
+                cs.Violation((int(i), int(j)), value, math.pi, value - math.pi,
+                          "finite time separation near or above the diameter bound")
+            )
+    if count == 0:
+        max_deficit = float(np.max(tau[finite]) - math.pi) if finite.any() else -math.pi
+        return cs.ComparisonReport(
+            checked=int(finite.sum()), violations=(), violation_count=0,
+            max_deficit=max_deficit, verdict=True,
+        )
+    return cs.ComparisonReport(
+        checked=int(finite.sum()),
+        violations=tuple(records[: cs.VIOLATION_CAP]),
+        violation_count=count,
+        max_deficit=max_deficit,
+        verdict=max_deficit <= tol,
+    )
+
+
+def reference_merge_reports(reports):
+    violations = []
+    for rep in reports:
+        if len(violations) < cs.VIOLATION_CAP:
+            violations.extend(rep.violations[: cs.VIOLATION_CAP - len(violations)])
+    return cs.ComparisonReport(
+        checked=sum(r.checked for r in reports),
+        violations=tuple(violations),
+        violation_count=sum(r.violation_count for r in reports),
+        max_deficit=max((r.max_deficit for r in reports), default=0.0),
+        verdict=all(r.verdict for r in reports),
+        max_excess=max((r.max_excess for r in reports), default=0.0),
+        excess_count=sum(r.excess_count for r in reports),
+        skipped=sum(r.skipped for r in reports),
+    )
+
+
+def outcome(check, *args):
+    """The report of a check, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+AUDIT_SPACES = {
+    "model-diamond": lambda: diamond_space(2.0, 11)[0],
+    "cos21": lambda: seeded_net_space(3, "cos"),
+    "flat21": lambda: seeded_net_space(4, "flat"),
+}
+
+
+def audit_triangles(space, count=15):
+    X = AUDIT_SPACES[space]()
+    verts = triangle_vertices(X, np.random.default_rng(11), count, min_tau=0.6)
+    if space == "flat21":
+        # one fiber from the first level to the last: 3.9 is too long to realize
+        verts.append((0, 120, 240))
+    return X, [(v, side_chains(X, v)) for v in verts]
+
+
+def test_triangle_and_monotonicity_match_reference():
+    # tol -1 makes nearly every comparison a violation, which runs the
+    # record lists into the cap
+    seen = set()
+    for space in AUDIT_SPACES:
+        X, cases = audit_triangles(space)
+        for verts, chains in cases:
+            for tol in (GRID_TOL, -1.0):
+                new = outcome(cs.check_triangle_comparison, X, verts, chains, tol, GRID_TOL)
+                assert new == outcome(
+                    reference_check_triangle_comparison, X, verts, chains, tol, GRID_TOL
+                )
+                args = (X, verts[0], chains[0], chains[2], tol)
+                mono = outcome(cs.check_monotonicity, *args)
+                assert mono == outcome(reference_check_monotonicity, *args)
+                for rep in (new, mono):
+                    if isinstance(rep, cs.ComparisonReport):
+                        seen.add("pass" if rep.verdict else "fail")
+                        if len(rep.violations) == cs.VIOLATION_CAP < rep.violation_count:
+                            seen.add("capped")
+                    else:
+                        seen.add("raise")
+    assert seen == {"pass", "fail", "capped", "raise"}
+
+
+def subdivision_shape(rep):
+    if not isinstance(rep, cs.ComparisonReport):
+        return {"raise"}
+    shape = {"pass" if rep.verdict else "fail"}
+    shape |= {word for word in ("degenerate;", "classified degenerate") if any(
+        word in note for note in rep.notes)}
+    return shape
+
+
+def test_subdivision_matches_reference():
+    seen = set()
+    for space in AUDIT_SPACES:
+        X, cases = audit_triangles(space)
+        for verts, chains in cases:
+            for which in ("across", "future"):
+                host = chains[2] if which == "across" else chains[0]
+                for p, tol in itertools.product(host.indices[1:-1], (GRID_TOL, 0.1)):
+                    args = (X, verts, chains, p, which, tol)
+                    rep = outcome(cs.check_subdivision, *args)
+                    assert rep == outcome(reference_check_subdivision, *args)
+                    if which == "across" and isinstance(rep, cs.ComparisonReport):
+                        seen.add("p below y" if X.tau[p, verts[1]] > 0.0 else "y below p")
+                    seen |= subdivision_shape(rep)
+    assert seen == {
+        "pass", "fail", "raise", "degenerate;", "classified degenerate",
+        "p below y", "y below p",
+    }
+
+
+def near_diameter_space():
+    """Model sample with one entry just under pi and one just over it:
+    the first is a watch record that passes, the second fails."""
+    X, _ = diamond_space(2.0, 5)
+    tau = X.tau.copy()
+    a, b = strict_pairs(X)[:2]
+    tau[tuple(a)] = math.pi - 1e-10
+    tau[tuple(b)] = math.pi + 1e-3
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+MYERS_SPACES = {
+    **AUDIT_SPACES,
+    "near-diameter": near_diameter_space,
+    "tall-flat-strip": lambda: flat_strip_space(24, 41),
+}
+
+
+@pytest.mark.parametrize("space", MYERS_SPACES)
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-2])
+def test_myers_matches_reference(space, tol):
+    X = MYERS_SPACES[space]()
+    assert cs.myers_check(X, tol) == reference_myers_check(X, tol)
+
+
+def test_myers_keeps_passing_watch_records():
+    X = near_diameter_space()
+    rep = cs.myers_check(X, tol=1e-9)
+    assert rep.violation_count == 2 and not rep.verdict
+    assert cs.myers_check(X, tol=1e-2).verdict
+    assert cs.myers_check(flat_strip_space(24, 41)).violation_count > cs.VIOLATION_CAP
+
+
+def test_merge_reports_matches_reference():
+    X, cases = audit_triangles("flat21", count=30)
+    reports = []
+    for verts, chains in cases:
+        try:
+            reports.append(cs.check_triangle_comparison(X, verts, chains, GRID_TOL))
+            reports.append(cs.check_monotonicity(X, verts[0], chains[0], chains[2], GRID_TOL))
+        except GeometryError:
+            continue
+    assert sum(r.violation_count for r in reports) > cs.VIOLATION_CAP
+    assert not all(r.verdict for r in reports)
+    for part in ([], reports[:1], reports[:5], reports):
+        assert cs.merge_reports(part) == reference_merge_reports(part)
+
+
+# ------------------------------------------------------------ time reversal
+
+
+def with_lifted_tau(X, rng):
+    """tau moved to within 0.2 of pi on a few related pairs, on both sides
+    of the diameter bound."""
+    rel = strict_pairs(X)
+    hit = rel[rng.choice(len(rel), 12, replace=False)]
+    tau = X.tau.copy()
+    tau[hit[:, 0], hit[:, 1]] = math.pi + rng.uniform(-0.2, 0.2, size=len(hit))
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+def time_reversed(X):
+    return cs.FiniteCausalSpace(
+        X.labels, X.tau.T, X.leq.T, X.coords * np.array([-1.0, 1.0])
+    )
+
+
+def summary(rep):
+    return rep.checked, rep.violation_count, rep.max_deficit, rep.verdict
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_validate_and_myers_survive_time_reversal(seed):
+    # Reversal swaps the roles of past and future, so a triple i <= k <= j
+    # becomes j <= k <= i with the same two summands in the other order.
+    rng = np.random.default_rng(seed)
+    X = ads81_space()
+    variants = (
+        with_dropped_leq(X, rng),
+        with_inflated_tau(X, rng),
+        with_lifted_tau(with_inflated_tau(with_dropped_leq(X, rng), rng), rng),
+    )
+    for V in variants:
+        R = time_reversed(V)
+        assert summary(cs.validate_space(R)) == summary(cs.validate_space(V))
+        assert summary(cs.myers_check(R)) == summary(cs.myers_check(V))
+        assert not cs.validate_space(V).verdict

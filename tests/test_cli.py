@@ -394,6 +394,26 @@ def test_split_reports_a_line_too_long_for_the_strip(tmp_path):
     assert "size bound pi" in check["reason"]
 
 
+
+def two_spacelike_points(tmp_path):
+    path = tmp_path / "spacelike.json"
+    path.write_bytes(doc_bytes(square_doc(2)))
+    return path
+
+
+@pytest.mark.parametrize("make_input, reason", [
+    pytest.param(lambda tmp_path: FIXTURES / "ads_diamond_81.json", "below min_value",
+                 id="diamond"),
+    pytest.param(two_spacelike_points, "no timelike related pair", id="spacelike"),
+])
+def test_split_without_a_usable_line_fails_the_check(tmp_path, make_input, reason):
+    infile = make_input(tmp_path)
+    out = tmp_path / "split.json"
+    assert run_cli("split", infile, out) == 1
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["verdict"] is False
+    assert reason in check["reason"]
+
 def test_grid_flag_refines_the_time_grid(tmp_path):
     out = tmp_path / "split11.json"
     assert (

@@ -9,6 +9,7 @@ parallelism, and small synthetic spaces exercise the guard paths.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from llk import rigidity as rg
 from llk import warped_product as wp
 from llk.errors import (
     ChainError,
-    DataQualityError,
     DomainError,
     ExtractionError,
     InfeasibleError,
@@ -137,47 +137,6 @@ def test_line_from_chain_rejects_null_steps():
 def test_line_sample_validates_span():
     with pytest.raises(ParameterError):
         rg.LineSample((0, 1), (-0.5, 0.5), 0.05)
-
-
-# ---------------------------------------------------------------- busemann
-
-
-def test_busemann_linear_on_the_line():
-    _, _, X = suspension()
-    line = suspension_line()
-    for k in (1, N_TIMES // 2, N_TIMES - 2):
-        b = rg.busemann(X, line, int(line.indices[k]))
-        assert abs(b.plus - line.params[k]) < LOOSE
-        assert abs(b.minus + line.params[k]) < LOOSE
-        assert b.certificate < EXACT
-
-
-def test_busemann_offsets_stay_within_grid_tolerance():
-    _, _, X = suspension()
-    line = suspension_line()
-    result = splitting()
-    worst_sum = math.inf
-    for label, param, idx in result.samples:
-        b = rg.busemann(X, line, idx)
-        assert abs(b.plus - param) <= GRID_TOL
-        worst_sum = min(worst_sum, b.plus + b.minus)
-    assert worst_sum >= -LOOSE
-
-
-def test_busemann_rejects_unreachable_points():
-    _, _, X = suspension()
-    with pytest.raises(DomainError):
-        rg.busemann(X, suspension_line(), fiber(N_TIMES - 1, 6))
-
-
-def test_busemann_rejects_nonmonotone_tails():
-    _, _, X = suspension()
-    line = suspension_line()
-    tau = X.tau.copy()
-    tau[fiber(10, 1), int(line.indices[-1])] -= 0.05
-    corrupted = cs.FiniteCausalSpace(X.labels, tau, X.leq)
-    with pytest.raises(DataQualityError):
-        rg.busemann(corrupted, line, fiber(10, 1))
 
 
 # ---------------------------------------------------------------- asymptotes
@@ -587,6 +546,13 @@ def test_splitting_certifies_the_suspension():
     assert list(result.samples) == sorted(result.samples, key=lambda s: s[:2])
 
 
+def test_splitting_sample_params_match_grid_times():
+    _, grid, X = suspension()
+    for _, param, idx in splitting().samples:
+        level = int(X.labels[idx].split("@")[1])
+        assert abs(param - grid[level]) <= GRID_TOL
+
+
 def test_splitting_reconstructs_every_separation():
     _, _, X = suspension()
     result = splitting()
@@ -650,33 +616,6 @@ def test_extract_slice_rejects_unrepairable_metrics():
         rg.extract_slice(X, rg.find_line(X), metric_slack=1e-12)
 
 
-# ---------------------------------------------------------------- stacking
-
-
-def test_stacked_triangles_stay_collinear():
-    _, grid, X = suspension()
-    report = rg.stacking_audit(
-        X, suspension_line(), fiber(6, 1), grid[3], grid[10], grid[17]
-    )
-    assert report.verdict
-    assert report.max_deficit < EXACT
-    assert report.checked == 19
-    assert report.skipped == 3
-
-
-def test_stacking_validates_inputs():
-    _, grid, X = suspension()
-    gamma = suspension_line()
-    with pytest.raises(DomainError):
-        rg.stacking_audit(X, gamma, fiber(10, 6), grid[3], grid[10], grid[17])
-    with pytest.raises(ParameterError):
-        rg.stacking_audit(X, gamma, int(gamma.indices[10]), grid[3], grid[10], grid[17])
-    with pytest.raises(ParameterError):
-        rg.stacking_audit(X, gamma, fiber(6, 1), grid[10], grid[3], grid[17])
-    with pytest.raises(ParameterError):
-        rg.stacking_audit(X, gamma, fiber(6, 1), grid[3] + 0.01, grid[10], grid[17])
-
-
 # ---------------------------------------------------------------- curvature
 
 
@@ -695,3 +634,101 @@ def test_tripod_breaks_the_curvature_bound():
     assert not report.verdict
     assert abs(report.max_deficit - math.pi) < LOOSE
     assert report.violation_count == 1
+
+
+# The slice gate as it was before its books moved into cs._Tally.
+def reference_check_slice_alexandrov(S, tol=1e-6):
+    n = S.size
+    dist = S.dist
+    ch = np.cosh(dist)
+    sh = np.sinh(dist)
+
+    def angle(a, b, c):
+        num = ch[a, b] * ch[a, c] - ch[b, c]
+        den = sh[a, b] * sh[a, c]
+        return math.acos(ms._clamp_unit(num / den))
+
+    records = []
+    count = 0
+    checked = 0
+    skipped = 0
+    max_deficit = 0.0
+    bound = 2.0 * math.pi
+    for a in range(n):
+        others = [x for x in range(n) if x != a]
+        for b, c, d in itertools.combinations(others, 3):
+            if min(dist[a, b], dist[a, c], dist[a, d], dist[b, c], dist[c, d], dist[b, d]) <= 0.0:
+                skipped += 1
+                continue
+            total = angle(a, b, c) + angle(a, c, d) + angle(a, d, b)
+            checked += 1
+            deficit = total - bound
+            if deficit > max_deficit:
+                max_deficit = deficit
+            if deficit > tol:
+                count += 1
+                if len(records) < cs.VIOLATION_CAP:
+                    records.append(
+                        cs.Violation(
+                            (a, b, c, d),
+                            total,
+                            bound,
+                            deficit,
+                            "comparison angles at the center exceed a full turn",
+                        )
+                    )
+    return cs.ComparisonReport(
+        checked=checked,
+        violations=tuple(records),
+        violation_count=count,
+        max_deficit=max(max_deficit, 0.0),
+        verdict=max_deficit <= tol,
+        skipped=skipped,
+    )
+
+
+def star_space(leaves):
+    """A hub at distance 1 from every leaf, leaves 2 apart: every
+    quadruple centred at the hub is a tripod."""
+    n = leaves + 1
+    dist = np.full((n, n), 2.0)
+    dist[0, :] = dist[:, 0] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    return wp.FiniteMetricSpace(tuple(f"v{k:02d}" for k in range(n)), dist)
+
+
+def random_tree_space(seed, n=8):
+    """Shortest-path metric of a random weighted tree."""
+    rng = np.random.default_rng(seed)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        dist[u, v] = dist[v, u] = rng.uniform(0.2, 2.0)
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    return wp.FiniteMetricSpace(tuple(f"v{k}" for k in range(n)), dist)
+
+
+def random_plane_space(seed, n=8):
+    pts = np.random.default_rng(seed).normal(size=(n, 2))
+    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    return wp.FiniteMetricSpace(tuple(f"v{k}" for k in range(n)), dist)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: splitting().slice_space, id="circle-slice"),
+    pytest.param(lambda: star_space(3), id="tripod"),
+    pytest.param(lambda: star_space(13), id="star13"),
+    *(pytest.param(lambda s=s: random_tree_space(s), id=f"tree-{s}") for s in range(6)),
+    *(pytest.param(lambda s=s: random_plane_space(s), id=f"plane-{s}") for s in range(3)),
+])
+def test_slice_alexandrov_matches_reference(make):
+    S = make()
+    assert rg.check_slice_alexandrov(S) == reference_check_slice_alexandrov(S)
+
+
+def test_slice_alexandrov_caps_records_of_a_star():
+    report = rg.check_slice_alexandrov(star_space(13))
+    assert report.violation_count > cs.VIOLATION_CAP == len(report.violations)
+
