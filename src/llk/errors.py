@@ -55,4 +55,7 @@ class ExtractionError(GeometryError):
 
 
 class DataQualityError(GeometryError):
-    """Input data fails a certified monotonicity or consistency check."""
+    """Input data fails a certified monotonicity or consistency check.
+
+    Kept for API compatibility: no llk command or function raises it.
+    """

@@ -11,7 +11,7 @@ deterministic; no operation mutates its input space.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,12 @@ ZERO_C = 1e-9
 
 # slack allowed between a line's value and pi minus twice its edge margin
 SPAN_TOL = 1e-9
+
+# Asymptote membership works on at most this many (point, point) cells
+# at a time, which bounds each of its temporaries to 256 KB; at 1 MB the
+# blocks of a 252-point split raised its peak memory above the old
+# per-point loop's.
+_MEMBER_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,9 @@ class SplittingResult:
     per asymptote point; residual is the largest difference between
     sampled and reconstructed signed time separations over all sample
     pairs; mismatches counts pairs whose causal class disagrees beyond
-    the near-cone collar, forgiven the ones inside it.
+    the near-cone collar, forgiven the ones inside it.  diagnostics holds
+    what the slice extraction saw (see extract_slice); the split report
+    does not carry it.
     """
 
     slice_space: wp.FiniteMetricSpace
@@ -136,6 +144,7 @@ class SplittingResult:
     tol: float
     collar: float
     verdict: bool
+    diagnostics: dict = field(default_factory=dict)
 
 
 def line_from_chain(X: cs.FiniteCausalSpace, chain: cs.Chain) -> LineSample:
@@ -241,59 +250,103 @@ def _member_levels(g_par: np.ndarray, th: np.ndarray, in_dom: np.ndarray):
     return lev, ok
 
 
-def _membership_defect(X: cs.FiniteCausalSpace, th: np.ndarray, p: int) -> np.ndarray:
-    """Comparison-plane distance between p and every point, given times.
+def _membership_defect(X: cs.FiniteCausalSpace, th: np.ndarray, points) -> np.ndarray:
+    """Comparison-plane distance between each of points and every point.
 
     For a timelike pair at times s, t the quantity
     arcosh((cos tau - sin s sin t) / (cos s cos t)) is the spacelike
     separation of the pair's fibers in a two-fiber comparison strip;
-    points on the asymptote through p make it vanish.  Pairs without a
-    timelike relation to p get +inf.
+    points on the asymptote through p make it vanish.  Row r holds the
+    defects of points[r]; pairs without a timelike relation get +inf.
     """
-    fwd = X.tau[p] > 0.0
-    rev = X.tau[:, p] > 0.0
-    tau_px = np.where(fwd, X.tau[p], X.tau[:, p])
+    ahead = X.tau[points]
+    behind = X.tau[:, points].T
+    fwd = ahead > 0.0
+    rev = behind > 0.0
+    tau_px = np.where(fwd, ahead, behind)
     # np.arccosh, not math.acosh as in c_functions: the two differ in the
     # last place on about a quarter of these defects, which rank the
-    # candidates, and a scalar loop adds about 0.15 s to a 972-point split
+    # candidates, and a scalar loop over the 0.87 M defects of a 972-point
+    # split takes about 0.15 s, twice the whole batched selection
     with np.errstate(invalid="ignore", divide="ignore"):
-        h = np.arccosh(ms.ads_fiber_cosh(tau_px, th[p], th))
+        h = np.arccosh(ms.ads_fiber_cosh(tau_px, th[points][:, None], th))
     return np.where(fwd | rev, h, np.inf)
 
 
-def _select_members(
+def _member_sets(
     X: cs.FiniteCausalSpace,
     th: np.ndarray,
     lev: np.ndarray,
     ok: np.ndarray,
-    p: int,
-):
-    """Asymptote membership through p: per-level argmin of the defect.
+    points: np.ndarray,
+) -> list:
+    """Asymptote membership through each of points, in time order.
 
-    Keeps at most one point per line level (the smallest defect, ties
-    toward the smaller index), always including p itself, drops levels
-    whose defect exceeds three times the median (floored so rounding
-    noise never splits a fiber), and finally prunes to the longest
-    timelike-chained subsequence through p, so noisy near-ties cannot
-    leave an unchainable selection behind.  Returns members in time
-    order.
+    For a point p: keeps at most one point per line level (the smallest
+    defect, ties toward the smaller index), always including p itself,
+    drops levels whose defect exceeds three times the median (floored so
+    rounding noise never splits a fiber), and finally prunes to the
+    longest timelike-chained subsequence through p, so noisy near-ties
+    cannot leave an unchainable selection behind.
+
+    The points go through in blocks of rows against all candidates at
+    once.  When every pair of a selection is timelike related in time
+    order, the longest chain into position k has all k + 1 positions and
+    only position k - 1 reaches that length, so the chain through p is
+    the whole selection; only selections failing that test run the DP.
+    Returns one member tuple per point.
     """
-    h = _membership_defect(X, th, p)
-    cand = np.nonzero(ok & np.isfinite(h))[0]
-    cand = cand[cand != p]
-    # per level the smallest defect, then the smaller index; p owns its level
-    cand = cand[np.lexsort((cand, h[cand], lev[cand]))]
-    first = np.ones(len(cand), dtype=bool)
-    first[1:] = lev[cand[1:]] != lev[cand[:-1]]
-    best = cand[first]
-    best = np.append(best[lev[best] != lev[p]], p)
-    defects = np.append(h[best[:-1]], 0.0)
-    cutoff = max(3.0 * float(np.sort(defects)[len(defects) // 2]), MEMBER_FLOOR)
-    keep = defects <= cutoff
-    best, defects = best[keep], defects[keep]
-    order = np.lexsort((best, th[best]))
-    picked = list(zip(best[order].tolist(), defects[order].tolist()))
-    return _chained_through(X, picked, p)
+    n = X.size
+    # candidates run by (level, index), so the first achiever of a level's
+    # smallest defect is its smallest index
+    cols = np.nonzero(ok)[0]
+    cols = cols[np.argsort(lev[cols], kind="stable")]
+    starts = np.flatnonzero(np.diff(lev[cols], prepend=-1))
+    widths = np.diff(starts, append=len(cols))
+    levels = lev[cols[starts]]
+    at = np.arange(len(cols))
+    # pad entries are index n, at time +inf, so they sort last
+    th_pad = np.append(th, np.inf)
+    # whether every pair of a selection is timelike related in time order;
+    # the many points on one fiber share one selection, tested once
+    chained = {}
+    out = []
+    block = max(1, _MEMBER_CELLS // n)
+    for first in range(0, len(points), block):
+        rows = points[first:first + block]
+        size = len(rows)
+        h = _membership_defect(X, th, rows)[:, cols]
+        h[~np.isfinite(h)] = np.inf  # NaN defects never win a level
+        low = np.minimum.reduceat(h, starts, axis=1)
+        achiever = np.where(h == np.repeat(low, widths, axis=1), at, len(cols))
+        best = cols[np.minimum.reduceat(achiever, starts, axis=1)]
+        # p owns its level and joins with defect 0
+        valid = np.isfinite(low) & (levels[None, :] != lev[rows][:, None])
+        defects = np.where(valid, low, np.inf)
+        defects = np.concatenate([defects, np.zeros((size, 1))], axis=1)
+        members = np.where(valid, best, n)
+        members = np.concatenate([members, rows[:, None]], axis=1)
+        # the +inf of the empty levels sorts last, past the median
+        count = valid.sum(axis=1) + 1
+        median = np.sort(defects, axis=1)[np.arange(size), count // 2]
+        cutoff = np.maximum(3.0 * median, MEMBER_FLOOR)
+        keep = defects <= cutoff[:, None]
+        members = np.where(keep, members, n)
+        order = np.lexsort((members, th_pad[members]))
+        members = np.take_along_axis(members, order, axis=1)
+        defects = np.take_along_axis(defects, order, axis=1)
+        for p, sel, dfs, k in zip(
+            rows.tolist(), members.tolist(), defects.tolist(), keep.sum(axis=1).tolist()
+        ):
+            sel = tuple(sel[:k])
+            if sel not in chained:
+                linked = X.tau[np.ix_(sel, sel)] > 0.0
+                chained[sel] = bool(linked[np.triu_indices(k, 1)].all())
+            if chained[sel]:
+                out.append(sel)
+            else:
+                out.append(tuple(_chained_through(X, list(zip(sel, dfs[:k])), p)))
+    return out
 
 
 def _chained_through(X: cs.FiniteCausalSpace, picked, p: int):
@@ -303,17 +356,12 @@ def _chained_through(X: cs.FiniteCausalSpace, picked, p: int):
     independent passes find the best chain ending at p from the left
     and starting at p to the right; candidates compare by length first,
     then by smaller summed defect, then by earlier position, so the
-    result is deterministic.  When every pair is timelike related in
-    time order, the passes need not run: the longest chain into
-    position k then has all k + 1 positions, and only position k - 1
-    reaches that length, so the passes would return the whole selection.
+    result is deterministic.
     """
     order = [x for x, _ in picked]
     defect = np.array([v for _, v in picked], dtype=float)
     n = len(order)
     linked = X.tau[np.ix_(order, order)] > 0.0
-    if (linked | np.tri(n, dtype=bool)).all():
-        return order
     ip = order.index(p)
     left = _chain_positions(linked[: ip + 1, : ip + 1], defect[: ip + 1])
     right = _chain_positions(linked[ip:, ip:][::-1, ::-1].T, defect[ip:][::-1])
@@ -402,16 +450,17 @@ def construct_asymptote(
             f"point {p} is not timelike related to both ends of the line"
         )
     lev, ok = _member_levels(g_par, th, in_dom)
-    return _asymptote(X, th, lev, ok, p, {})
+    (members,) = _member_sets(X, th, lev, ok, np.array([p]))
+    return _asymptote(X, th, members, p, {})
 
 
-def _asymptote(X: cs.FiniteCausalSpace, th, lev, ok, p: int, lines: dict) -> LineSample:
+def _asymptote(X: cs.FiniteCausalSpace, th, members, p: int, lines: dict) -> LineSample:
     """The selected members through p, chained into a line.
 
     lines caches the chained lines by member tuple, which is also the
     line's indices: asymptotes through many points share one selection.
     """
-    members = tuple(_select_members(X, th, lev, ok, p))
+    members = tuple(members)
     if len(members) < 3:
         raise ConvergenceError(
             f"asymptote through point {p} keeps only {len(members)} stable members"
@@ -421,76 +470,130 @@ def _asymptote(X: cs.FiniteCausalSpace, th, lev, ok, p: int, lines: dict) -> Lin
     return lines[members]
 
 
-def _cone_crossing(related, fut, past, l_par):
+def _cone_crossing(related, fut, past, l_par, below):
     """Parameters where the future cones of some points meet a line.
 
     related, fut and past hold, per point (row) and line row (column),
     the causal relation, the time separation to the row, and the time
-    separation from it.  The grid infimum is the first causally related
-    row; when that row is strictly timelike the crossing is pulled
-    inside the bracketing interval by solving u sin t + v cos t = 1,
-    the two-row model fit of the point against the line.  The rows are
-    the last timelike future row and the first timelike past row, or
-    the second-last future row when there is no past one.  Returns the
-    points with a related row, as row positions, and their crossings.
+    separation from it; l_par holds the rows' parameters and below the
+    parameter under each, -pi/2 at the start of a line.  The grid
+    infimum is the first causally related row; when that row is
+    strictly timelike the crossing is pulled inside the bracketing
+    interval by solving u sin t + v cos t = 1, the two-row model fit of
+    the point against the line.  The rows are the last timelike future
+    row and the first timelike past row, or the second-last future row
+    when there is no past one.  Returns the points with a related row,
+    as row positions, and their crossings.
     """
     m = len(l_par)
     rows = np.arange(len(fut))
+    hit = related.any(axis=1)
     first = related.argmax(axis=1)
     timelike = fut > 0.0
     last = m - 1 - timelike[:, ::-1].argmax(axis=1)
     timelike[rows, last] = False
-    second = m - 1 - timelike[:, ::-1].argmax(axis=1)
-    to_past = past > 0.0
-    has_past = to_past.any(axis=1)
-    first_past = to_past.argmax(axis=1)
-    solvable = (fut[rows, first] > 0.0) & (has_past | timelike.any(axis=1))
-    other = np.where(has_past, first_past, second)
-    tau_other = np.where(has_past, past[rows, first_past], fut[rows, second])
-    par = l_par.tolist()
-    hits, crossings = [], []
-    for r, (hit, k, fit, k1, tau1, k2, tau2) in enumerate(
-        zip(
-            related.any(axis=1).tolist(),
-            first.tolist(),
-            solvable.tolist(),
-            last.tolist(),
-            fut[rows, last].tolist(),
-            other.tolist(),
-            tau_other.tolist(),
+    # the second fit row is the first True of the past rows followed by
+    # the future rows backwards, so the past one wins when there is one
+    later = np.concatenate([past > 0.0, timelike[:, ::-1]], axis=1)
+    other = later.argmax(axis=1)
+    fit = np.flatnonzero(hit & (fut[rows, first] > 0.0) & later.any(axis=1))
+    crossing = l_par[first]
+    if len(fit):
+        j, o = last[fit], other[fit]
+        from_past = o < m
+        k = np.where(from_past, o, 2 * m - 1 - o)
+        crossing[fit] = _crossing_fit(
+            crossing[fit],
+            below[first[fit]],
+            l_par[j],
+            fut[fit, j],
+            l_par[k],
+            np.where(from_past, past[fit, k], fut[fit, k]),
         )
-    ):
-        if not hit:
-            continue
-        hits.append(r)
-        if fit:
-            lo = par[k - 1] if k > 0 else -ms.HALF_PI
-            crossings.append(_crossing_fit(par[k], lo, par[k1], tau1, par[k2], tau2))
-        else:
-            crossings.append(par[k])
-    return np.array(hits, dtype=int), np.array(crossings, dtype=float)
+    return np.flatnonzero(hit), crossing[hit]
 
 
-def _crossing_fit(hi: float, lo: float, t1: float, tau1: float, t2: float, tau2: float):
-    """Crossing inside [lo, hi] from the two rows (t1, tau1) and (t2, tau2)."""
-    c1, c2 = math.cos(tau1), math.cos(tau2)
-    den = math.sin(t1 - t2)
-    u = (c1 * math.cos(t2) - c2 * math.cos(t1)) / den
-    v = (c2 * math.sin(t1) - c1 * math.sin(t2)) / den
+# adding these turns t0 into its three candidates; -0.0 keeps t0 as it is
+_TURNS = np.array([-2.0 * math.pi, -0.0, 2.0 * math.pi])
+
+
+def _fit_angles(u: float, v: float):
+    """The two solutions of u sin t + v cos t = 1 modulo 2 pi, or NaNs
+    when the radius is below 1 and the cone misses the fitted line."""
     radius = math.hypot(u, v)
     if radius < 1.0:
-        return hi
+        return math.nan, math.nan
     phi = math.atan2(v, u)
-    base = math.asin(min(1.0, 1.0 / radius))
-    cands = [
-        t
-        for t0 in (base - phi, math.pi - base - phi)
-        for t in (t0 - 2.0 * math.pi, t0, t0 + 2.0 * math.pi)
-        if lo - 1e-9 <= t <= hi + 1e-9
-    ]
-    if not cands:
-        return hi
-    return min(cands, key=lambda t: abs(t - hi))
+    base = math.asin(1.0 / radius)
+    return base - phi, math.pi - base - phi
+
+
+def _crossing_fit(hi, lo, t1, tau1, t2, tau2):
+    """Crossings inside [lo, hi] from the two rows (t1, tau1) and (t2, tau2).
+
+    Works elementwise on arrays.  cos, sin and the two-row solve are
+    numpy; hypot, atan2 and asin stay in math, because numpy's versions
+    differ from it in the last place on some inputs and the crossings
+    reach the reports.  Of the candidates inside the bracket the one
+    nearest hi wins, the first on ties; without one the crossing is hi.
+    """
+    c1, c2 = np.cos(tau1), np.cos(tau2)
+    den = np.sin(t1 - t2)
+    u = (c1 * np.cos(t2) - c2 * np.cos(t1)) / den
+    v = (c2 * np.sin(t1) - c1 * np.sin(t2)) / den
+    t0 = np.array([_fit_angles(a, b) for a, b in zip(u.tolist(), v.tolist())])
+    cands = (t0[:, :, None] + _TURNS).reshape(len(hi), 6)
+    inside = (lo[:, None] - 1e-9 <= cands) & (cands <= hi[:, None] + 1e-9)
+    near = np.where(inside, np.abs(cands - hi[:, None]), np.inf).argmin(axis=1)
+    picked = cands[np.arange(len(hi)), near]
+    return np.where(inside.any(axis=1), picked, hi)
+
+
+def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edge_cos):
+    """Every c-function entry of a line pair, as arrays.
+
+    Returns s, t, table (0 ab, 1 ba, 2 null_a, 3 null_b), value and
+    edge, the entries left out of the verdict, in the order that
+    c_functions documents.  extract_slice reads only value and edge.
+    """
+    # One block over both lines, with the same-line entries zeroed, holds
+    # every cross relation: the pair tables read its off-diagonal blocks,
+    # and each point's cone crossing onto the other line reads its row.
+    size = alpha.size
+    idx = np.array(alpha.indices + beta.indices)
+    par = np.array(alpha.params + beta.params)
+    on_beta = np.arange(len(idx)) >= size
+    cross = on_beta[:, None] != on_beta[None, :]
+    tau = np.where(cross, X.tau[idx[:, None], idx], 0.0)
+    leq = X.leq[idx[:, None], idx] & cross
+    start = -ms.HALF_PI
+    below = np.concatenate([[start], par[: size - 1], [start], par[size:-1]])
+    hits, crossing = _cone_crossing(leq, tau, tau.T, par, below)
+    # axis 2 puts the ab and ba entries of one parameter pair side by
+    # side, so nonzero walks the pairs row-major with ab before ba
+    pair_tau = np.stack([tau[:size, size:], tau[size:, :size].T], axis=2)
+    i, j, table = (pair_tau > 0.0).nonzero()
+    s = np.concatenate([par[i], par[hits]])
+    t = np.concatenate([par[size + j], crossing])
+    sep = np.concatenate([pair_tau[i, j, table], np.zeros(len(hits))])
+    table = np.concatenate([table, 2 + on_beta[hits]])
+    if len(table) == 0:
+        raise DomainError("the lines share no causally related parameter pairs")
+    # math.acosh, not np.arccosh: the two can differ in the last place,
+    # and these values reach the reports
+    args = ms.ads_fiber_cosh(sep, s, t).tolist()
+    value = np.fromiter(map(math.acosh, args), float, len(args))
+    edge = np.minimum(np.cos(s), np.cos(t)) < edge_cos
+    return s, t, table, value, edge
+
+
+def _c_constant(value: np.ndarray, edge: np.ndarray):
+    """Median of the kept entries and their largest distance from it."""
+    kept = value[~edge]
+    if len(kept):
+        constant = float(np.median(kept))
+        return constant, float(np.max(np.abs(kept - constant)))
+    return float(np.median(value)), math.inf
 
 
 def c_functions(
@@ -519,32 +622,12 @@ def c_functions(
     if tol is None:
         steps = np.concatenate([np.diff(alpha.params), np.diff(beta.params)])
         tol = 2.0 * float(np.median(steps))
-    a_idx, a_par = _line_arrays(alpha)
-    b_idx, b_par = _line_arrays(beta)
-    # axis 2 puts the ab and ba entries of one parameter pair side by
-    # side, so nonzero walks the pairs row-major with ab before ba
-    tau_ab = X.tau[a_idx][:, b_idx]
-    tau_ba = X.tau[b_idx][:, a_idx]
-    pair_tau = np.stack([tau_ab, tau_ba.T], axis=2)
-    i, j, table = (pair_tau > 0.0).nonzero()
-    hit_a, t_cross = _cone_crossing(X.leq[a_idx][:, b_idx], tau_ab, tau_ba.T, b_par)
-    hit_b, s_cross = _cone_crossing(X.leq[b_idx][:, a_idx], tau_ba, tau_ab.T, a_par)
-    s = np.concatenate([a_par[i], a_par[hit_a], b_par[hit_b]])
-    t = np.concatenate([b_par[j], t_cross, s_cross])
-    tau = np.concatenate([pair_tau[i, j, table], np.zeros(len(hit_a) + len(hit_b))])
-    table = np.concatenate([table, np.full(len(hit_a), 2), np.full(len(hit_b), 3)])
-    if len(table) == 0:
-        raise DomainError("the lines share no causally related parameter pairs")
-    # math.acosh, not np.arccosh: the two can differ in the last place,
-    # and these values reach the reports
-    value = np.array([math.acosh(a) for a in ms.ads_fiber_cosh(tau, s, t).tolist()])
-
+    s, t, table, value, edge = _c_entries(X, alpha, beta, edge_cos)
     names = ("ab", "ba", "null_a", "null_b")
     tables = [
         tuple(zip(s[at].tolist(), t[at].tolist(), value[at].tolist()))
         for at in (table == k for k in range(len(names)))
     ]
-    edge = np.minimum(np.cos(s), np.cos(t)) < edge_cos
     excluded = tuple(
         zip(
             [names[k] for k in table[edge].tolist()],
@@ -553,13 +636,7 @@ def c_functions(
             value[edge].tolist(),
         )
     )
-    kept = value[~edge]
-    if len(kept):
-        constant = float(np.median(kept))
-        deviation = float(np.max(np.abs(kept - constant)))
-    else:
-        constant = float(np.median(value))
-        deviation = math.inf
+    constant, deviation = _c_constant(value, edge)
     return ParallelReport(
         c_ab=tables[0],
         c_ba=tables[1],
@@ -581,7 +658,10 @@ def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
 
 
 def extract_slice(
-    X: cs.FiniteCausalSpace, gamma: LineSample, metric_slack: float = None
+    X: cs.FiniteCausalSpace,
+    gamma: LineSample,
+    metric_slack: float = None,
+    diagnostics: dict = None,
 ):
     """The slice of fibers over gamma and its parallel-distance metric.
 
@@ -595,6 +675,12 @@ def extract_slice(
     deviation observed, whichever is larger: distances are only as
     trustworthy as the tables they came from.  Larger violations fail
     the extraction.
+
+    A diagnostics dict, when given, receives what the extraction saw,
+    also when the metric fails: worst_dev, the largest c-table
+    deviation; metric_slack as used; asymptote_keys, the distinct member
+    sets; merged_variants, the keys merged into another family's head;
+    and slack, the largest triangle violation the repair found.
     """
     _require_line(X, gamma, "gamma")
     g_idx, g_par = _line_arrays(gamma)
@@ -603,8 +689,9 @@ def extract_slice(
 
     lines = {}
     counts = {}
-    for p in np.nonzero(in_dom)[0]:
-        key = _asymptote(X, th, lev, ok, int(p), lines).indices
+    points = np.nonzero(in_dom)[0]
+    for p, members in zip(points.tolist(), _member_sets(X, th, lev, ok, points)):
+        key = _asymptote(X, th, members, p, lines).indices
         counts[key] = counts.get(key, 0) + 1
     keys = sorted(lines, key=lambda k: (min(k), k))
 
@@ -642,12 +729,20 @@ def extract_slice(
     worst_dev = 0.0
     for a in range(m):
         for b in range(a + 1, m):
-            report = c_functions(X, head_lines[a], head_lines[b])
-            dist[a, b] = dist[b, a] = report.constant
-            if math.isfinite(report.deviation):
-                worst_dev = max(worst_dev, report.deviation)
+            entries = _c_entries(X, head_lines[a], head_lines[b], EDGE_COS)
+            constant, deviation = _c_constant(*entries[3:])
+            dist[a, b] = dist[b, a] = constant
+            if math.isfinite(deviation):
+                worst_dev = max(worst_dev, deviation)
     if metric_slack is None:
         metric_slack = max(2.0 * _median_step(gamma), 2.0 * worst_dev)
+    if diagnostics is not None:
+        diagnostics.update(
+            worst_dev=worst_dev,
+            metric_slack=float(metric_slack),
+            asymptote_keys=len(keys),
+            merged_variants=len(keys) - m,
+        )
 
     parent = list(range(m))
     off = dist[~np.eye(m, dtype=bool)]
@@ -681,6 +776,8 @@ def extract_slice(
             d_s[a, b] = d_s[b, a] = dist[reps[a], reps[b]]
     repaired = _floyd_warshall(d_s)
     slack = float(np.max(d_s - repaired))
+    if diagnostics is not None:
+        diagnostics["slack"] = slack
     if slack > metric_slack:
         raise ExtractionError(
             f"parallel distances violate the triangle inequality by {slack!r}"
@@ -713,7 +810,8 @@ def build_splitting(
         tol = 2.0 * step
     if collar is None:
         collar = 2.0 * step
-    slice_space, asymptotes = extract_slice(X, gamma)
+    diagnostics = {}
+    slice_space, asymptotes = extract_slice(X, gamma, diagnostics=diagnostics)
 
     samples = []
     for b, line in enumerate(asymptotes):
@@ -726,15 +824,20 @@ def build_splitting(
 
     tau_x = X.tau[np.ix_(xidx, xidx)]
     leq_x = X.leq[np.ix_(xidx, xidx)]
-    signed_x = tau_x - tau_x.T
 
     dmat = slice_space.dist[np.ix_(bidx, bidx)]
     future = svals[None, :] > svals[:, None]
     leq_w, timelike_w, wtau = ms.ads_separation(svals, svals, dmat, future)
-    signed_w = wtau - wtau.T
 
+    # split sets the peak memory of the process here, so the difference of
+    # signed separations is formed in one buffer
     distinct = xidx[:, None] != xidx[None, :]
-    residual = float(np.max(np.abs(np.where(distinct, signed_x - signed_w, 0.0))))
+    gap = tau_x - tau_x.T
+    gap -= wtau - wtau.T
+    np.abs(gap, out=gap)
+    gap[~distinct] = 0.0
+    residual = float(np.max(gap))
+    del gap, wtau
 
     null_x = leq_x & (tau_x <= 0.0) & distinct
     cls_x = np.where(tau_x > 0.0, 2, np.where(null_x, 1, 0))
@@ -760,6 +863,7 @@ def build_splitting(
         tol=float(tol),
         collar=float(collar),
         verdict=(residual <= tol) and mismatches == 0,
+        diagnostics=diagnostics,
     )
 
 

@@ -18,6 +18,7 @@ import pytest
 from llk import causal_space as cs
 from llk import cli
 from llk import model_space as ms
+from llk import rigidity as rg
 from llk import warped_product as wp
 from llk.errors import ParameterError, StructuralError
 
@@ -372,6 +373,24 @@ def test_split_reports_residual_and_passes(tmp_path):
     assert check["residual"] <= check["tol"]
     assert check["mismatches"] == 0
     assert len(check["slice"]["labels"]) == 12
+
+
+def test_split_diagnostics_stay_out_of_the_report(tmp_path):
+    X = fixture_suspension()
+    diagnostics = rg.build_splitting(X, rg.find_line(X)).diagnostics
+    assert sorted(diagnostics) == [
+        "asymptote_keys", "merged_variants", "metric_slack", "slack", "worst_dev",
+    ]
+    assert diagnostics["asymptote_keys"] == 12
+    assert diagnostics["merged_variants"] == 0
+    assert diagnostics["slack"] == 0.0
+    # null-table entries whose crossing falls back to a grid row set the
+    # worst deviation, and twice it sets the repair slack, not the step
+    assert abs(diagnostics["worst_dev"] - 0.36292003012301) < 1e-12
+    assert diagnostics["metric_slack"] == 2.0 * diagnostics["worst_dev"]
+    out = tmp_path / "split.json"
+    assert run_cli("split", FIXTURES / "suspension_circle12.json", out) == 0
+    assert "diagnostics" not in out.read_text()
 
 
 def test_myers_flags_the_flat_strip(tmp_path):

@@ -257,10 +257,10 @@ def test_c_functions_need_cross_relations():
 # ---------------------------------------------------------------- references
 #
 # Loop versions of the array code in rigidity: the scalar c-function
-# tables with their per-point cone crossing, and the per-level member
-# selection with its pairwise chain DP.  The array code must agree with
-# them exactly, not within a tolerance, because their values reach the
-# split report.
+# tables with their per-point cone crossing, and the per-point membership
+# defect and per-level member selection with its pairwise chain DP.  The
+# array code must agree with them exactly, not within a tolerance,
+# because their values reach the split report.
 
 
 def reference_c_value(tau, s, t):
@@ -386,8 +386,17 @@ def reference_chained_through(X, picked, p):
     return left[:-1] + right[::-1]
 
 
+def reference_membership_defect(X, th, p):
+    fwd = X.tau[p] > 0.0
+    rev = X.tau[:, p] > 0.0
+    tau_px = np.where(fwd, X.tau[p], X.tau[:, p])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h = np.arccosh(ms.ads_fiber_cosh(tau_px, th[p], th))
+    return np.where(fwd | rev, h, np.inf)
+
+
 def reference_picked(X, th, lev, ok, p):
-    h = rg._membership_defect(X, th, p)
+    h = reference_membership_defect(X, th, p)
     best = {}
     for x in np.nonzero(ok)[0]:
         x = int(x)
@@ -434,19 +443,52 @@ def unlinked_suspension(seed, drop=0.03):
     return cs.FiniteCausalSpace(X.labels, tau, X.leq)
 
 
-def selections_match_reference(X, gamma):
-    """Every in-domain selection equals the loop version; counts DP runs."""
+def membership_inputs(X, gamma):
     g_idx, g_par = np.array(gamma.indices), np.array(gamma.params)
     th, in_dom = rg._model_times(X, g_idx, g_par)
     lev, ok = rg._member_levels(g_par, th, in_dom)
+    return th, lev, ok, np.nonzero(in_dom)[0]
+
+
+def selections_match_reference(X, gamma):
+    """Every in-domain selection equals the loop version; counts DP runs."""
+    th, lev, ok, points = membership_inputs(X, gamma)
+    batched = rg._member_sets(X, th, lev, ok, points)
+    assert len(batched) == len(points)
     dp_runs = 0
-    for p in np.nonzero(in_dom)[0].tolist():
+    for p, members in zip(points.tolist(), batched):
         picked = reference_picked(X, th, lev, ok, p)
         expect = reference_chained_through(X, picked, p)
         assert rg._chained_through(X, picked, p) == expect
-        assert rg._select_members(X, th, lev, ok, p) == expect
+        assert list(members) == expect
         dp_runs += not fully_linked(X, picked)
     return dp_runs
+
+
+def jittered_suspension(seed, jitter=0.3):
+    """The circle suspension over time levels moved by up to jitter steps."""
+    S = circle_space()
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, N_TIMES)
+    grid[1:-1] += rng.uniform(-jitter, jitter, N_TIMES - 2) * STEP
+    return wp.sample_suspension(S, grid)
+
+
+def block_rows(monkeypatch, X, rows):
+    """Set the membership block to the given number of rows; spy on it.
+
+    Returns the list that collects the row count of every block.
+    """
+    monkeypatch.setattr(rg, "_MEMBER_CELLS", rows * X.size)
+    seen = []
+    defect = rg._membership_defect
+
+    def spy(X, th, points):
+        seen.append(len(points))
+        return defect(X, th, points)
+
+    monkeypatch.setattr(rg, "_membership_defect", spy)
+    return seen
 
 
 def test_c_functions_match_reference_on_fiber_pairs():
@@ -508,19 +550,83 @@ def test_selection_ties_match_reference():
 
 
 def test_extract_slice_tables_match_reference(monkeypatch):
+    # extract_slice reads only the constant and the deviation of each
+    # head pair, through the kernel that c_functions builds its tables on
     X = unlinked_suspension(0)
-    c_functions = rg.c_functions
+    c_entries = rg._c_entries
     calls = []
 
-    def checked(X, alpha, beta):
-        report = c_functions(X, alpha, beta)
-        assert report == reference_c_functions(X, alpha, beta)
-        calls.append(report)
-        return report
+    def recorded(X, alpha, beta, edge_cos):
+        entries = c_entries(X, alpha, beta, edge_cos)
+        calls.append((alpha, beta, entries))
+        return entries
 
-    monkeypatch.setattr(rg, "c_functions", checked)
+    monkeypatch.setattr(rg, "_c_entries", recorded)
     rg.extract_slice(X, rg.find_line(X))
+    monkeypatch.undo()
     assert calls
+    for alpha, beta, entries in calls:
+        expect = reference_c_functions(X, alpha, beta)
+        assert rg.c_functions(X, alpha, beta) == expect
+        assert rg._c_constant(*entries[3:]) == (expect.constant, expect.deviation)
+
+
+@pytest.mark.parametrize("space", ["suspension", "unlinked"])
+def test_batched_defects_are_bit_identical_to_rows(space):
+    X = suspension()[2] if space == "suspension" else unlinked_suspension(0)
+    th, _, _, points = membership_inputs(X, rg.find_line(X))
+    block = rg._membership_defect(X, th, points)
+    for r, p in enumerate(points.tolist()):
+        assert np.array_equal(
+            block[r], reference_membership_defect(X, th, p), equal_nan=True
+        )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_selection_matches_reference_on_jittered_levels(seed):
+    X = jittered_suspension(seed)
+    gamma = rg.find_line(X)
+    assert len(set(np.round(np.diff(gamma.params), 12))) > 1
+    assert selections_match_reference(X, gamma) == 0
+
+
+@pytest.mark.parametrize("rows", ["one", "all but one"])
+def test_selection_blocks_match_reference(monkeypatch, rows):
+    X = unlinked_suspension(1)
+    gamma = rg.find_line(X)
+    n_dom = len(membership_inputs(X, gamma)[3])
+    size = 1 if rows == "one" else n_dom - 1
+    seen = block_rows(monkeypatch, X, size)
+    assert selections_match_reference(X, gamma) > 0
+    assert seen[0] == size
+    assert sum(seen) == n_dom
+
+
+def test_selection_matches_reference_with_infinite_separations():
+    # cos(inf) is NaN, so these pairs' defects are NaN and must lose
+    # their level to the finite candidates, as the loop version skips them
+    X = unlinked_suspension(3)
+    gamma = rg.find_line(X)
+    rng = np.random.default_rng(5)
+    far = (X.tau > 0.0) & (rng.random(X.tau.shape) < 0.02)
+    far[list(gamma.indices)] = False
+    far[:, list(gamma.indices)] = False
+    Y = cs.FiniteCausalSpace(X.labels, np.where(far, np.inf, X.tau), X.leq)
+    th, _, ok, points = membership_inputs(Y, gamma)
+    assert np.isnan(rg._membership_defect(Y, th, points)[:, ok]).any()
+    assert selections_match_reference(Y, gamma) > 0
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.permutations(range(N_TIMES * N_FIBERS)))
+def test_selection_matches_reference_on_permuted_points(perm):
+    X = unlinked_suspension(2)
+    Y = cs.FiniteCausalSpace(
+        tuple(X.labels[k] for k in perm),
+        X.tau[np.ix_(perm, perm)],
+        X.leq[np.ix_(perm, perm)],
+    )
+    selections_match_reference(Y, rg.find_line(Y))
 
 
 # ---------------------------------------------------------------- slices
