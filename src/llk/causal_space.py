@@ -605,54 +605,6 @@ def check_monotonicity(
     return books.report(skipped=skipped)
 
 
-@dataclass(frozen=True)
-class AngleEstimate:
-    """Comparison angle at the smallest defined parameter pair, its sign,
-    and the spread over the nearest few pairs as a resolution error bar."""
-
-    angle: float
-    sigma: int
-    spread: float
-    pairs_used: int
-
-
-def upper_angle_estimate(
-    X: FiniteCausalSpace, vertex: int, alpha: Chain, beta: Chain
-) -> AngleEstimate:
-    """Finite stand-in for the upper angle between two chains at a vertex.
-
-    Uses the comparison angle at the smallest defined parameter pair;
-    the spread over the four smallest defined pairs is reported because
-    the continuum definition is a limit the grid cannot take.
-    """
-    vertex = int(vertex)
-    if alpha.indices[0] != vertex or beta.indices[0] != vertex:
-        raise ParameterError("both chains must start at the vertex")
-    if len(alpha.indices) < 3 or len(beta.indices) < 3:
-        raise ParameterError("angle estimation needs chains with at least 3 points")
-    if alpha.indices == beta.indices:
-        return AngleEstimate(0.0, 1, 0.0, 0)
-    candidates = []
-    for a, s in zip(alpha.indices[1:], alpha.params[1:]):
-        for b, t in zip(beta.indices[1:], beta.params[1:]):
-            if a != b:
-                candidates.append((s + t, s, t, a, b))
-    candidates.sort()
-    found = []
-    for _, s, t, a, b in candidates:
-        try:
-            signed, sigma = _signed_angle_at(X, a, vertex, b)
-        except GeometryError:
-            continue
-        found.append((abs(signed), sigma))
-        if len(found) == 4:
-            break
-    if not found:
-        raise UndefinedAngleError("no parameter pair admits a comparison angle")
-    angles = [a for a, _ in found]
-    return AngleEstimate(found[0][0], found[0][1], max(angles) - min(angles), len(found))
-
-
 def _realized_angles(tri) -> dict:
     """Unsigned hyperbolic angles of a realized triangle at its vertices."""
     spec = {

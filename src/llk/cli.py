@@ -299,12 +299,12 @@ def parse_geodesic_file(raw: bytes):
     for k, entry in enumerate(doc["curves"]):
         if not isinstance(entry, dict):
             _fail(f"curves[{k}]", "expected an object")
-        curves.append(
-            ms.GeodesicParams(
-                _number(entry.get("omega"), f"curves[{k}].omega"),
-                _number(entry.get("c"), f"curves[{k}].c"),
-            )
-        )
+        omega = _number(entry.get("omega"), f"curves[{k}].omega")
+        try:
+            math.cosh(omega)
+        except OverflowError:
+            _fail(f"curves[{k}].omega", f"cosh({omega!r}) is beyond the float range")
+        curves.append(ms.GeodesicParams(omega, _number(entry.get("c"), f"curves[{k}].c")))
     if not curves:
         _fail("curves", "expected at least one curve")
     return curves
@@ -578,7 +578,11 @@ def emit_geodesic_table(curves, step: float) -> bytes:
     lines = ["curve_id,lambda,t,x"]
     for cid, g in enumerate(curves):
         reach = math.asin(min(1.0, 1.0 / math.cosh(g.omega)))
-        last = int(math.floor((reach - 1e-12) / step))
+        # sin(lam) cosh(omega) rounds to 1 up to about 1e-8 inside the
+        # reach, so the table ends at the last lam whose point is defined
+        last = int(math.floor(reach / step))
+        while last > 0 and not abs(math.sin(last * step) * math.cosh(g.omega)) < 1.0:
+            last -= 1
         for k in range(-last, last + 1):
             lam = k * step
             p = ms.geodesic_point(g, lam)
@@ -607,6 +611,9 @@ def run_command(command: str, raw: bytes, options) -> tuple:
     for flag, value in (("--samples", options.samples), ("--jobs", options.jobs)):
         if value < 1:
             raise ParameterError(f"{flag} must be at least 1, got {value}")
+    for flag, value in (("--tol-exact", options.tol_exact), ("--tol-disc", options.tol_disc)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ParameterError(f"{flag} must be a finite number >= 0, got {value}")
     if command == "geodesics":
         return emit_geodesic_table(parse_geodesic_file(raw), options.step), EXIT_PASS
     parsed = parse_space_file(raw)

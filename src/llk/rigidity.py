@@ -100,29 +100,6 @@ class LineSample:
 
 
 @dataclass(frozen=True)
-class ParallelReport:
-    """The four c-function tables of a line pair and their verdict.
-
-    Tables hold (s, t, value) triples over the defined parameter pairs;
-    the null tables record the interpolated cone-crossing parameter as
-    t.  constant is the median over entries kept by the edge rule,
-    deviation the largest distance from it, and the verdict passes iff
-    the deviation stays within tol.  excluded lists the entries left
-    out of the verdict as (table, s, t, value).
-    """
-
-    c_ab: tuple
-    c_ba: tuple
-    c_null_a: tuple
-    c_null_b: tuple
-    constant: float
-    deviation: float
-    verdict: bool
-    tol: float
-    excluded: tuple = ()
-
-
-@dataclass(frozen=True)
 class SplittingResult:
     """Audit of the reconstructed warped product against the space.
 
@@ -236,9 +213,18 @@ def _model_times(X: cs.FiniteCausalSpace, g_idx: np.ndarray, g_par: np.ndarray):
     t2 = g_par[jp]
     c2 = np.cos(tgx[rows, jp])
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = (c1 * np.cos(t2) - c2 * np.cos(t1)) / np.sin(t1 - t2)
+        u = _two_row_sin(t1, c1, t2, c2)
     th = np.where(in_dom, np.arcsin(np.clip(u, -1.0, 1.0)), np.nan)
     return th, in_dom
+
+
+def _two_row_sin(t1, c1, t2, c2):
+    """The u of the fit c = u sin t + v cos t through two line rows.
+
+    Each row pairs a line parameter ti with the cosine ci of the point's
+    time separation to that row.
+    """
+    return (c1 * np.cos(t2) - c2 * np.cos(t1)) / np.sin(t1 - t2)
 
 
 def _member_levels(g_par: np.ndarray, th: np.ndarray, in_dom: np.ndarray):
@@ -264,7 +250,7 @@ def _membership_defect(X: cs.FiniteCausalSpace, th: np.ndarray, points) -> np.nd
     fwd = ahead > 0.0
     rev = behind > 0.0
     tau_px = np.where(fwd, ahead, behind)
-    # np.arccosh, not math.acosh as in c_functions: the two differ in the
+    # np.arccosh, not math.acosh as in _c_entries: the two differ in the
     # last place on about a quarter of these defects, which rank the
     # candidates, and a scalar loop over the 0.87 M defects of a 972-point
     # split takes about 0.15 s, twice the whole batched selection
@@ -429,47 +415,6 @@ def _chain_into_line(X: cs.FiniteCausalSpace, members, th) -> LineSample:
     return LineSample(tuple(order), params, (math.pi - span) / 2.0)
 
 
-def construct_asymptote(
-    X: cs.FiniteCausalSpace, gamma: LineSample, p: int
-) -> LineSample:
-    """The asymptote through p: the line p shares with gamma's far ends.
-
-    Selects, per line level, the point minimizing the comparison-plane
-    defect against p's fitted time, then parametrizes the selection by
-    cumulative time separation anchored at the fitted time.  Fewer than
-    three stable members means the sample cannot support an asymptote.
-    """
-    _require_line(X, gamma, "gamma")
-    p = int(p)
-    if not 0 <= p < X.size:
-        raise ParameterError(f"p = {p} out of range for {X.size} points")
-    g_idx, g_par = _line_arrays(gamma)
-    th, in_dom = _model_times(X, g_idx, g_par)
-    if not in_dom[p]:
-        raise DomainError(
-            f"point {p} is not timelike related to both ends of the line"
-        )
-    lev, ok = _member_levels(g_par, th, in_dom)
-    (members,) = _member_sets(X, th, lev, ok, np.array([p]))
-    return _asymptote(X, th, members, p, {})
-
-
-def _asymptote(X: cs.FiniteCausalSpace, th, members, p: int, lines: dict) -> LineSample:
-    """The selected members through p, chained into a line.
-
-    lines caches the chained lines by member tuple, which is also the
-    line's indices: asymptotes through many points share one selection.
-    """
-    members = tuple(members)
-    if len(members) < 3:
-        raise ConvergenceError(
-            f"asymptote through point {p} keeps only {len(members)} stable members"
-        )
-    if members not in lines:
-        lines[members] = _chain_into_line(X, members, th)
-    return lines[members]
-
-
 def _cone_crossing(related, fut, past, l_par, below):
     """Parameters where the future cones of some points meet a line.
 
@@ -538,9 +483,8 @@ def _crossing_fit(hi, lo, t1, tau1, t2, tau2):
     nearest hi wins, the first on ties; without one the crossing is hi.
     """
     c1, c2 = np.cos(tau1), np.cos(tau2)
-    den = np.sin(t1 - t2)
-    u = (c1 * np.cos(t2) - c2 * np.cos(t1)) / den
-    v = (c2 * np.sin(t1) - c1 * np.sin(t2)) / den
+    u = _two_row_sin(t1, c1, t2, c2)
+    v = (c2 * np.sin(t1) - c1 * np.sin(t2)) / np.sin(t1 - t2)
     t0 = np.array([_fit_angles(a, b) for a, b in zip(u.tolist(), v.tolist())])
     cands = (t0[:, :, None] + _TURNS).reshape(len(hi), 6)
     inside = (lo[:, None] - 1e-9 <= cands) & (cands <= hi[:, None] + 1e-9)
@@ -552,9 +496,13 @@ def _crossing_fit(hi, lo, t1, tau1, t2, tau2):
 def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edge_cos):
     """Every c-function entry of a line pair, as arrays.
 
-    Returns s, t, table (0 ab, 1 ba, 2 null_a, 3 null_b), value and
-    edge, the entries left out of the verdict, in the order that
-    c_functions documents.  extract_slice reads only value and edge.
+    The pair tables hold every strictly timelike parameter pair in either
+    direction; the null tables hold the cone crossing of each parameter
+    onto the other line.  Returns s, t, table (0 ab, 1 ba, 2 null_a,
+    3 null_b), value and edge, the entries within edge_cos of the strip
+    edge, which _c_constant leaves out.  Entries run over the pairs
+    row-major in (s, t), each ab entry before its ba entry, then null_a,
+    then null_b.  extract_slice reads only value and edge.
     """
     # One block over both lines, with the same-line entries zeroed, holds
     # every cross relation: the pair tables read its off-diagonal blocks,
@@ -596,65 +544,35 @@ def _c_constant(value: np.ndarray, edge: np.ndarray):
     return float(np.median(value)), math.inf
 
 
-def c_functions(
-    X: cs.FiniteCausalSpace,
-    alpha: LineSample,
-    beta: LineSample,
-    tol: float = None,
-    edge_cos: float = EDGE_COS,
-) -> ParallelReport:
-    """The four c-function tables of a line pair.
-
-    Pair tables evaluate the arcosh formula on every strictly timelike
-    parameter pair in either direction; the null tables evaluate it at
-    the cone crossing of each parameter onto the other line.  Entries
-    too close to the strip edge (min cosine under edge_cos) are listed
-    but excluded from the median and the verdict.  tol defaults to
-    twice the median parameter step of the two lines.
-
-    All four tables are built as arrays over the lines' tau blocks and
-    share one ads_fiber_cosh call.  excluded lists the pair entries
-    row-major in (s, t), each ab entry before its ba entry, then null_a,
-    then null_b.
-    """
-    _require_line(X, alpha, "alpha")
-    _require_line(X, beta, "beta")
-    if tol is None:
-        steps = np.concatenate([np.diff(alpha.params), np.diff(beta.params)])
-        tol = 2.0 * float(np.median(steps))
-    s, t, table, value, edge = _c_entries(X, alpha, beta, edge_cos)
-    names = ("ab", "ba", "null_a", "null_b")
-    tables = [
-        tuple(zip(s[at].tolist(), t[at].tolist(), value[at].tolist()))
-        for at in (table == k for k in range(len(names)))
-    ]
-    excluded = tuple(
-        zip(
-            [names[k] for k in table[edge].tolist()],
-            s[edge].tolist(),
-            t[edge].tolist(),
-            value[edge].tolist(),
-        )
-    )
-    constant, deviation = _c_constant(value, edge)
-    return ParallelReport(
-        c_ab=tables[0],
-        c_ba=tables[1],
-        c_null_a=tables[2],
-        c_null_b=tables[3],
-        constant=constant,
-        deviation=deviation,
-        verdict=deviation <= tol,
-        tol=float(tol),
-        excluded=excluded,
-    )
-
-
 def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
     closed = dist.copy()
     for k in range(closed.shape[0]):
         closed = np.minimum(closed, closed[:, k][:, None] + closed[k, :][None, :])
     return closed
+
+
+def _components(m: int, joined) -> list:
+    """Groups of range(m) connected by the pairs a < b with joined(a, b).
+
+    Each group lists its members in increasing order, and the groups come
+    ordered by their smallest member.
+    """
+    parent = list(range(m))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(m):
+        for b in range(a + 1, m):
+            if joined(a, b):
+                parent[root(b)] = root(a)
+    groups = {}
+    for a in range(m):
+        groups.setdefault(root(a), []).append(a)
+    return sorted(groups.values(), key=min)
 
 
 def extract_slice(
@@ -687,40 +605,35 @@ def extract_slice(
     th, in_dom = _model_times(X, g_idx, g_par)
     lev, ok = _member_levels(g_par, th, in_dom)
 
+    # asymptotes through many points share one member tuple, which is
+    # also the indices of its line, so each tuple is chained once
     lines = {}
     counts = {}
     points = np.nonzero(in_dom)[0]
     for p, members in zip(points.tolist(), _member_sets(X, th, lev, ok, points)):
-        key = _asymptote(X, th, members, p, lines).indices
-        counts[key] = counts.get(key, 0) + 1
+        if len(members) < 3:
+            raise ConvergenceError(
+                f"asymptote through point {p} keeps only {len(members)} stable members"
+            )
+        if members not in lines:
+            lines[members] = _chain_into_line(X, members, th)
+        counts[members] = counts.get(members, 0) + 1
     keys = sorted(lines, key=lambda k: (min(k), k))
-
-    parent = list(range(len(keys)))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
     # asymptotes through a shared point coincide in the limit, so key
     # variants sharing a majority of members are the same fiber read
     # through noise; merge them before any distance is trusted
     sets = [set(k) for k in keys]
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            common = len(sets[a] & sets[b])
-            if common > min(len(sets[a]), len(sets[b])) / 2.0:
-                parent[root(b)] = root(a)
-    families = {}
-    for a in range(len(keys)):
-        families.setdefault(root(a), []).append(a)
+
+    def variants(a, b):
+        return len(sets[a] & sets[b]) > min(len(sets[a]), len(sets[b])) / 2.0
+
     # each family speaks through the key produced by the most points:
     # the majority reading of the fiber, not whichever variant happened
     # to contain the smallest index
     heads = [
         min(ks, key=lambda a: (-counts[keys[a]], keys[a]))
-        for ks in sorted(families.values(), key=min)
+        for ks in _components(len(keys), variants)
     ]
     head_lines = [lines[keys[h]] for h in heads]
 
@@ -744,19 +657,10 @@ def extract_slice(
             merged_variants=len(keys) - m,
         )
 
-    parent = list(range(m))
     off = dist[~np.eye(m, dtype=bool)]
     positive = off[off > ZERO_C]
     threshold = max(ZERO_C, float(positive.min()) / 2.0) if len(positive) else math.inf
-    for a in range(m):
-        for b in range(a + 1, m):
-            if dist[a, b] < threshold:
-                parent[root(b)] = root(a)
-
-    groups = {}
-    for a in range(m):
-        groups.setdefault(root(a), []).append(a)
-    reps = sorted(min(members) for members in groups.values())
+    reps = [group[0] for group in _components(m, lambda a, b: dist[a, b] < threshold)]
     rep_lines = [head_lines[r] for r in reps]
 
     labels = []

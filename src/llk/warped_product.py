@@ -183,19 +183,6 @@ class FiniteMetricSpace:
         return float(self.dist[self.index(a), self.index(b)])
 
 
-@dataclass(frozen=True)
-class WarpedPoint:
-    """Point (t, base) of a warped product; t must lie inside the
-    interval of the warping in use, which is checked at evaluation."""
-
-    t: float
-    base: str
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise DomainError(f"t = {self.t!r} is not finite")
-
-
 def _check_inside(f: WarpingSpec, name: str, t: float) -> None:
     a, b = f.interval
     if not (a < t < b):
@@ -337,15 +324,6 @@ def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.In
     else:
         tau = float(_table_tau(f, lo, hi, np.array([dx]))[0])
     return ms.IntervalResult(ms.TIMELIKE if ordered else ms.PAST_DIRECTED, tau)
-
-
-def wp_interval(
-    f: WarpingSpec, Y: FiniteMetricSpace, p: WarpedPoint, q: WarpedPoint
-) -> ms.IntervalResult:
-    """Interval of two warped-product points over a finite base."""
-    i = Y.index(p.base)
-    j = Y.index(q.base)
-    return comparison_space_tau(f, p.t, q.t, float(Y.dist[i, j]))
 
 
 def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> FiniteCausalSpace:

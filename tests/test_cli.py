@@ -479,6 +479,26 @@ def test_nonpositive_samples_or_jobs_are_usage_errors(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("validate", "--tol-exact", "nan"),
+        ("validate", "--tol-exact", "-0.5"),
+        ("curvature", "--tol-disc", "inf"),
+        ("curvature", "--tol-disc", "-1"),
+        ("split", "--tol-disc", "nan"),
+    ],
+)
+def test_nonfinite_or_negative_tolerances_are_usage_errors(
+    tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "x.json"
+    assert run_cli(command, FIXTURES / "ads_diamond_81.json", out, flag, value) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error [llk.errors.ParameterError] {flag} must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize(
     "command, grid", [("validate", "1"), ("split", "41"), ("curvature", "21")]
 )
 def test_grid_on_a_sampled_space_is_a_usage_error(tmp_path, capsys, command, grid):
@@ -551,3 +571,30 @@ def test_geodesic_rows_climb_toward_the_strip_edge():
 def test_geodesic_step_must_be_positive():
     with pytest.raises(ParameterError):
         cli.emit_geodesic_table([ms.GeodesicParams(0.0, 0.0)], 0.0)
+
+
+def test_geodesic_table_ends_at_the_last_defined_point(tmp_path):
+    # ten steps fall 5e-9 short of pi/2, where sin(lam) already rounds to 1
+    step = 0.15707963217948966
+    request = tmp_path / "curves.json"
+    request.write_bytes(doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}]}))
+    out = tmp_path / "geo.csv"
+    assert run_cli("geodesics", request, out, "--step", repr(step)) == 0
+    lams = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert lams == [k * step for k in range(-9, 10)]
+
+
+def test_geodesic_rapidity_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    request = tmp_path / "curves.json"
+    out = tmp_path / "geo.csv"
+    request.write_bytes(doc_bytes({"curves": [{"omega": 710.0, "c": 0.0}]}))
+    assert run_cli("geodesics", request, out) == 0
+    assert out.read_text().splitlines()[1:] == ["0,0.0,0.0,0.0"]
+    request.write_bytes(
+        doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}, {"omega": 1000.0, "c": 0.0}]})
+    )
+    out.unlink()
+    assert run_cli("geodesics", request, out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error [llk.errors.StructuralError] curves[1].omega: " in err

@@ -142,26 +142,28 @@ def test_line_sample_validates_span():
 # ---------------------------------------------------------------- asymptotes
 
 
+def asymptote_through(X, gamma, p):
+    """Members of the asymptote through p, as split selects them."""
+    th, lev, ok, points = membership_inputs(X, gamma)
+    assert p in points
+    (members,) = rg._member_sets(X, th, lev, ok, np.array([p]))
+    return members
+
+
 def test_asymptote_collects_a_single_fiber():
     _, _, X = suspension()
     p = fiber(10, 3)
-    line = rg.construct_asymptote(X, suspension_line(), p)
-    assert p in line.indices
-    assert {X.labels[i].split("@")[0] for i in line.indices} == {"c03"}
-    assert line.size == N_TIMES - 2
+    members = asymptote_through(X, suspension_line(), p)
+    assert p in members
+    assert {X.labels[i].split("@")[0] for i in members} == {"c03"}
+    assert len(members) == N_TIMES - 2
 
 
 def test_asymptote_through_line_point_is_the_line_interior():
     _, _, X = suspension()
     gamma = suspension_line()
-    line = rg.construct_asymptote(X, gamma, int(gamma.indices[10]))
-    assert tuple(line.indices) == tuple(gamma.indices[1:-1])
-
-
-def test_asymptote_rejects_points_outside_the_domain():
-    _, _, X = suspension()
-    with pytest.raises(DomainError):
-        rg.construct_asymptote(X, suspension_line(), fiber(N_TIMES - 1, 6))
+    members = asymptote_through(X, gamma, int(gamma.indices[10]))
+    assert members == tuple(gamma.indices[1:-1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,17 +175,27 @@ def test_asymptote_rejects_points_outside_the_domain():
 def test_asymptote_idempotent_over_its_members(level, k, pick):
     _, _, X = suspension()
     gamma = suspension_line()
-    try:
-        first = rg.construct_asymptote(X, gamma, fiber(level, k))
-    except DomainError:
-        # distant fibers lose line reach near the strip edges
-        assume(False)
-    member = int(first.indices[pick % first.size])
-    second = rg.construct_asymptote(X, gamma, member)
-    assert tuple(second.indices) == tuple(first.indices)
+    # distant fibers lose line reach near the strip edges
+    assume(fiber(level, k) in membership_inputs(X, gamma)[3])
+    first = asymptote_through(X, gamma, fiber(level, k))
+    member = first[pick % len(first)]
+    assert asymptote_through(X, gamma, member) == first
 
 
 # ---------------------------------------------------------------- parallelism
+
+
+def c_constant(X, alpha, beta):
+    """Constant and deviation of a line pair's c-functions, as split reads them."""
+    value, edge = rg._c_entries(X, alpha, beta, rg.EDGE_COS)[3:]
+    return rg._c_constant(value, edge)
+
+
+def c_tol(alpha, beta):
+    """Twice the median parameter step of two lines: the grid-scale bound
+    on the c-function deviation of a parallel pair."""
+    steps = np.concatenate([np.diff(alpha.params), np.diff(beta.params)])
+    return 2.0 * float(np.median(steps))
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,9 +205,8 @@ def test_asymptote_idempotent_over_its_members(level, k, pick):
 )
 def test_fiber_pairs_run_parallel_at_base_distance(a, b):
     S, _, X = suspension()
-    report = rg.c_functions(X, fiber_line(a), fiber_line(b))
-    assert report.verdict
-    c = report.constant
+    c, deviation = c_constant(X, fiber_line(a), fiber_line(b))
+    assert deviation <= c_tol(fiber_line(a), fiber_line(b))
     # a line against itself measures 0 only up to the arcosh noise
     # floor sqrt(eps), distinct fibers are exact
     assert abs(c - S.dist[a, b]) < (1e-6 if a == b else LOOSE)
@@ -214,9 +225,9 @@ def test_parallel_distance_adds_along_arcs(i, left, right):
     if k <= j:
         k = j + 1
     _, _, X = suspension()
-    c_ij = rg.c_functions(X, fiber_line(i), fiber_line(j)).constant
-    c_jk = rg.c_functions(X, fiber_line(j), fiber_line(k)).constant
-    c_ik = rg.c_functions(X, fiber_line(i), fiber_line(k)).constant
+    c_ij = c_constant(X, fiber_line(i), fiber_line(j))[0]
+    c_jk = c_constant(X, fiber_line(j), fiber_line(k))[0]
+    c_ik = c_constant(X, fiber_line(i), fiber_line(k))[0]
     assert abs(c_ij + c_jk - c_ik) < LOOSE
 
 
@@ -230,18 +241,16 @@ def test_tilted_geodesic_is_not_parallel_to_vertical():
     beta = rg.line_from_chain(
         X, cs.make_chain(X, list(range(len(vertical), X.size)))
     )
-    report = rg.c_functions(X, alpha, beta)
-    assert not report.verdict
-    assert report.deviation > report.tol
+    assert c_constant(X, alpha, beta)[1] > c_tol(alpha, beta)
 
 
 def test_extreme_levels_are_excluded_not_judged():
     _, _, X = suspension()
-    report = rg.c_functions(X, fiber_line(0), fiber_line(1))
-    assert report.verdict
-    assert report.excluded
-    for _, s, t, _ in report.excluded:
-        assert min(math.cos(s), math.cos(t)) < rg.EDGE_COS
+    alpha, beta = fiber_line(0), fiber_line(1)
+    s, t, _, value, edge = rg._c_entries(X, alpha, beta, rg.EDGE_COS)
+    assert rg._c_constant(value, edge)[1] <= c_tol(alpha, beta)
+    assert edge.any()
+    assert (np.minimum(np.cos(s[edge]), np.cos(t[edge])) < rg.EDGE_COS).all()
 
 
 def test_c_functions_need_cross_relations():
@@ -251,7 +260,7 @@ def test_c_functions_need_cross_relations():
     alpha = rg.line_from_chain(X, cs.make_chain(X, [0, 1]))
     beta = rg.line_from_chain(X, cs.make_chain(X, [2, 3]))
     with pytest.raises(DomainError):
-        rg.c_functions(X, alpha, beta)
+        rg._c_entries(X, alpha, beta, rg.EDGE_COS)
 
 
 # ---------------------------------------------------------------- references
@@ -311,9 +320,11 @@ def reference_cone_crossing(X, i, l_idx, l_par):
     return min(cands, key=lambda t: abs(t - hi))
 
 
+C_TABLES = ("ab", "ba", "null_a", "null_b")
+
+
 def reference_c_functions(X, alpha, beta, edge_cos=rg.EDGE_COS):
-    steps = np.concatenate([np.diff(alpha.params), np.diff(beta.params)])
-    tol = 2.0 * float(np.median(steps))
+    """Tables by name, excluded entries, and (constant, deviation)."""
     a_idx, a_par = np.array(alpha.indices), np.array(alpha.params)
     b_idx, b_par = np.array(beta.indices), np.array(beta.params)
     tables = {"ab": [], "ba": [], "null_a": [], "null_b": []}
@@ -347,17 +358,21 @@ def reference_c_functions(X, alpha, beta, edge_cos=rg.EDGE_COS):
     else:
         constant = float(np.median([e[3] for e in excluded]))
         deviation = math.inf
-    return rg.ParallelReport(
-        c_ab=tuple(tables["ab"]),
-        c_ba=tuple(tables["ba"]),
-        c_null_a=tuple(tables["null_a"]),
-        c_null_b=tuple(tables["null_b"]),
-        constant=constant,
-        deviation=deviation,
-        verdict=deviation <= tol,
-        tol=tol,
-        excluded=tuple(excluded),
-    )
+    return tables, excluded, (constant, deviation)
+
+
+def assert_c_matches_reference(X, alpha, beta, entries=None):
+    """The kernels' entries, table by table, equal the loop version's."""
+    if entries is None:
+        entries = rg._c_entries(X, alpha, beta, rg.EDGE_COS)
+    s, t, table, value, edge = (a.tolist() for a in entries)
+    rows = list(zip(table, s, t, value))
+    tables, excluded, summary = reference_c_functions(X, alpha, beta)
+    for k, name in enumerate(C_TABLES):
+        assert [r[1:] for r in rows if r[0] == k] == tables[name], name
+    assert [(C_TABLES[r[0]],) + r[1:] for r, out in zip(rows, edge) if out] == excluded
+    assert rg._c_constant(entries[3], entries[4]) == summary
+    return summary
 
 
 def reference_chained_through(X, picked, p):
@@ -495,8 +510,7 @@ def test_c_functions_match_reference_on_fiber_pairs():
     _, _, X = suspension()
     for a in range(N_FIBERS):
         for b in range(a, N_FIBERS):
-            alpha, beta = fiber_line(a), fiber_line(b)
-            assert rg.c_functions(X, alpha, beta) == reference_c_functions(X, alpha, beta)
+            assert_c_matches_reference(X, fiber_line(a), fiber_line(b))
 
 
 def test_c_functions_match_reference_on_tilted_pair():
@@ -510,9 +524,7 @@ def test_c_functions_match_reference_on_tilted_pair():
     alpha = rg.line_from_chain(X, cs.make_chain(X, list(range(len(vertical)))))
     beta = rg.line_from_chain(X, cs.make_chain(X, list(range(len(vertical), X.size))))
     for pair in ((alpha, beta), (beta, alpha)):
-        report = rg.c_functions(X, *pair)
-        assert not report.verdict
-        assert report == reference_c_functions(X, *pair)
+        assert assert_c_matches_reference(X, *pair)[1] > c_tol(*pair)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -524,8 +536,7 @@ def test_array_pipeline_matches_reference_on_shuffled_orders(seed):
         column = [int(where[fiber(level, k)]) for level in range(N_TIMES)]
         lines[k] = rg.line_from_chain(Y, cs.make_chain(Y, column))
     for a, b in ((0, 1), (1, 6), (5, 0), (6, 6)):
-        report = rg.c_functions(Y, lines[a], lines[b])
-        assert report == reference_c_functions(Y, lines[a], lines[b])
+        assert_c_matches_reference(Y, lines[a], lines[b])
     assert selections_match_reference(Y, rg.find_line(Y)) == 0
 
 
@@ -551,7 +562,7 @@ def test_selection_ties_match_reference():
 
 def test_extract_slice_tables_match_reference(monkeypatch):
     # extract_slice reads only the constant and the deviation of each
-    # head pair, through the kernel that c_functions builds its tables on
+    # head pair; the entries it saw must be the loop version's
     X = unlinked_suspension(0)
     c_entries = rg._c_entries
     calls = []
@@ -566,9 +577,7 @@ def test_extract_slice_tables_match_reference(monkeypatch):
     monkeypatch.undo()
     assert calls
     for alpha, beta, entries in calls:
-        expect = reference_c_functions(X, alpha, beta)
-        assert rg.c_functions(X, alpha, beta) == expect
-        assert rg._c_constant(*entries[3:]) == (expect.constant, expect.deviation)
+        assert_c_matches_reference(X, alpha, beta, entries)
 
 
 @pytest.mark.parametrize("space", ["suspension", "unlinked"])

@@ -423,14 +423,6 @@ def test_table_solver_reports_a_lane_that_does_not_converge(monkeypatch):
         wp.sample_warped_product(f, circle_space(4, 2.0), [-0.5, 0.5])
 
 
-def test_wp_interval_uses_base_distance():
-    f = wp.constant_warping(1.0, (-1.0, 6.0))
-    S = segment_space(4, 1.5)
-    res = wp.wp_interval(f, S, wp.WarpedPoint(0.0, "s0"), wp.WarpedPoint(5.0, "s2"))
-    assert res.relation == "timelike"
-    assert abs(res.tau - 4.0) < EXACT
-
-
 def test_separation_rejects_time_outside_interval():
     f = wp.constant_warping(1.0, (0.0, 1.0))
     with pytest.raises(DomainError):
