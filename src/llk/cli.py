@@ -56,6 +56,9 @@ COMMANDS = (
 
 DRAW_TRIES = 64
 
+# geodesics builds its table in memory, at about 150 bytes a row
+MAX_TABLE_ROWS = 10**6
+
 
 @dataclass(frozen=True)
 class SpaceFile:
@@ -300,11 +303,11 @@ def parse_geodesic_file(raw: bytes):
         if not isinstance(entry, dict):
             _fail(f"curves[{k}]", "expected an object")
         omega = _number(entry.get("omega"), f"curves[{k}].omega")
+        c = _number(entry.get("c"), f"curves[{k}].c")
         try:
-            math.cosh(omega)
-        except OverflowError:
-            _fail(f"curves[{k}].omega", f"cosh({omega!r}) is beyond the float range")
-        curves.append(ms.GeodesicParams(omega, _number(entry.get("c"), f"curves[{k}].c")))
+            curves.append(ms.GeodesicParams(omega, c))
+        except ParameterError as exc:
+            _fail(f"curves[{k}].omega", str(exc))
     if not curves:
         _fail("curves", "expected at least one curve")
     return curves
@@ -350,16 +353,13 @@ def _check_dict(name: str, rep: cs.ComparisonReport, **extra) -> dict:
     return out
 
 
-def report_payload(command, options, parsed, checks, work_units, digest) -> dict:
+def report_payload(command, options, kind, points, checks, work_units, digest) -> dict:
+    """ReportFile of one check command; points counts the space it ran on."""
     verdict = all(c["verdict"] for c in checks)
     return {
         "tool": {"name": "llk", "version": __version__},
         "command": command,
-        "input": {
-            "digest": f"sha256:{digest}",
-            "kind": parsed.kind,
-            "points": parsed.space.size if parsed.space is not None else None,
-        },
+        "input": {"digest": f"sha256:{digest}", "kind": kind, "points": points},
         "options": {
             "tol_exact": options.tol_exact,
             "tol_disc": options.tol_disc,
@@ -475,22 +475,19 @@ def _materialize(parsed: SpaceFile, options) -> cs.FiniteCausalSpace:
     return wp.sample_warped_product(parsed.warping, parsed.base, t_grid)
 
 
-def _cmd_validate(parsed, options):
-    X = _materialize(parsed, options)
+def _cmd_validate(X, options):
     rep = cs.validate_space(X, tol=options.tol_exact)
     checks = [_check_dict("causal_axioms", rep, tol=options.tol_exact)]
     return checks, rep.checked
 
 
-def _cmd_myers(parsed, options):
-    X = _materialize(parsed, options)
+def _cmd_myers(X, options):
     rep = cs.myers_check(X, tol=options.tol_exact)
     checks = [_check_dict("diameter_bound", rep, tol=options.tol_exact)]
     return checks, rep.checked
 
 
-def _cmd_curvature(parsed, options):
-    X = _materialize(parsed, options)
+def _cmd_curvature(X, options):
     tol = _effective_tol_disc(options, X)
     results = [
         _curvature_sample(X, options.seed, k, tol, tol) for k in range(options.samples)
@@ -513,8 +510,7 @@ def _cmd_curvature(parsed, options):
     return checks, triangle.checked + monotone.checked
 
 
-def _cmd_subdivide(parsed, options):
-    X = _materialize(parsed, options)
+def _cmd_subdivide(X, options):
     tol = _effective_tol_disc(options, X)
     results = [
         _subdivision_sample(X, options.seed, k, tol, tol) for k in range(options.samples)
@@ -537,8 +533,7 @@ def _cmd_subdivide(parsed, options):
     return checks, sum(c["checked"] for c in checks)
 
 
-def _cmd_split(parsed, options):
-    X = _materialize(parsed, options)
+def _cmd_split(X, options):
     try:
         gamma = rg.find_line(X)
     except InfeasibleError as exc:
@@ -572,15 +567,24 @@ def _cmd_split(parsed, options):
 
 
 def emit_geodesic_table(curves, step: float) -> bytes:
-    """CSV table of geodesic points sampled at the given lambda step."""
+    """CSV table of geodesic points sampled at the given lambda step.
+
+    A step that would give more than MAX_TABLE_ROWS rows is rejected
+    before any row is built.
+    """
     if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
         raise ParameterError(f"step must be a positive number, got {step!r}")
+    # clamped, so that a tiny step cannot overflow the integer conversion
+    lasts = [
+        int(min(math.asin(min(1.0, 1.0 / math.cosh(g.omega))) / step, MAX_TABLE_ROWS))
+        for g in curves
+    ]
+    if sum(2 * last + 1 for last in lasts) > MAX_TABLE_ROWS:
+        raise ParameterError(f"step {step!r} would give more than {MAX_TABLE_ROWS} table rows")
     lines = ["curve_id,lambda,t,x"]
-    for cid, g in enumerate(curves):
-        reach = math.asin(min(1.0, 1.0 / math.cosh(g.omega)))
+    for cid, (g, last) in enumerate(zip(curves, lasts)):
         # sin(lam) cosh(omega) rounds to 1 up to about 1e-8 inside the
         # reach, so the table ends at the last lam whose point is defined
-        last = int(math.floor(reach / step))
         while last > 0 and not abs(math.sin(last * step) * math.cosh(g.omega)) < 1.0:
             last -= 1
         for k in range(-last, last + 1):
@@ -617,13 +621,14 @@ def run_command(command: str, raw: bytes, options) -> tuple:
     if command == "geodesics":
         return emit_geodesic_table(parse_geodesic_file(raw), options.step), EXIT_PASS
     parsed = parse_space_file(raw)
+    if command == "suspend" and parsed.kind != "suspension_request":
+        raise ParameterError("suspend needs a suspension_request input")
+    X = _materialize(parsed, options)
     if command == "suspend":
-        if parsed.kind != "suspension_request":
-            raise ParameterError("suspend needs a suspension_request input")
-        return render_space(_materialize(parsed, options)), EXIT_PASS
-    checks, work_units = _CHECK_COMMANDS[command](parsed, options)
+        return render_space(X), EXIT_PASS
+    checks, work_units = _CHECK_COMMANDS[command](X, options)
     digest = hashlib.sha256(raw).hexdigest()
-    report = report_payload(command, options, parsed, checks, work_units, digest)
+    report = report_payload(command, options, parsed.kind, X.size, checks, work_units, digest)
     code = EXIT_PASS if report["verdict"] else EXIT_FAIL
     return _render_json(report), code
 

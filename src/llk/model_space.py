@@ -118,11 +118,18 @@ class GeodesicParams:
     alpha(lam) = (arcsin(sin lam cosh w),
                   arsinh(sin lam sinh w / sqrt(1 - sin^2 lam cosh^2 w)) + c)
 
-    defined for lam in the open domain (-lam_max, lam_max) below.
+    defined for lam in the open domain (-lam_max, lam_max) below; an
+    omega whose cosh is beyond the float range has no domain.
     """
 
     omega: float
     c: float
+
+    def __post_init__(self):
+        try:
+            math.cosh(self.omega)
+        except OverflowError:
+            raise ParameterError(f"cosh({self.omega!r}) is beyond the float range") from None
 
     @property
     def domain(self) -> tuple[float, float]:

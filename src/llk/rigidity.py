@@ -44,6 +44,9 @@ ZERO_C = 1e-9
 # slack allowed between a line's value and pi minus twice its edge margin
 SPAN_TOL = 1e-9
 
+# a longest chain shorter than this is no usable line
+MIN_VALUE = 2.0
+
 # Asymptote membership works on at most this many (point, point) cells
 # at a time, which bounds each of its temporaries to 256 KB; at 1 MB the
 # blocks of a 252-point split raised its peak memory above the old
@@ -145,21 +148,21 @@ def line_from_chain(X: cs.FiniteCausalSpace, chain: cs.Chain) -> LineSample:
     return line
 
 
-def find_line(X: cs.FiniteCausalSpace, min_value: float = 2.0) -> LineSample:
+def find_line(X: cs.FiniteCausalSpace) -> LineSample:
     """Longest chain in the space, as a line sample.
 
     Starts from the pair maximizing tau (first flat index on ties, so
     the result is deterministic) and walks the longest chain between
-    them; a value below min_value means the space has no usable line.
+    them; a value below MIN_VALUE means the space has no usable line.
     """
     flat = int(np.argmax(X.tau))
     i, j = np.unravel_index(flat, X.tau.shape)
     if X.tau[i, j] <= 0.0:
         raise InfeasibleError("the space has no timelike related pair")
     chain = cs.longest_chain(X, int(i), int(j))
-    if chain.value < min_value:
+    if chain.value < MIN_VALUE:
         raise InfeasibleError(
-            f"longest chain value {chain.value!r} is below min_value {min_value!r}"
+            f"longest chain value {chain.value!r} is below min_value {MIN_VALUE!r}"
         )
     return line_from_chain(X, chain)
 
@@ -177,10 +180,6 @@ def _require_line(X: cs.FiniteCausalSpace, line: LineSample, name: str) -> None:
                 f"{name} params do not match the sampled time separations "
                 f"at pair ({a}, {b})"
             )
-
-
-def _line_arrays(line: LineSample):
-    return np.array(line.indices, dtype=int), np.array(line.params, dtype=float)
 
 
 def _median_step(line: LineSample) -> float:
@@ -212,19 +211,11 @@ def _model_times(X: cs.FiniteCausalSpace, g_idx: np.ndarray, g_par: np.ndarray):
     c1 = np.cos(txg[rows, kf])
     t2 = g_par[jp]
     c2 = np.cos(tgx[rows, jp])
+    # u of the fit cos tau = u sin t + v cos t through the two rows
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = _two_row_sin(t1, c1, t2, c2)
+        u = (c1 * np.cos(t2) - c2 * np.cos(t1)) / np.sin(t1 - t2)
     th = np.where(in_dom, np.arcsin(np.clip(u, -1.0, 1.0)), np.nan)
     return th, in_dom
-
-
-def _two_row_sin(t1, c1, t2, c2):
-    """The u of the fit c = u sin t + v cos t through two line rows.
-
-    Each row pairs a line parameter ti with the cosine ci of the point's
-    time separation to that row.
-    """
-    return (c1 * np.cos(t2) - c2 * np.cos(t1)) / np.sin(t1 - t2)
 
 
 def _member_levels(g_par: np.ndarray, th: np.ndarray, in_dom: np.ndarray):
@@ -250,10 +241,11 @@ def _membership_defect(X: cs.FiniteCausalSpace, th: np.ndarray, points) -> np.nd
     fwd = ahead > 0.0
     rev = behind > 0.0
     tau_px = np.where(fwd, ahead, behind)
-    # np.arccosh, not math.acosh as in _c_entries: the two differ in the
-    # last place on about a quarter of these defects, which rank the
-    # candidates, and a scalar loop over the 0.87 M defects of a 972-point
-    # split takes about 0.15 s, twice the whole batched selection
+    # the closed form _c_entries reads c from, but through np.arccosh, not
+    # its math.acosh: the two differ in the last place on about a quarter
+    # of these defects, which only rank the candidates, and a scalar loop
+    # over the 0.87 M defects of a 972-point split takes about 0.15 s,
+    # twice the whole batched selection
     with np.errstate(invalid="ignore", divide="ignore"):
         h = np.arccosh(ms.ads_fiber_cosh(tau_px, th[points][:, None], th))
     return np.where(fwd | rev, h, np.inf)
@@ -415,121 +407,30 @@ def _chain_into_line(X: cs.FiniteCausalSpace, members, th) -> LineSample:
     return LineSample(tuple(order), params, (math.pi - span) / 2.0)
 
 
-def _cone_crossing(related, fut, past, l_par, below):
-    """Parameters where the future cones of some points meet a line.
-
-    related, fut and past hold, per point (row) and line row (column),
-    the causal relation, the time separation to the row, and the time
-    separation from it; l_par holds the rows' parameters and below the
-    parameter under each, -pi/2 at the start of a line.  The grid
-    infimum is the first causally related row; when that row is
-    strictly timelike the crossing is pulled inside the bracketing
-    interval by solving u sin t + v cos t = 1, the two-row model fit of
-    the point against the line.  The rows are the last timelike future
-    row and the first timelike past row, or the second-last future row
-    when there is no past one.  Returns the points with a related row,
-    as row positions, and their crossings.
-    """
-    m = len(l_par)
-    rows = np.arange(len(fut))
-    hit = related.any(axis=1)
-    first = related.argmax(axis=1)
-    timelike = fut > 0.0
-    last = m - 1 - timelike[:, ::-1].argmax(axis=1)
-    timelike[rows, last] = False
-    # the second fit row is the first True of the past rows followed by
-    # the future rows backwards, so the past one wins when there is one
-    later = np.concatenate([past > 0.0, timelike[:, ::-1]], axis=1)
-    other = later.argmax(axis=1)
-    fit = np.flatnonzero(hit & (fut[rows, first] > 0.0) & later.any(axis=1))
-    crossing = l_par[first]
-    if len(fit):
-        j, o = last[fit], other[fit]
-        from_past = o < m
-        k = np.where(from_past, o, 2 * m - 1 - o)
-        crossing[fit] = _crossing_fit(
-            crossing[fit],
-            below[first[fit]],
-            l_par[j],
-            fut[fit, j],
-            l_par[k],
-            np.where(from_past, past[fit, k], fut[fit, k]),
-        )
-    return np.flatnonzero(hit), crossing[hit]
-
-
-# adding these turns t0 into its three candidates; -0.0 keeps t0 as it is
-_TURNS = np.array([-2.0 * math.pi, -0.0, 2.0 * math.pi])
-
-
-def _fit_angles(u: float, v: float):
-    """The two solutions of u sin t + v cos t = 1 modulo 2 pi, or NaNs
-    when the radius is below 1 and the cone misses the fitted line."""
-    radius = math.hypot(u, v)
-    if radius < 1.0:
-        return math.nan, math.nan
-    phi = math.atan2(v, u)
-    base = math.asin(1.0 / radius)
-    return base - phi, math.pi - base - phi
-
-
-def _crossing_fit(hi, lo, t1, tau1, t2, tau2):
-    """Crossings inside [lo, hi] from the two rows (t1, tau1) and (t2, tau2).
-
-    Works elementwise on arrays.  cos, sin and the two-row solve are
-    numpy; hypot, atan2 and asin stay in math, because numpy's versions
-    differ from it in the last place on some inputs and the crossings
-    reach the reports.  Of the candidates inside the bracket the one
-    nearest hi wins, the first on ties; without one the crossing is hi.
-    """
-    c1, c2 = np.cos(tau1), np.cos(tau2)
-    u = _two_row_sin(t1, c1, t2, c2)
-    v = (c2 * np.sin(t1) - c1 * np.sin(t2)) / np.sin(t1 - t2)
-    t0 = np.array([_fit_angles(a, b) for a, b in zip(u.tolist(), v.tolist())])
-    cands = (t0[:, :, None] + _TURNS).reshape(len(hi), 6)
-    inside = (lo[:, None] - 1e-9 <= cands) & (cands <= hi[:, None] + 1e-9)
-    near = np.where(inside, np.abs(cands - hi[:, None]), np.inf).argmin(axis=1)
-    picked = cands[np.arange(len(hi)), near]
-    return np.where(inside.any(axis=1), picked, hi)
-
-
 def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edge_cos):
     """Every c-function entry of a line pair, as arrays.
 
-    The pair tables hold every strictly timelike parameter pair in either
-    direction; the null tables hold the cone crossing of each parameter
-    onto the other line.  Returns s, t, table (0 ab, 1 ba, 2 null_a,
-    3 null_b), value and edge, the entries within edge_cos of the strip
-    edge, which _c_constant leaves out.  Entries run over the pairs
-    row-major in (s, t), each ab entry before its ba entry, then null_a,
-    then null_b.  extract_slice reads only value and edge.
+    In the cos warped product two points at times s and t on fibers c
+    apart satisfy cos tau = sin s sin t + cos s cos t cosh c whenever
+    they are strictly timelike related, so every such pair of the two
+    lines, in either direction, reads c itself.  Returns s, t, table
+    (0 ab, 1 ba), value and edge, the entries within edge_cos of the
+    strip edge, which _c_constant leaves out.  Entries run over the pairs
+    row-major in (s, t), each ab entry before its ba entry.
+    extract_slice reads only value and edge.
     """
-    # One block over both lines, with the same-line entries zeroed, holds
-    # every cross relation: the pair tables read its off-diagonal blocks,
-    # and each point's cone crossing onto the other line reads its row.
-    size = alpha.size
-    idx = np.array(alpha.indices + beta.indices)
-    par = np.array(alpha.params + beta.params)
-    on_beta = np.arange(len(idx)) >= size
-    cross = on_beta[:, None] != on_beta[None, :]
-    tau = np.where(cross, X.tau[idx[:, None], idx], 0.0)
-    leq = X.leq[idx[:, None], idx] & cross
-    start = -ms.HALF_PI
-    below = np.concatenate([[start], par[: size - 1], [start], par[size:-1]])
-    hits, crossing = _cone_crossing(leq, tau, tau.T, par, below)
+    a, b = np.array(alpha.indices), np.array(beta.indices)
     # axis 2 puts the ab and ba entries of one parameter pair side by
     # side, so nonzero walks the pairs row-major with ab before ba
-    pair_tau = np.stack([tau[:size, size:], tau[size:, :size].T], axis=2)
+    pair_tau = np.stack([X.tau[np.ix_(a, b)], X.tau[np.ix_(b, a)].T], axis=2)
     i, j, table = (pair_tau > 0.0).nonzero()
-    s = np.concatenate([par[i], par[hits]])
-    t = np.concatenate([par[size + j], crossing])
-    sep = np.concatenate([pair_tau[i, j, table], np.zeros(len(hits))])
-    table = np.concatenate([table, 2 + on_beta[hits]])
     if len(table) == 0:
-        raise DomainError("the lines share no causally related parameter pairs")
+        raise DomainError("the lines share no timelike related parameter pairs")
+    s = np.array(alpha.params)[i]
+    t = np.array(beta.params)[j]
     # math.acosh, not np.arccosh: the two can differ in the last place,
     # and these values reach the reports
-    args = ms.ads_fiber_cosh(sep, s, t).tolist()
+    args = ms.ads_fiber_cosh(pair_tau[i, j, table], s, t).tolist()
     value = np.fromiter(map(math.acosh, args), float, len(args))
     edge = np.minimum(np.cos(s), np.cos(t)) < edge_cos
     return s, t, table, value, edge
@@ -585,8 +486,8 @@ def extract_slice(
 
     Constructs the asymptote through every point of the line's timelike
     domain, groups points whose asymptotes share the same member set,
-    merges groups closer than half the smallest nonzero parallel
-    distance, and metrizes the result by pairwise parallel distance.
+    merges groups at parallel distance zero (at most ZERO_C), and
+    metrizes the result by pairwise parallel distance.
     Labels come from each group's member nearest time zero.  Triangle
     violations are repaired by shortest paths up to metric_slack, which
     defaults to twice the median line step or twice the worst c-table
@@ -601,7 +502,7 @@ def extract_slice(
     and slack, the largest triangle violation the repair found.
     """
     _require_line(X, gamma, "gamma")
-    g_idx, g_par = _line_arrays(gamma)
+    g_idx, g_par = np.array(gamma.indices, dtype=int), np.array(gamma.params, dtype=float)
     th, in_dom = _model_times(X, g_idx, g_par)
     lev, ok = _member_levels(g_par, th, in_dom)
 
@@ -657,10 +558,10 @@ def extract_slice(
             merged_variants=len(keys) - m,
         )
 
-    off = dist[~np.eye(m, dtype=bool)]
-    positive = off[off > ZERO_C]
-    threshold = max(ZERO_C, float(positive.min()) / 2.0) if len(positive) else math.inf
-    reps = [group[0] for group in _components(m, lambda a, b: dist[a, b] < threshold)]
+    # Only zero distances merge: a threshold of half the smallest distance
+    # above ZERO_C, floored at ZERO_C, would merge the same pairs, because
+    # every distance above ZERO_C is at least that smallest one.
+    reps = [group[0] for group in _components(m, lambda a, b: dist[a, b] <= ZERO_C)]
     rep_lines = [head_lines[r] for r in reps]
 
     labels = []
@@ -697,7 +598,6 @@ def build_splitting(
     X: cs.FiniteCausalSpace,
     gamma: LineSample,
     tol: float = None,
-    collar: float = None,
 ) -> SplittingResult:
     """Reconstruct the warped product over the slice and audit it.
 
@@ -707,13 +607,12 @@ def build_splitting(
     product over the recovered metric; causal-class disagreements are
     mismatches unless the pair sits within collar of the reconstructed
     null cone, where grid quantization decides the class, not geometry.
-    Both tolerances default to twice the median line step.
+    The collar, and tol by default, are twice the median line step.
     """
     step = _median_step(gamma)
     if tol is None:
         tol = 2.0 * step
-    if collar is None:
-        collar = 2.0 * step
+    collar = 2.0 * step
     diagnostics = {}
     slice_space, asymptotes = extract_slice(X, gamma, diagnostics=diagnostics)
 

@@ -346,6 +346,18 @@ def test_golden_reports_replay_byte_identical(tmp_path):
         assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
+@pytest.mark.parametrize("fixture, extra, points", [
+    ("ads_diamond_81.json", (), 81),
+    ("suspension_circle12.json", (), 252),
+    ("suspension_circle12.json", ("--grid", "11"), 132),
+])
+def test_reports_count_the_points_checked(tmp_path, fixture, extra, points):
+    # a suspension_request counts the space it materializes to
+    out = tmp_path / "myers.json"
+    run_cli("myers", FIXTURES / fixture, out, *extra)
+    assert json.loads(out.read_text())["input"]["points"] == points
+
+
 def test_reports_are_identical_across_worker_counts(tmp_path):
     outs = []
     for jobs in ("1", "8"):
@@ -384,10 +396,12 @@ def test_split_diagnostics_stay_out_of_the_report(tmp_path):
     assert diagnostics["asymptote_keys"] == 12
     assert diagnostics["merged_variants"] == 0
     assert diagnostics["slack"] == 0.0
-    # null-table entries whose crossing falls back to a grid row set the
-    # worst deviation, and twice it sets the repair slack, not the step
-    assert abs(diagnostics["worst_dev"] - 0.36292003012301) < 1e-12
-    assert diagnostics["metric_slack"] == 2.0 * diagnostics["worst_dev"]
+    # on the exact suspension every timelike pair reads its fibers'
+    # distance up to rounding, so the repair slack is the line's, twice
+    # its median step
+    assert diagnostics["worst_dev"] < 1e-12
+    gamma = rg.find_line(X)
+    assert diagnostics["metric_slack"] == 2.0 * float(np.median(np.diff(gamma.params)))
     out = tmp_path / "split.json"
     assert run_cli("split", FIXTURES / "suspension_circle12.json", out) == 0
     assert "diagnostics" not in out.read_text()
@@ -571,6 +585,21 @@ def test_geodesic_rows_climb_toward_the_strip_edge():
 def test_geodesic_step_must_be_positive():
     with pytest.raises(ParameterError):
         cli.emit_geodesic_table([ms.GeodesicParams(0.0, 0.0)], 0.0)
+
+
+def test_geodesic_step_too_small_for_the_row_bound(tmp_path, monkeypatch, capsys):
+    def no_rows(g, lam):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(ms, "geodesic_point", no_rows)
+    with pytest.raises(ParameterError, match="more than 1000000 table rows"):
+        cli.emit_geodesic_table([ms.GeodesicParams(0.0, 0.0)], 1e-9)
+    request = tmp_path / "curves.json"
+    request.write_bytes(doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}]}))
+    out = tmp_path / "geo.csv"
+    assert run_cli("geodesics", request, out, "--step", "1e-9") == 2
+    assert not out.exists()
+    assert "error [llk.errors.ParameterError] step 1e-09" in capsys.readouterr().err
 
 
 def test_geodesic_table_ends_at_the_last_defined_point(tmp_path):

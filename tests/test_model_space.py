@@ -346,6 +346,12 @@ def test_geodesic_domain_shrinks_with_rapidity():
         ms.geodesic_point(g, math.pi / 6 + 1e-3)
 
 
+def test_geodesic_rapidity_must_have_a_finite_cosh():
+    assert ms.GeodesicParams(710.0, 0.0).domain[1] > 0.0
+    with pytest.raises(ParameterError, match=r"cosh\(1000\.0\) is beyond the float range"):
+        ms.GeodesicParams(1000.0, 0.0)
+
+
 def test_geodesic_unit_speed():
     rng = np.random.default_rng(13)
     for _ in range(100):
