@@ -152,6 +152,8 @@ class FiniteCausalSpace:
             coords = np.array(coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != n:
                 raise StructuralError(f"coords shape {coords.shape} does not match {n} labels")
+            if coords.shape[1] == 0:
+                raise StructuralError("coords need a time column")
             coords.setflags(write=False)
         tau.setflags(write=False)
         leq.setflags(write=False)

@@ -59,6 +59,10 @@ DRAW_TRIES = 64
 # geodesics builds its table in memory, at about 150 bytes a row
 MAX_TABLE_ROWS = 10**6
 
+# a materialized space holds n x n matrices; suspend peaked at 305 MB for
+# 1,932 points, so this bound stands near 1.4 GB
+MAX_SPACE_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class SpaceFile:
@@ -253,19 +257,15 @@ def parse_space_file(raw: bytes) -> SpaceFile:
 _ROW_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
-def _render_rows(rows) -> bytes:
-    """Number rows as the items of an indent-2 list under a top-level key.
+def _encode_numbers(values) -> list:
+    """JSON text of each number, from one C-encoder call; NaN and inf raise."""
+    return _ROW_ENCODER.encode(values)[1:-1].split(", ")
 
-    Each row goes through the C encoder in one call, and its ", "
-    separators are then broken into indented lines; that is safe because
-    a row holds only numbers and null.
-    """
-    encode = _ROW_ENCODER.encode
+
+def _render_rows(rows) -> bytes:
+    """Rows of encoded numbers as the items of an indent-2 list under a top-level key."""
     return b",\n".join(
-        ("    [\n      " + encode(row)[1:-1].replace(", ", ",\n      ") + "\n    ]").encode()
-        if row
-        else b"    []"
-        for row in rows
+        ("    [\n      " + ",\n      ".join(row) + "\n    ]").encode() for row in rows
     )
 
 
@@ -275,16 +275,33 @@ def render_space(X: cs.FiniteCausalSpace) -> bytes:
     The bytes are those of _render_json on the document with the keys
     coords (when present), kind, labels, leq and tau, written without the
     pure-Python encoder that json.dumps falls back to when it indents.
+
+    Each distinct tau value on a related pair is encoded once, keyed by
+    its bit pattern (so -0.0 stays apart from 0.0), and each tau row is
+    then assembled by lookup, an unrelated cell reading null whatever it
+    holds; leq rows look up "0" and "1".  NaN or inf on a related pair or
+    in coords raises ValueError.  Rows are built and encoded one at a
+    time, so no n x n table of strings is ever held.  The lookup pays off
+    because a grid suspension repeats its separations: it has at most
+    levels^2 x (distinct base distances) of them.  A space whose related
+    values are nearly all distinct is written slower than by encoding
+    each row directly.
     """
+    bits = X.tau.view(np.uint64)
+    uniq = np.unique(bits[X.leq])
+    tokens = np.array(_encode_numbers(uniq.view(np.float64).tolist()) + ["null"], dtype=object)
+    null = len(tokens) - 1
     tau = (
-        [t if lk else None for t, lk in zip(tau_row.tolist(), leq_row.tolist())]
-        for tau_row, leq_row in zip(X.tau, X.leq)
+        tokens[np.where(leq_row, np.searchsorted(uniq, bits_row), null)].tolist()
+        for bits_row, leq_row in zip(bits, X.leq)
     )
-    leq = (row.tolist() for row in X.leq.view(np.uint8))
+    digits = np.array(["0", "1"], dtype=object)
+    leq = (digits[row].tolist() for row in X.leq.view(np.uint8))
     labels = ",\n    ".join(json.dumps(label) for label in X.labels).encode()
     parts = [b"{\n"]
     if X.coords is not None:
-        parts += [b'  "coords": [\n', _render_rows(X.coords.tolist()), b"\n  ],\n"]
+        coords = (_encode_numbers(row) for row in X.coords.tolist())
+        parts += [b'  "coords": [\n', _render_rows(coords), b"\n  ],\n"]
     parts += [
         b'  "kind": "finite_causal",\n  "labels": [\n    ', labels, b"\n  ],\n",
         b'  "leq": [\n', _render_rows(leq), b"\n  ],\n",
@@ -468,9 +485,15 @@ def _materialize(parsed: SpaceFile, options) -> cs.FiniteCausalSpace:
             )
         return parsed.space
     t_grid = parsed.t_grid
+    if options.grid is not None and options.grid < 2:
+        raise ParameterError(f"--grid must be at least 2, got {options.grid}")
+    times = len(t_grid) if options.grid is None else options.grid
+    if parsed.base.size * times > MAX_SPACE_POINTS:
+        raise ParameterError(
+            f"{parsed.base.size} base points at {times} times would give more than "
+            f"{MAX_SPACE_POINTS} points"
+        )
     if options.grid is not None:
-        if options.grid < 2:
-            raise ParameterError(f"--grid must be at least 2, got {options.grid}")
         t_grid = tuple(np.linspace(t_grid[0], t_grid[-1], options.grid))
     return wp.sample_warped_product(parsed.warping, parsed.base, t_grid)
 

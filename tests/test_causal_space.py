@@ -154,6 +154,11 @@ def test_space_rejects_shape_mismatch():
         cs.FiniteCausalSpace(("a", "b"), np.zeros((3, 3)), np.eye(3, dtype=bool))
 
 
+def test_space_rejects_coords_without_a_time_column():
+    with pytest.raises(StructuralError, match="time column"):
+        cs.FiniteCausalSpace(("a", "b"), np.zeros((2, 2)), np.eye(2, dtype=bool), np.zeros((2, 0)))
+
+
 def test_space_arrays_are_write_protected():
     X, _ = diamond_space(1.0, 3)
     with pytest.raises(ValueError):

@@ -275,9 +275,32 @@ def awkward_labels():
     return cs.FiniteCausalSpace(labels, X.tau[:5, :5], X.leq[:5, :5], X.coords[:5])
 
 
-def zero_width_coords():
+def jittered_circle_41():
+    """A cos suspension at 41 levels over a jittered 12-point circle net:
+    492 points whose separations repeat many times over."""
+    rng = np.random.default_rng(5)
+    sites = 2 * np.arange(12) + rng.integers(0, 2, size=12)
+    gap = np.abs(sites[:, None] - sites[None, :])
+    S = wp.FiniteMetricSpace(
+        tuple(f"c{k:02d}" for k in range(12)), np.minimum(gap, 24 - gap) * (4.0 / 24)
+    )
+    return wp.sample_suspension(S, np.linspace(-ms.HALF_PI + 0.05, ms.HALF_PI - 0.05, 41))
+
+
+def negative_zero_diagonal():
     X = fixture_space("ads_diamond_81.json")
-    return cs.FiniteCausalSpace(X.labels[:3], X.tau[:3, :3], X.leq[:3, :3], np.zeros((3, 0)))
+    tau = X.tau.copy()
+    np.fill_diagonal(tau, -0.0)
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+def unrelated_pairs(value):
+    """The diamond with value on every unrelated pair, which must still read null."""
+    X = fixture_space("ads_diamond_81.json")
+    tau = np.where(X.leq, X.tau, value)
+    if np.isnan(value):  # FiniteCausalSpace refuses NaN, so go around it
+        return types.SimpleNamespace(labels=X.labels, tau=tau, leq=X.leq, coords=X.coords)
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
 
 
 @pytest.mark.parametrize(
@@ -285,14 +308,17 @@ def zero_width_coords():
     [
         lambda: fixture_space("ads_diamond_81.json"),
         fixture_suspension,
-        shuffled_model_sample,
+        jittered_circle_41,
+        shuffled_model_sample,  # related values nearly all distinct
         diamond_without_coords,
         one_point,
         awkward_labels,
-        zero_width_coords,
+        negative_zero_diagonal,
+        lambda: unrelated_pairs(np.nan),
+        lambda: unrelated_pairs(np.inf),
     ],
-    ids=["diamond", "suspension", "shuffled_model", "no_coords", "one_point", "labels",
-         "zero_width_coords"],
+    ids=["diamond", "suspension", "jittered_circle41", "shuffled_model", "no_coords",
+         "one_point", "labels", "negative_zero", "unrelated_nan", "unrelated_inf"],
 )
 def test_render_space_matches_json_dumps(build):
     X = build()
@@ -522,6 +548,38 @@ def test_grid_on_a_sampled_space_is_a_usage_error(tmp_path, capsys, command, gri
     err = capsys.readouterr().err
     assert "llk.errors.ParameterError" in err
     assert "--grid applies to a suspension_request input" in err
+
+
+def _refuse_sampling(*args):
+    raise AssertionError("the space was sampled")
+
+
+@pytest.mark.parametrize("command", ["suspend", "validate"])
+def test_too_many_points_are_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(wp, "sample_warped_product", _refuse_sampling)
+    out = tmp_path / "x.json"
+    infile = FIXTURES / "suspension_circle12.json"
+    assert run_cli(command, infile, out, "--grid", "100000") == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error [llk.errors.ParameterError] 12 base points at 100000 times" in err
+
+
+def test_point_bound_counts_base_points_times_levels(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(wp, "sample_warped_product", lambda f, S, t_grid: len(t_grid))
+    parsed = cli.parse_space_file((FIXTURES / "suspension_circle12.json").read_bytes())
+    most = cli.MAX_SPACE_POINTS // parsed.base.size
+    assert cli._materialize(parsed, types.SimpleNamespace(grid=most)) == most
+    with pytest.raises(ParameterError, match=f"more than {cli.MAX_SPACE_POINTS} points"):
+        cli._materialize(parsed, types.SimpleNamespace(grid=most + 1))
+    # a request's own time grid is bounded too
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    doc["t_grid"] = np.linspace(-1.5, 1.5, most + 1).tolist()
+    monkeypatch.setattr(wp, "sample_warped_product", _refuse_sampling)
+    infile = tmp_path / "long.json"
+    infile.write_bytes(doc_bytes(doc))
+    assert run_cli("suspend", infile, tmp_path / "x.json") == 2
+    assert "llk.errors.ParameterError" in capsys.readouterr().err
 
 
 def test_missing_input_is_a_usage_error(tmp_path, capsys):
