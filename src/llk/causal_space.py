@@ -23,6 +23,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,6 +172,34 @@ class FiniteCausalSpace:
             return self.labels.index(label)
         except ValueError:
             raise ParameterError(f"unknown point label {label!r}") from None
+
+    @cached_property
+    def _chain_index(self):
+        """Time order of the whole space for longest_chain, or None.
+
+        Returns (perm, rank, leq_s, W): perm sorts the points by time,
+        ties by index, rank is its inverse, leq_s is leq in that order and
+        W is tau in that order, -inf off leq_s and on the diagonal.  None
+        without coords or when that order breaks leq somewhere.  A stored
+        order that already is the time order is read in place.  Built on
+        the first chain and kept: one n-by-n float64 matrix per space.
+        """
+        if self.coords is None:
+            return None
+        n = self.size
+        perm = np.lexsort((np.arange(n), self.coords[:, 0]))
+        moved = (perm != np.arange(n)).any()
+        leq_s = self.leq[np.ix_(perm, perm)] if moved else self.leq
+        if np.tril(leq_s, -1).any():
+            return None
+        W = self.tau[np.ix_(perm, perm)] if moved else self.tau.copy()
+        W[~leq_s] = -np.inf
+        np.fill_diagonal(W, -np.inf)
+        rank = np.empty(n, dtype=int)
+        rank[perm] = np.arange(n)
+        for a in (leq_s, W):
+            a.setflags(write=False)
+        return perm, rank, leq_s, W
 
     def relation(self, i: int, j: int) -> str:
         """Relation string of the ordered pair, matching the model-space
@@ -395,6 +424,14 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     whatever the point labelling.  The value never exceeds tau(i, j) on
     a space satisfying the reverse triangle inequality, up to the same
     collar.
+
+    The interval and W are gathered from the space's chain index
+    (FiniteCausalSpace._chain_index), built on the first call: the time
+    order of the whole space, which restricted to [i, j] is the order
+    sorted here per interval, so chains are the same.  It costs one
+    n-by-n float64 matrix per space that takes chains (curvature,
+    subdivide, split).  Without coords, or when the time order breaks
+    leq, each interval is sorted on its own.
     """
     n = X.size
     for name, v in (("i", i), ("j", j)):
@@ -404,10 +441,18 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
         raise ChainError(f"points {i} and {j} are not causally related")
     if i == j:
         return Chain((i,), (0.0,))
-    order, sub = _interval_order(X, np.nonzero(X.leq[i] & X.leq[:, j])[0])
-    W = X.tau[np.ix_(order, order)]
-    W[~sub] = -np.inf
-    np.fill_diagonal(W, -np.inf)
+    index = X._chain_index
+    if index is None:
+        order, sub = _interval_order(X, np.nonzero(X.leq[i] & X.leq[:, j])[0])
+        W = X.tau[np.ix_(order, order)]
+        W[~sub] = -np.inf
+        np.fill_diagonal(W, -np.inf)
+    else:
+        perm, rank, leq_s, W_s = index
+        ri, rj = rank[i], rank[j]
+        pos = ri + np.flatnonzero(leq_s[ri, ri:rj + 1] & leq_s[ri:rj + 1, rj])
+        order = perm[pos]
+        W = W_s[np.ix_(pos, pos)]
     first = np.argmax(W > -np.inf, axis=1).tolist()  # first successor per row
     m = len(order)
     best = np.zeros(m)

@@ -33,6 +33,7 @@ from . import model_space as ms
 from . import rigidity as rg
 from . import warped_product as wp
 from .errors import (
+    ConvergenceError,
     GeometryError,
     InfeasibleError,
     ParameterError,
@@ -559,10 +560,11 @@ def _cmd_subdivide(X, options):
 def _cmd_split(X, options):
     try:
         gamma = rg.find_line(X)
-    except InfeasibleError as exc:
-        # no usable line, or one at least pi long, is the geometry failing, not bad input
+        result = rg.build_splitting(X, gamma, tol=options.tol_disc)
+    except (InfeasibleError, ConvergenceError) as exc:
+        # no usable line, one at least pi long, or asymptotes that do not
+        # converge along it: the geometry failing, not bad input
         return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
-    result = rg.build_splitting(X, gamma, tol=options.tol_disc)
     S = result.slice_space
     check = {
         "name": "splitting",

@@ -364,6 +364,7 @@ def test_criterion_10_reports_deterministic_across_workers():
     runs = (
         ("validate", "ads_diamond_81", [], cli.EXIT_PASS),
         ("curvature", "ads_diamond_81", ["--samples", "50"], cli.EXIT_PASS),
+        ("curvature", "suspension_circle12", ["--samples", "50"], cli.EXIT_PASS),
         ("split", "suspension_circle12", [], cli.EXIT_PASS),
         ("myers", "flat_strip", [], cli.EXIT_FAIL),
     )

@@ -540,10 +540,18 @@ def with_inflated_tau(X, rng):
     return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
 
 
+def shuffled_cos_space():
+    """The cos21 oracle space with its points relabelled at random, so
+    that the time order is not the stored order."""
+    X = seeded_net_space(3, "cos")
+    return relabelled(X, np.random.default_rng(5).permutation(X.size))
+
+
 ORACLE_SPACES = {
     "cos21": lambda: seeded_net_space(3, "cos"),
     "flat21": lambda: seeded_net_space(4, "flat"),
     "ads81": ads81_space,
+    "cos21-shuffled": shuffled_cos_space,
 }
 ORACLE_VARIANTS = {
     "plain": lambda X, rng: X,
@@ -584,6 +592,69 @@ def test_longest_chain_detects_cycles_behind_coordinates():
     Y = cs.FiniteCausalSpace(X.labels, X.tau, leq, X.coords)
     with pytest.raises(CausalityError):
         cs.longest_chain(Y, X.index("c00@0"), X.index("c00@20"))
+    assert Y._chain_index is None
+
+
+# ------------------------------------------------------------ the chain index
+
+
+def sample_pairs(X, rng, count=40):
+    rel = strict_pairs(X)
+    return [(int(a), int(b)) for a, b in rel[rng.choice(len(rel), count, replace=False)]]
+
+
+def test_chain_index_reads_a_time_ordered_space_in_place():
+    X = seeded_net_space(3, "cos")
+    perm, rank, leq_s, W = X._chain_index
+    assert np.array_equal(perm, np.arange(X.size))
+    assert np.array_equal(rank, np.arange(X.size))
+    assert leq_s is X.leq
+    strict = X.leq & ~np.eye(X.size, dtype=bool)
+    assert np.array_equal(W, np.where(strict, X.tau, -np.inf))
+
+
+def test_chain_index_permutes_a_shuffled_space():
+    # its chains are checked against the reference as the cos21-shuffled
+    # oracle space
+    X = shuffled_cos_space()
+    perm, rank, leq_s, W = X._chain_index
+    assert not np.array_equal(perm, np.arange(X.size))
+    assert np.array_equal(perm[rank], np.arange(X.size))
+    assert np.array_equal(perm, np.lexsort((np.arange(X.size), X.coords[:, 0])))
+    assert np.array_equal(leq_s, X.leq[np.ix_(perm, perm)])
+    strict = leq_s & ~np.eye(X.size, dtype=bool)
+    assert np.array_equal(W, np.where(strict, X.tau[np.ix_(perm, perm)], -np.inf))
+
+
+def test_chain_index_is_skipped_when_time_order_breaks_one_pair():
+    X = seeded_net_space(3, "cos")
+    # two spacelike points, the earlier one declared above the later one
+    a, b = X.index("c00@15"), X.index("c06@16")
+    assert X.coords[a, 0] < X.coords[b, 0] and not X.leq[a, b] and not X.leq[b, a]
+    leq = X.leq.copy()
+    leq[b, a] = True
+    Y = cs.FiniteCausalSpace(X.labels, X.tau, leq, X.coords)
+    assert Y._chain_index is None
+    rng = np.random.default_rng(4)
+    tested = 0
+    for i, j in sample_pairs(Y, rng, 80):
+        nodes = np.nonzero(Y.leq[i] & Y.leq[:, j])[0]
+        if a in nodes and b in nodes:
+            continue
+        order, _ = cs._interval_order(Y, nodes)
+        assert np.array_equal(order, nodes[np.lexsort((nodes, Y.coords[nodes, 0]))])
+        assert cs.longest_chain(Y, i, j) == reference_longest_chain(Y, i, j), (i, j)
+        tested += 1
+    assert tested >= 40
+
+
+def test_validate_and_render_do_not_build_the_chain_index():
+    X = shuffled_cos_space()
+    cs.validate_space(X)
+    cli.render_space(X)
+    assert "_chain_index" not in X.__dict__
+    cs.longest_chain(X, *sample_pairs(X, np.random.default_rng(0), 1)[0])
+    assert "_chain_index" in X.__dict__
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,6 +35,13 @@ GOLDEN_RUNS = (
         ("--samples", "50", "--seed", "0"),
         0,
     ),
+    (
+        "suspension_circle12.curvature.json",
+        "curvature",
+        "suspension_circle12.json",
+        ("--samples", "50", "--seed", "0"),
+        0,
+    ),
     ("suspension_circle12.split.json", "split", "suspension_circle12.json", (), 0),
     ("flat_strip.myers.json", "myers", "flat_strip.json", (), 1),
 )
@@ -472,6 +479,35 @@ def test_split_without_a_usable_line_fails_the_check(tmp_path, make_input, reaso
     check = json.loads(out.read_text())["checks"][0]
     assert check["verdict"] is False
     assert reason in check["reason"]
+
+def uniform_time_product(seed, per_fiber=41):
+    """Exact cos warped product over the fixture's circle net, each fiber
+    sampled at its own independent uniform times."""
+    base = cli.parse_space_file((FIXTURES / "suspension_circle12.json").read_bytes()).base
+    m = base.size
+    rng = np.random.default_rng(seed)
+    fiber = np.repeat(np.arange(m), per_fiber)
+    t = rng.uniform(-ms.HALF_PI + 0.05, ms.HALF_PI - 0.05, m * per_fiber)
+    leq, _, tau = ms.ads_separation(
+        t, t, base.dist[np.ix_(fiber, fiber)], t[:, None] <= t[None, :]
+    )
+    labels = [f"{base.labels[b]}.{k:02d}" for b in range(m) for k in range(per_fiber)]
+    return cs.FiniteCausalSpace(labels, tau, leq, t[:, None])
+
+
+def test_split_without_converging_asymptotes_fails_the_check(tmp_path):
+    # a valid space whose asymptotes keep too few members off a grid
+    infile = tmp_path / "uniform.json"
+    infile.write_bytes(cli.render_space(uniform_time_product(0)))
+    assert run_cli("validate", infile, tmp_path / "validate.json") == 0
+    out = tmp_path / "split.json"
+    assert run_cli("split", infile, out) == 1
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] is False
+    check = doc["checks"][0]
+    assert check["verdict"] is False
+    assert "stable members" in check["reason"]
+
 
 def test_grid_flag_refines_the_time_grid(tmp_path):
     out = tmp_path / "split11.json"

@@ -7,7 +7,7 @@ Run from the repository root:
 Fixtures are small by design: a 9x9 null-coordinate diamond sample of
 the model strip, a cos-suspension request over a 12-point circle net,
 and a constant-warping (flat) strip request of height 4 over the same
-net.  Golden reports freeze one representative command per fixture; the
+net.  Golden reports freeze representative commands per fixture; the
 determinism test replays them with 1 and 8 workers and compares bytes.
 """
 
@@ -95,6 +95,10 @@ def main():
     write_golden("ads_diamond_81.validate.json", "validate", diamond)
     write_golden(
         "ads_diamond_81.curvature.json", "curvature", diamond,
+        ("--samples", "50", "--seed", "0"),
+    )
+    write_golden(
+        "suspension_circle12.curvature.json", "curvature", suspension,
         ("--samples", "50", "--seed", "0"),
     )
     write_golden("suspension_circle12.split.json", "split", suspension)
