@@ -34,6 +34,7 @@ from . import rigidity as rg
 from . import warped_product as wp
 from .errors import (
     ConvergenceError,
+    ExtractionError,
     GeometryError,
     InfeasibleError,
     ParameterError,
@@ -561,9 +562,10 @@ def _cmd_split(X, options):
     try:
         gamma = rg.find_line(X)
         result = rg.build_splitting(X, gamma, tol=options.tol_disc)
-    except (InfeasibleError, ConvergenceError) as exc:
-        # no usable line, one at least pi long, or asymptotes that do not
-        # converge along it: the geometry failing, not bad input
+    except (InfeasibleError, ConvergenceError, ExtractionError) as exc:
+        # no usable line, one at least pi long, asymptotes that do not
+        # converge along it, or fibers that cannot be metrized: the
+        # geometry failing, not bad input
         return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
     S = result.slice_space
     check = {

@@ -51,11 +51,5 @@ class ConvergenceError(GeometryError):
 
 
 class ExtractionError(GeometryError):
-    """Slice extraction produced data violating the metric axioms."""
-
-
-class DataQualityError(GeometryError):
-    """Input data fails a certified monotonicity or consistency check.
-
-    Kept for API compatibility: no llk command or function raises it.
-    """
+    """Slice extraction cannot metrize the fibers: two asymptotes share
+    no timelike pair, or their distances violate the metric axioms."""

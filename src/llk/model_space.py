@@ -213,13 +213,6 @@ def embed_ads(p: AdsPrimePoint) -> AmbientPoint:
     )
 
 
-def unembed_ads(P: AmbientPoint) -> AdsPrimePoint:
-    """Chart inverse on the patch s2 > 0."""
-    if not P.s2 > 0.0:
-        raise DomainError("ambient point outside the chart patch s2 > 0")
-    return AdsPrimePoint(math.asin(_clamp_unit(P.s1)), math.atanh(P.z / P.s2))
-
-
 def ambient_tau(P: AmbientPoint, Q: AmbientPoint) -> IntervalResult:
     """Interval of two quadric-patch points from the ambient inner product.
 
@@ -470,22 +463,3 @@ def conformal_time(t: float) -> float:
     if not abs(t) < HALF_PI:
         raise DomainError(f"t = {t!r} outside the open strip (-pi/2, pi/2)")
     return math.log(math.tan(t / 2.0 + math.pi / 4.0))
-
-def inverse_conformal_time(s: float) -> float:
-    """Inverse of conformal_time: 2 arctan(e^s) - pi/2."""
-    return 2.0 * math.atan(math.exp(s)) - HALF_PI
-
-
-def causal_boundary_tau(t0: float, t1: float) -> float:
-    """Time separation from (t0, 0) to the ideal endpoint of the null
-    generator leaving (t1, 0).
-
-    Equals arccos(cos t0 (1 - sin t1)/cos t1 + sin t0), computed via the
-    stable half-angle form; tends to pi as t0 -> -pi/2 and vanishes for
-    t0 >= t1.
-    """
-    for name, t in (("t0", t0), ("t1", t1)):
-        if not abs(t) < HALF_PI:
-            raise DomainError(f"{name} = {t!r} outside the open strip (-pi/2, pi/2)")
-    arg = math.cos(t0) * math.tan(math.pi / 4.0 - t1 / 2.0) + math.sin(t0)
-    return math.acos(_clamp_unit(arg))

@@ -9,7 +9,6 @@ the cosine warped product over the recovered base.  Everything is
 deterministic; no operation mutates its input space.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from . import warped_product as wp
 from .errors import (
     ChainError,
     ConvergenceError,
-    DomainError,
     ExtractionError,
     InfeasibleError,
     ParameterError,
@@ -107,10 +105,12 @@ class SplittingResult:
     """Audit of the reconstructed warped product against the space.
 
     samples lists (slice label, time param, space index) triples, one
-    per asymptote point; residual is the largest difference between
-    sampled and reconstructed signed time separations over all sample
-    pairs; mismatches counts pairs whose causal class disagrees beyond
-    the near-cone collar, forgiven the ones inside it.  diagnostics holds
+    per point of the line's timelike domain, plus one for each point on
+    the representative asymptote of a fiber other than its own; residual
+    is the largest difference between sampled and reconstructed signed
+    time separations over all sample pairs; mismatches counts pairs
+    whose causal class disagrees beyond the near-cone collar, forgiven
+    the ones inside it.  diagnostics holds
     what the slice extraction saw (see extract_slice); the split report
     does not carry it.
     """
@@ -425,7 +425,7 @@ def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edg
     pair_tau = np.stack([X.tau[np.ix_(a, b)], X.tau[np.ix_(b, a)].T], axis=2)
     i, j, table = (pair_tau > 0.0).nonzero()
     if len(table) == 0:
-        raise DomainError("the lines share no timelike related parameter pairs")
+        raise ExtractionError("the lines share no timelike related parameter pairs")
     s = np.array(alpha.params)[i]
     t = np.array(beta.params)[j]
     # math.acosh, not np.arccosh: the two can differ in the last place,
@@ -500,6 +500,10 @@ def extract_slice(
     deviation; metric_slack as used; asymptote_keys, the distinct member
     sets; merged_variants, the keys merged into another family's head;
     and slack, the largest triangle violation the repair found.
+
+    Returns the slice, the representative line of each slice point, and
+    one (slice index, point, fitted time) triple per point of the line's
+    timelike domain, in index order.
     """
     _require_line(X, gamma, "gamma")
     g_idx, g_par = np.array(gamma.indices, dtype=int), np.array(gamma.params, dtype=float)
@@ -511,7 +515,8 @@ def extract_slice(
     lines = {}
     counts = {}
     points = np.nonzero(in_dom)[0]
-    for p, members in zip(points.tolist(), _member_sets(X, th, lev, ok, points)):
+    point_keys = _member_sets(X, th, lev, ok, points)
+    for p, members in zip(points.tolist(), point_keys):
         if len(members) < 3:
             raise ConvergenceError(
                 f"asymptote through point {p} keeps only {len(members)} stable members"
@@ -532,10 +537,8 @@ def extract_slice(
     # each family speaks through the key produced by the most points:
     # the majority reading of the fiber, not whichever variant happened
     # to contain the smallest index
-    heads = [
-        min(ks, key=lambda a: (-counts[keys[a]], keys[a]))
-        for ks in _components(len(keys), variants)
-    ]
+    families = _components(len(keys), variants)
+    heads = [min(ks, key=lambda a: (-counts[keys[a]], keys[a])) for ks in families]
     head_lines = [lines[keys[h]] for h in heads]
 
     m = len(heads)
@@ -561,7 +564,8 @@ def extract_slice(
     # Only zero distances merge: a threshold of half the smallest distance
     # above ZERO_C, floored at ZERO_C, would merge the same pairs, because
     # every distance above ZERO_C is at least that smallest one.
-    reps = [group[0] for group in _components(m, lambda a, b: dist[a, b] <= ZERO_C)]
+    groups = _components(m, lambda a, b: dist[a, b] <= ZERO_C)
+    reps = [group[0] for group in groups]
     rep_lines = [head_lines[r] for r in reps]
 
     labels = []
@@ -591,7 +595,10 @@ def extract_slice(
         slice_space = wp.FiniteMetricSpace(tuple(labels), repaired)
     except StructuralError as exc:
         raise ExtractionError(f"parallel distances do not form a metric: {exc}")
-    return slice_space, tuple(rep_lines)
+    # a point's slice point is the zero-distance group of its key's family
+    slot = {keys[a]: b for b, group in enumerate(groups) for f in group for a in families[f]}
+    fibers = tuple((slot[k], p, float(th[p])) for p, k in zip(points.tolist(), point_keys))
+    return slice_space, tuple(rep_lines), fibers
 
 
 def build_splitting(
@@ -601,12 +608,15 @@ def build_splitting(
 ) -> SplittingResult:
     """Reconstruct the warped product over the slice and audit it.
 
-    Every asymptote point is a sample of the map (time param, slice
-    point) -> space point.  The residual is the largest difference of
-    signed time separations between the space and the cosine warped
-    product over the recovered metric; causal-class disagreements are
-    mismatches unless the pair sits within collar of the reconstructed
-    null cone, where grid quantization decides the class, not geometry.
+    Every point of the line's timelike domain is a sample of the map
+    (time param, slice point) -> space point: the points of the
+    representative asymptotes at their line params, every other point
+    at its fitted time on its own fiber.  The residual is the largest
+    difference of signed time separations between the space and the
+    cosine warped product over the recovered metric; causal-class
+    disagreements are mismatches unless the pair sits within collar of
+    the reconstructed null cone, where grid quantization decides the
+    class, not geometry.
     The collar, and tol by default, are twice the median line step.
     """
     step = _median_step(gamma)
@@ -614,12 +624,18 @@ def build_splitting(
         tol = 2.0 * step
     collar = 2.0 * step
     diagnostics = {}
-    slice_space, asymptotes = extract_slice(X, gamma, diagnostics=diagnostics)
+    slice_space, asymptotes, fibers = extract_slice(X, gamma, diagnostics=diagnostics)
 
     samples = []
     for b, line in enumerate(asymptotes):
         for q, idx in zip(line.params, line.indices):
             samples.append((slice_space.labels[b], float(q), int(idx)))
+    # a fiber read through a merged variant key has no line of its own,
+    # so its points join at their fitted times rather than escape the audit
+    on_line = {(b, idx) for b, line in enumerate(asymptotes) for idx in line.indices}
+    samples.extend(
+        (slice_space.labels[b], t, p) for b, p, t in fibers if (b, p) not in on_line
+    )
     samples.sort(key=lambda rec: (rec[0], rec[1]))
     svals = np.array([rec[1] for rec in samples])
     bidx = np.array([slice_space.index(rec[0]) for rec in samples])
@@ -668,40 +684,3 @@ def build_splitting(
         verdict=(residual <= tol) and mismatches == 0,
         diagnostics=diagnostics,
     )
-
-
-def check_slice_alexandrov(
-    S: wp.FiniteMetricSpace, tol: float = 1e-6
-) -> cs.ComparisonReport:
-    """Lower curvature bound -1 on a finite metric space, by quadruples.
-
-    For every center a and triple b, c, d the three comparison angles at
-    a, realized in the hyperbolic plane by the law of cosines, must sum
-    to at most 2 pi + tol.  Quadruples with a zero distance are skipped.
-    The default tol absorbs arccos rounding at collinear triples.
-    """
-    n = S.size
-    dist = S.dist
-    ch = np.cosh(dist)
-    sh = np.sinh(dist)
-
-    def angle(a, b, c):
-        num = ch[a, b] * ch[a, c] - ch[b, c]
-        den = sh[a, b] * sh[a, c]
-        return math.acos(ms._clamp_unit(num / den))
-
-    bound = 2.0 * math.pi
-    quads, totals = [], []
-    skipped = 0
-    for a in range(n):
-        others = [x for x in range(n) if x != a]
-        for b, c, d in itertools.combinations(others, 3):
-            if min(dist[a, b], dist[a, c], dist[a, d], dist[b, c], dist[c, d], dist[b, d]) <= 0.0:
-                skipped += 1
-                continue
-            quads.append((a, b, c, d))
-            totals.append(angle(a, b, c) + angle(a, c, d) + angle(a, d, b))
-    books = cs._Tally(tol)
-    books.sweep(quads, totals, bound, np.subtract(totals, bound),
-                "comparison angles at the center exceed a full turn")
-    return books.report(skipped=skipped)

@@ -108,14 +108,6 @@ class WarpingSpec:
             a.setflags(write=False)
         return arrays
 
-    def at(self, t: float) -> float:
-        """Warping value f(t)."""
-        if self.kind == COS:
-            return math.cos(t)
-        if self.kind == CONSTANT:
-            return self.value
-        return float(np.interp(t, *self.table))
-
 
 def cos_warping() -> WarpingSpec:
     return WarpingSpec(COS, (-ms.HALF_PI, ms.HALF_PI))
@@ -294,36 +286,6 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
                 f"geodesic to displacement {float(dx[idx[0]])!r} did not converge"
             )
     return tau
-
-
-def comparison_space_tau(f: WarpingSpec, s: float, t: float, dx: float) -> ms.IntervalResult:
-    """Interval of ((s, 0), (t, dx)) in the two-dimensional strip I x_f R.
-
-    The pair is causal iff the base displacement does not exceed the
-    null offset and the times are ordered; strictness on both gives
-    timelike.  The cos kind delegates to the model strip closed form;
-    constant is the Minkowski formula; tables sum the exact per-piece
-    integrals along the geodesic that reaches dx.
-    """
-    _check_inside(f, "s", s)
-    _check_inside(f, "t", t)
-    if not (math.isfinite(dx) and dx >= 0.0):
-        raise ParameterError(f"base displacement must be a nonnegative real, got {dx!r}")
-    if f.kind == COS:
-        return ms.ads_interval(ms.AdsPrimePoint(s, 0.0), ms.AdsPrimePoint(t, dx))
-    ordered = s <= t
-    lo, hi = (s, t) if ordered else (t, s)
-    reach = null_offset(f, lo, hi)
-    if dx > reach + NULL_BAND:
-        return ms.IntervalResult(ms.UNRELATED, 0.0)
-    if dx >= reach - NULL_BAND:
-        return ms.IntervalResult(ms.NULL if ordered else ms.PAST_DIRECTED, 0.0)
-    if f.kind == CONSTANT:
-        span = hi - lo
-        tau = math.sqrt(span * span - (f.value * dx) ** 2)
-    else:
-        tau = float(_table_tau(f, lo, hi, np.array([dx]))[0])
-    return ms.IntervalResult(ms.TIMELIKE if ordered else ms.PAST_DIRECTED, tau)
 
 
 def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> FiniteCausalSpace:

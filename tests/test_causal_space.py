@@ -35,9 +35,10 @@ GRID_TOL = 1e-6
 
 
 def diamond_space(half_width=2.0, n=11):
+    """Null-coordinate grid: conformal time (u + v) / 2, position (v - u) / 2."""
     uv = np.linspace(-half_width, half_width, n)
     pts = [
-        ms.AdsPrimePoint(ms.inverse_conformal_time((u + v) / 2.0), (v - u) / 2.0)
+        ms.AdsPrimePoint(2.0 * math.atan(math.exp((u + v) / 2.0)) - ms.HALF_PI, (v - u) / 2.0)
         for u in uv
         for v in uv
     ]

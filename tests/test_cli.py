@@ -509,6 +509,43 @@ def test_split_without_converging_asymptotes_fails_the_check(tmp_path):
     assert "stable members" in check["reason"]
 
 
+def test_split_audits_every_point_of_the_line_domain(tmp_path):
+    # an exact cos product whose asymptote keys all merge into one
+    # family: the family's own line covers 39 points, the domain 443
+    X = uniform_time_product(5)
+    infile = tmp_path / "uniform.json"
+    infile.write_bytes(cli.render_space(X))
+    assert run_cli("validate", infile, tmp_path / "validate.json") == 0
+    out = tmp_path / "split.json"
+    assert run_cli("split", infile, out) == 1
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["verdict"] is False
+    assert len(check["slice"]["labels"]) == 1
+    assert check["samples"] == 443
+    assert check["residual"] > 1.0 > check["tol"]
+
+
+def coarse_table_request(tmp_path):
+    """The fixture's suspension request with its warping swapped for a
+    33-knot cos table."""
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    knots = np.linspace(-ms.HALF_PI + 1e-9, ms.HALF_PI - 1e-9, 33)
+    doc["warping"] = {"kind": "table", "knots": knots.tolist(), "values": np.cos(knots).tolist()}
+    path = tmp_path / "coarse.json"
+    path.write_bytes(doc_bytes(doc))
+    return path
+
+
+def test_split_fails_the_check_when_the_slice_cannot_be_metrized(tmp_path):
+    infile = coarse_table_request(tmp_path)
+    assert run_cli("validate", infile, tmp_path / "validate.json", "--grid", "7") == 0
+    out = tmp_path / "split.json"
+    assert run_cli("split", infile, out, "--grid", "7") == 1
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["verdict"] is False
+    assert check["reason"] == "the lines share no timelike related parameter pairs"
+
+
 def test_grid_flag_refines_the_time_grid(tmp_path):
     out = tmp_path / "split11.json"
     assert (

@@ -9,7 +9,7 @@ parallelism, and small synthetic spaces exercise the guard paths.
 """
 
 import functools
-import itertools
+import json
 import math
 
 import numpy as np
@@ -17,12 +17,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from llk import causal_space as cs
+from llk import cli
 from llk import model_space as ms
 from llk import rigidity as rg
 from llk import warped_product as wp
 from llk.errors import (
     ChainError,
-    DomainError,
     ExtractionError,
     InfeasibleError,
     ParameterError,
@@ -259,7 +259,7 @@ def test_c_functions_need_cross_relations():
     X = cs.sample_model_points(near + far)
     alpha = rg.line_from_chain(X, cs.make_chain(X, [0, 1]))
     beta = rg.line_from_chain(X, cs.make_chain(X, [2, 3]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ExtractionError, match="share no timelike related parameter pairs"):
         rg._c_entries(X, alpha, beta, rg.EDGE_COS)
 
 
@@ -592,13 +592,26 @@ def test_selection_matches_reference_on_permuted_points(perm):
 
 def test_extract_slice_recovers_the_base_metric():
     S, _, X = suspension()
-    recovered, rep_lines = rg.extract_slice(X, suspension_line())
+    recovered, rep_lines, _ = rg.extract_slice(X, suspension_line())
     assert len(rep_lines) == S.size
     assert recovered.size == S.size
     fibers = [int(label.split("@")[0][1:]) for label in recovered.labels]
     assert sorted(fibers) == list(range(N_FIBERS))
     perm = np.argsort(fibers)
     assert np.max(np.abs(recovered.dist[np.ix_(perm, perm)] - S.dist)) < LOOSE
+
+
+def test_extract_slice_places_every_domain_point_on_its_fiber():
+    S, grid, X = suspension()
+    recovered, _, fibers = rg.extract_slice(X, suspension_line())
+    points = [p for _, p, _ in fibers]
+    assert points == sorted(set(points)) and len(points) > X.size // 2
+    for b, p, t in fibers:
+        assert recovered.labels[b].split("@")[0] == X.labels[p].split("@")[0]
+        assert abs(t - grid[p // S.size]) <= GRID_TOL
+    # on a grid every domain point lies on its fiber's line, and is
+    # audited once
+    assert sorted(idx for _, _, idx in splitting().samples) == points
 
 
 def test_splitting_certifies_the_suspension():
@@ -706,115 +719,19 @@ def test_extract_slice_rejects_unrepairable_metrics():
 
 
 def test_circle_slice_meets_the_curvature_bound():
-    report = rg.check_slice_alexandrov(splitting().slice_space)
-    assert report.verdict
-    assert report.max_deficit < 1e-6
-
-
-def test_tripod_breaks_the_curvature_bound():
-    dist = np.array(
-        [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], dtype=float
-    )
-    tripod = wp.FiniteMetricSpace(("hub", "a", "b", "c"), dist)
-    report = rg.check_slice_alexandrov(tripod)
-    assert not report.verdict
-    assert abs(report.max_deficit - math.pi) < LOOSE
-    assert report.violation_count == 1
-
-
-# The slice gate as it was before its books moved into cs._Tally.
-def reference_check_slice_alexandrov(S, tol=1e-6):
-    n = S.size
-    dist = S.dist
-    ch = np.cosh(dist)
-    sh = np.sinh(dist)
-
-    def angle(a, b, c):
-        num = ch[a, b] * ch[a, c] - ch[b, c]
-        den = sh[a, b] * sh[a, c]
-        return math.acos(ms._clamp_unit(num / den))
-
-    records = []
-    count = 0
-    checked = 0
-    skipped = 0
-    max_deficit = 0.0
-    bound = 2.0 * math.pi
-    for a in range(n):
-        others = [x for x in range(n) if x != a]
-        for b, c, d in itertools.combinations(others, 3):
-            if min(dist[a, b], dist[a, c], dist[a, d], dist[b, c], dist[c, d], dist[b, d]) <= 0.0:
-                skipped += 1
-                continue
-            total = angle(a, b, c) + angle(a, c, d) + angle(a, d, b)
-            checked += 1
-            deficit = total - bound
-            if deficit > max_deficit:
-                max_deficit = deficit
-            if deficit > tol:
-                count += 1
-                if len(records) < cs.VIOLATION_CAP:
-                    records.append(
-                        cs.Violation(
-                            (a, b, c, d),
-                            total,
-                            bound,
-                            deficit,
-                            "comparison angles at the center exceed a full turn",
-                        )
-                    )
-    return cs.ComparisonReport(
-        checked=checked,
-        violations=tuple(records),
-        violation_count=count,
-        max_deficit=max(max_deficit, 0.0),
-        verdict=max_deficit <= tol,
-        skipped=skipped,
-    )
-
-
-def star_space(leaves):
-    """A hub at distance 1 from every leaf, leaves 2 apart: every
-    quadruple centred at the hub is a tripod."""
-    n = leaves + 1
-    dist = np.full((n, n), 2.0)
-    dist[0, :] = dist[:, 0] = 1.0
-    np.fill_diagonal(dist, 0.0)
-    return wp.FiniteMetricSpace(tuple(f"v{k:02d}" for k in range(n)), dist)
-
-
-def random_tree_space(seed, n=8):
-    """Shortest-path metric of a random weighted tree."""
-    rng = np.random.default_rng(seed)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        dist[u, v] = dist[v, u] = rng.uniform(0.2, 2.0)
-    for k in range(n):
-        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
-    return wp.FiniteMetricSpace(tuple(f"v{k}" for k in range(n)), dist)
-
-
-def random_plane_space(seed, n=8):
-    pts = np.random.default_rng(seed).normal(size=(n, 2))
-    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-    return wp.FiniteMetricSpace(tuple(f"v{k}" for k in range(n)), dist)
-
-
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: splitting().slice_space, id="circle-slice"),
-    pytest.param(lambda: star_space(3), id="tripod"),
-    pytest.param(lambda: star_space(13), id="star13"),
-    *(pytest.param(lambda s=s: random_tree_space(s), id=f"tree-{s}") for s in range(6)),
-    *(pytest.param(lambda s=s: random_plane_space(s), id=f"plane-{s}") for s in range(3)),
-])
-def test_slice_alexandrov_matches_reference(make):
-    S = make()
-    assert rg.check_slice_alexandrov(S) == reference_check_slice_alexandrov(S)
-
-
-def test_slice_alexandrov_caps_records_of_a_star():
-    report = rg.check_slice_alexandrov(star_space(13))
-    assert report.violation_count > cs.VIOLATION_CAP == len(report.violations)
-
+    # the cos product over the recovered slice is the space split
+    # certifies; its sampled triangles meet the lower bound -1
+    S = splitting().slice_space
+    grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, N_TIMES)
+    doc = {
+        "kind": "suspension_request",
+        "warping": {"kind": "cos"},
+        "base": {"labels": list(S.labels), "dist": S.dist.tolist()},
+        "t_grid": grid.tolist(),
+    }
+    options = cli._build_parser().parse_args(["curvature", "--in", "x", "--samples", "50"])
+    payload, code = cli.run_command("curvature", json.dumps(doc).encode(), options)
+    check = json.loads(payload)["checks"][0]
+    assert code == cli.EXIT_PASS
+    assert check["checked"] > 0
+    assert check["max_deficit"] < 1e-6

@@ -1,10 +1,12 @@
 """Tests for warped-product time separations over finite metric bases.
 
-The table-kind solver is cross-checked against closed forms that share
-no code with it: a dense tabulation of the cosine profile must
-reproduce the model-space separations, a two-knot constant table the
-Minkowski formula, and a two-knot table of f = b t, whose strip is the
-flat Milne wedge, the wedge's exact null offsets and separations.  The
+Every separation is read off sample_warped_product, the kernel the
+commands sample through.  The table-kind solver is cross-checked
+against closed forms that share no code with it: a dense tabulation of
+the cosine profile must reproduce the model-space separations, a
+two-knot constant table the Minkowski formula, and a two-knot table of
+f = b t, whose strip is the flat Milne wedge, the wedge's exact null
+offsets and separations.  The
 batched table sampler is also held bit for bit to the scalar per-pair
 solver it replaced, which is kept here as the reference.
 """
@@ -142,7 +144,7 @@ def test_cos_profile_fixes_interval_and_values():
     f = wp.cos_warping()
     assert f.kind == "cos"
     assert abs(f.interval[0] + ms.HALF_PI) < EXACT
-    assert abs(f.at(0.3) - math.cos(0.3)) < EXACT
+    assert f.value is None and f.knots is None and f.values is None
 
 
 def test_constant_profile_requires_positive_value():
@@ -177,8 +179,9 @@ def test_table_profile_rejects_interval_beyond_knots():
 
 
 def test_table_interpolates_linearly_between_knots():
+    # f = 1 + 2t on [0.25, 0.5], so the integral of 1/f is log(4/3)/2
     f = wp.table_warping([0.0, 1.0], [1.0, 3.0])
-    assert abs(f.at(0.25) - 1.5) < EXACT
+    assert abs(wp.null_offset(f, 0.25, 0.5) - math.log(4.0 / 3.0) / 2.0) < EXACT
 
 
 def test_table_arrays_are_read_only_and_leave_equality_alone():
@@ -280,20 +283,44 @@ def test_null_offset_is_additive_along_the_interval(a, b, c):
 
 
 # ---------------------------------------------------------------- separations
+#
+# Each separation is read off the sampler: two base points dx apart (one
+# point when dx is 0) on the grid [s, t], from (s, first point) to
+# (t, last point).
+
+
+def sampled_pair(f, s, t, dx):
+    """The sample of f over a base of diameter dx on the grid [s, t] and
+    the indices of its earliest and latest point."""
+    if dx == 0.0:
+        S = wp.FiniteMetricSpace(("a",), np.zeros((1, 1)))
+    else:
+        S = wp.FiniteMetricSpace(("a", "b"), np.array([[0.0, dx], [dx, 0.0]]))
+    X = wp.sample_warped_product(f, S, [s, t])
+    return X, 0, X.size - 1
+
+
+def sampled_separation(f, s, t, dx):
+    """Causal class and time separation from (s, 0) to (t, dx)."""
+    X, i, j = sampled_pair(f, s, t, dx)
+    if not X.leq[i, j]:
+        return "unrelated", 0.0
+    tau = float(X.tau[i, j])
+    return ("timelike" if tau > 0.0 else "null"), tau
 
 
 def test_constant_separation_matches_minkowski_formula():
     f = wp.constant_warping(1.0, (-1.0, 6.0))
-    res = wp.comparison_space_tau(f, 0.0, 5.0, 3.0)
-    assert res.relation == "timelike"
-    assert abs(res.tau - 4.0) < EXACT
+    relation, tau = sampled_separation(f, 0.0, 5.0, 3.0)
+    assert relation == "timelike"
+    assert abs(tau - 4.0) < EXACT
 
 
 def test_constant_separation_scales_displacement_by_value():
     f = wp.constant_warping(2.0, (-1.0, 6.0))
-    res = wp.comparison_space_tau(f, 0.0, 5.0, 1.5)
-    assert res.relation == "timelike"
-    assert abs(res.tau - 4.0) < EXACT
+    relation, tau = sampled_separation(f, 0.0, 5.0, 1.5)
+    assert relation == "timelike"
+    assert abs(tau - 4.0) < EXACT
 
 
 def test_cos_separation_delegates_to_model_space():
@@ -302,32 +329,35 @@ def test_cos_separation_delegates_to_model_space():
     for _ in range(200):
         s, t = sorted(rng.uniform(-1.5, 1.5, size=2))
         dx = rng.uniform(0.0, 3.0)
-        got = wp.comparison_space_tau(f, s, t, dx)
+        got = sampled_separation(f, s, t, dx)
         res = ms.ads_interval(ms.AdsPrimePoint(s, 0.0), ms.AdsPrimePoint(t, dx))
-        assert got.relation == res.relation
-        assert abs(got.tau - res.tau) < EXACT
+        assert got[0] == res.relation
+        assert abs(got[1] - res.tau) < EXACT
 
 
 def test_null_band_classification_at_the_light_cone():
     f = wp.constant_warping(1.0, (-1.0, 6.0))
-    on = wp.comparison_space_tau(f, 0.0, 2.0, 2.0)
-    assert on.relation == "null" and on.tau == 0.0
-    assert wp.comparison_space_tau(f, 0.0, 2.0, 2.0 + 1e-6).relation == "unrelated"
-    assert wp.comparison_space_tau(f, 0.0, 2.0, 1.9).relation == "timelike"
+    assert sampled_separation(f, 0.0, 2.0, 2.0) == ("null", 0.0)
+    assert sampled_separation(f, 0.0, 2.0, 2.0 + 1e-6)[0] == "unrelated"
+    assert sampled_separation(f, 0.0, 2.0, 1.9)[0] == "timelike"
 
 
 def test_past_directed_pair_carries_forward_separation():
-    f = wp.constant_warping(1.0, (-1.0, 6.0))
-    res = wp.comparison_space_tau(f, 5.0, 0.0, 3.0)
-    assert res.relation == "past-directed"
-    assert abs(res.tau - 4.0) < EXACT
+    # the pair read backward is unrelated; the forward entry carries tau
+    for f, dx in (
+        (wp.constant_warping(1.0, (-1.0, 6.0)), 3.0),
+        (wp.table_warping([-1.0, 6.0], [1.0, 1.0]), 3.0),
+    ):
+        X, i, j = sampled_pair(f, 0.0, 5.0, dx)
+        assert X.leq[i, j] and abs(X.tau[i, j] - 4.0) < CROSS_CHECK
+        assert not X.leq[j, i] and X.tau[j, i] == 0.0
 
 
 def test_vertical_separation_is_elapsed_time_for_any_profile():
     for f in (wp.cos_warping(), wp.constant_warping(0.7, (-2.0, 2.0)), dense_cos_table()):
-        res = wp.comparison_space_tau(f, -0.5, 0.75, 0.0)
-        assert res.relation == "timelike"
-        assert abs(res.tau - 1.25) < EXACT
+        relation, tau = sampled_separation(f, -0.5, 0.75, 0.0)
+        assert relation == "timelike"
+        assert abs(tau - 1.25) < EXACT
 
 
 def test_table_separation_matches_cos_closed_form():
@@ -340,9 +370,9 @@ def test_table_separation_matches_cos_closed_form():
         res = ms.ads_interval(ms.AdsPrimePoint(s, 0.0), ms.AdsPrimePoint(t, dx))
         if res.relation != "timelike" or res.tau < 0.05:
             continue
-        got = wp.comparison_space_tau(f, s, t, dx)
-        assert got.relation == "timelike"
-        assert abs(got.tau - res.tau) < CROSS_CHECK
+        relation, tau = sampled_separation(f, s, t, dx)
+        assert relation == "timelike"
+        assert abs(tau - res.tau) < CROSS_CHECK
         checked += 1
 
 
@@ -356,21 +386,21 @@ def test_table_separation_matches_constant_closed_form():
     while checked < 60:
         s, t = sorted(rng.uniform(-0.9, 5.9, size=2))
         dx = rng.uniform(0.05, 4.0)
-        res_e = wp.comparison_space_tau(exact, s, t, dx)
-        if res_e.relation != "timelike" or res_e.tau < 0.05:
+        res_e = sampled_separation(exact, s, t, dx)
+        if res_e[0] != "timelike" or res_e[1] < 0.05:
             continue
-        res_t = wp.comparison_space_tau(table, s, t, dx)
-        assert res_t.relation == "timelike"
-        assert abs(res_t.tau - res_e.tau) < CROSS_CHECK
+        res_t = sampled_separation(table, s, t, dx)
+        assert res_t[0] == "timelike"
+        assert abs(res_t[1] - res_e[1]) < CROSS_CHECK
         # near the cone, where the geodesic's p grows without bound
         for k in (3, 6, 8):
             near = (t - s) * (1.0 - 10.0 ** -k)
             if near >= (t - s) - wp.NULL_BAND:
                 continue
-            res_e = wp.comparison_space_tau(exact, s, t, near)
-            res_t = wp.comparison_space_tau(table, s, t, near)
-            assert res_t.relation == res_e.relation == "timelike"
-            assert abs(res_t.tau - res_e.tau) < 1e-10
+            res_e = sampled_separation(exact, s, t, near)
+            res_t = sampled_separation(table, s, t, near)
+            assert res_t[0] == res_e[0] == "timelike"
+            assert abs(res_t[1] - res_e[1]) < 1e-10
         checked += 1
 
 
@@ -384,20 +414,19 @@ def test_sloped_table_matches_milne_wedge(b):
         assert abs(reach - math.log(t / s) / b) < EXACT
         for frac in (0.0, 1e-100, 0.3, 0.9, 0.999, 1.0 - 1e-6):
             dx = reach * frac
-            res = wp.comparison_space_tau(f, s, t, dx)
+            relation, tau = sampled_separation(f, s, t, dx)
             exact = math.sqrt((t - s) ** 2 - 4.0 * s * t * math.sinh(b * dx / 2.0) ** 2)
-            assert res.relation == "timelike"
-            assert abs(res.tau - exact) < 1e-10
+            assert relation == "timelike"
+            assert abs(tau - exact) < 1e-10
 
 
 def test_separation_is_monotone_in_displacement():
+    # a segment base puts every displacement into one sample
     f = dense_cos_table()
-    taus = []
-    for dx in np.linspace(0.0, 1.5, 12):
-        res = wp.comparison_space_tau(f, -0.8, 0.8, float(dx))
-        if res.relation != "timelike":
-            break
-        taus.append(res.tau)
+    S = segment_space(12, 1.5 / 11)
+    X = wp.sample_warped_product(f, S, [-0.8, 0.8])
+    row = X.tau[0, S.size:]
+    taus = row[row > 0.0]
     assert len(taus) >= 6
     assert all(a > b for a, b in zip(taus, taus[1:]))
 
@@ -409,16 +438,16 @@ def test_table_separation_matches_scalar_reference_bit_for_bit():
         for _ in range(40):
             s, t = sorted(rng.uniform(a + 0.05, b - 0.05, size=2))
             dx = rng.uniform(0.0, 1.2) * wp.null_offset(f, s, t)
-            res = wp.comparison_space_tau(f, s, t, dx)
-            if res.relation == "timelike":
-                assert res.tau == reference_table_tau(f, s, t, dx)
+            relation, tau = sampled_separation(f, s, t, dx)
+            if relation == "timelike":
+                assert tau == reference_table_tau(f, s, t, dx)
 
 
 def test_table_solver_reports_a_lane_that_does_not_converge(monkeypatch):
     monkeypatch.setattr(wp, "_MAX_STEPS", 1)
     f = cos_power_table(33)
     with pytest.raises(ConvergenceError, match=r"^geodesic to displacement 0\.3 did not converge$"):
-        wp.comparison_space_tau(f, -0.5, 0.5, 0.3)
+        sampled_pair(f, -0.5, 0.5, 0.3)
     with pytest.raises(ConvergenceError, match=r"^geodesic to displacement .+ did not converge$"):
         wp.sample_warped_product(f, circle_space(4, 2.0), [-0.5, 0.5])
 
@@ -426,13 +455,26 @@ def test_table_solver_reports_a_lane_that_does_not_converge(monkeypatch):
 def test_separation_rejects_time_outside_interval():
     f = wp.constant_warping(1.0, (0.0, 1.0))
     with pytest.raises(DomainError):
-        wp.comparison_space_tau(f, 0.0, 2.0, 0.1)
+        sampled_pair(f, 0.0, 2.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "offset", [-3e-9, -wp.NULL_BAND, -0.5e-9, 0.0, 0.5e-9, wp.NULL_BAND, 3e-9]
+)
+def test_constant_sample_classifies_the_null_band(offset):
+    # value 2 over dt = 2 puts the reach at exactly 1
+    f = wp.constant_warping(2.0, (-1.0, 2.0))
+    X, i, j = sampled_pair(f, -0.5, 1.5, 1.0 + offset)
+    assert X.leq[i, j] == (offset <= wp.NULL_BAND)
+    assert (X.tau[i, j] > 0.0) == (offset < -wp.NULL_BAND)
+    assert not X.leq[j, i] and X.tau[j, i] == 0.0
 
 
 # ---------------------------------------------------------------- sampling
 
 
 def test_sampled_constant_product_matches_scalar_separations():
+    # the Minkowski formula pair by pair, with the null band at the cone
     f = wp.constant_warping(1.0, (-2.0, 2.0))
     S = segment_space(5, 0.5)
     grid = np.linspace(-1.8, 1.8, 7)
@@ -442,15 +484,13 @@ def test_sampled_constant_product_matches_scalar_separations():
         for j in range(X.size):
             ti, bi = grid[i // 5], i % 5
             tj, bj = grid[j // 5], j % 5
-            if tj < ti:
-                continue
-            res = wp.comparison_space_tau(f, float(ti), float(tj), S.dist[bi, bj])
-            if res.relation == "timelike":
-                assert X.leq[i, j] and abs(X.tau[i, j] - res.tau) < EXACT
-            elif res.relation == "null":
+            dt, dx = float(tj - ti), float(S.dist[bi, bj])
+            if dt < 0.0 or dx > dt + wp.NULL_BAND:
+                assert not X.leq[i, j] and X.tau[i, j] == 0.0
+            elif dx >= dt - wp.NULL_BAND:
                 assert X.leq[i, j] and X.tau[i, j] == 0.0
-            elif res.relation == "unrelated":
-                assert not X.leq[i, j]
+            else:
+                assert X.leq[i, j] and abs(X.tau[i, j] - math.sqrt(dt * dt - dx * dx)) < EXACT
 
 
 def test_sampled_table_product_matches_suspension_closed_form():
