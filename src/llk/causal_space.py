@@ -429,9 +429,10 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     (FiniteCausalSpace._chain_index), built on the first call: the time
     order of the whole space, which restricted to [i, j] is the order
     sorted here per interval, so chains are the same.  It costs one
-    n-by-n float64 matrix per space that takes chains (curvature,
-    subdivide, split).  Without coords, or when the time order breaks
-    leq, each interval is sorted on its own.
+    n-by-n float64 matrix per space that takes chains: curvature and
+    subdivide keep it, and split drops it once find_line, its only
+    chain, returns.  Without coords, or when the time order breaks leq,
+    each interval is sorted on its own.
     """
     n = X.size
     for name, v in (("i", i), ("j", j)):

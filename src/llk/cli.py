@@ -18,10 +18,12 @@ thread; --jobs is accepted but does not change the report.
 """
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -61,8 +63,9 @@ DRAW_TRIES = 64
 # geodesics builds its table in memory, at about 150 bytes a row
 MAX_TABLE_ROWS = 10**6
 
-# a materialized space holds n x n matrices; suspend peaked at 305 MB for
-# 1,932 points, so this bound stands near 1.4 GB
+# a materialized space holds n x n matrices, and sampling it sets the peak
+# memory of suspend and split: 135 and 137 MB at 1,932 points, 482 MB
+# each at 4,092
 MAX_SPACE_POINTS = 4096
 
 
@@ -258,17 +261,54 @@ def parse_space_file(raw: bytes) -> SpaceFile:
 
 _ROW_ENCODER = json.JSONEncoder(allow_nan=False)
 
+# the space writer collects the distinct related separations over row
+# blocks of about this many cells, never over all related entries at once
+_UNIQUE_CELLS = 1 << 16
+
 
 def _encode_numbers(values) -> list:
     """JSON text of each number, from one C-encoder call; NaN and inf raise."""
     return _ROW_ENCODER.encode(values)[1:-1].split(", ")
 
 
-def _render_rows(rows) -> bytes:
-    """Rows of encoded numbers as the items of an indent-2 list under a top-level key."""
-    return b",\n".join(
-        ("    [\n      " + ",\n      ".join(row) + "\n    ]").encode() for row in rows
+def _row_chunks(rows):
+    """Rows of encoded numbers as the items of an indent-2 list under a
+    top-level key, one chunk per row, each after the first led by its comma."""
+    lead = b""
+    for row in rows:
+        yield lead + ("    [\n      " + ",\n      ".join(row) + "\n    ]").encode()
+        lead = b",\n"
+
+
+def _space_chunks(X: cs.FiniteCausalSpace):
+    """render_space's bytes, chunk by chunk, each row built as it is asked for."""
+    bits = X.tau.view(np.uint64)
+    n = len(X.labels)
+    rows = max(1, _UNIQUE_CELLS // n)
+    uniq = np.unique(np.concatenate([
+        np.unique(bits[lo:lo + rows][X.leq[lo:lo + rows]]) for lo in range(0, n, rows)
+    ]))
+    tokens = np.array(_encode_numbers(uniq.view(np.float64).tolist()) + ["null"], dtype=object)
+    null = len(tokens) - 1
+    tau = (
+        tokens[np.where(leq_row, np.searchsorted(uniq, bits_row), null)].tolist()
+        for bits_row, leq_row in zip(bits, X.leq)
     )
+    digits = np.array(["0", "1"], dtype=object)
+    leq = (digits[row].tolist() for row in X.leq.view(np.uint8))
+    yield b"{\n"
+    if X.coords is not None:
+        yield b'  "coords": [\n'
+        yield from _row_chunks(_encode_numbers(row) for row in X.coords.tolist())
+        yield b"\n  ],\n"
+    labels = ",\n    ".join(json.dumps(label) for label in X.labels)
+    yield b'  "kind": "finite_causal",\n  "labels": [\n    ' + labels.encode() + b"\n  ],\n"
+    yield b'  "leq": [\n'
+    yield from _row_chunks(leq)
+    yield b"\n  ],\n"
+    yield b'  "tau": [\n'
+    yield from _row_chunks(tau)
+    yield b"\n  ]\n}\n"
 
 
 def render_space(X: cs.FiniteCausalSpace) -> bytes:
@@ -282,34 +322,15 @@ def render_space(X: cs.FiniteCausalSpace) -> bytes:
     its bit pattern (so -0.0 stays apart from 0.0), and each tau row is
     then assembled by lookup, an unrelated cell reading null whatever it
     holds; leq rows look up "0" and "1".  NaN or inf on a related pair or
-    in coords raises ValueError.  Rows are built and encoded one at a
-    time, so no n x n table of strings is ever held.  The lookup pays off
-    because a grid suspension repeats its separations: it has at most
-    levels^2 x (distinct base distances) of them.  A space whose related
-    values are nearly all distinct is written slower than by encoding
-    each row directly.
+    in coords raises ValueError.  The lookup pays off because a grid
+    suspension repeats its separations: it has at most levels^2 x
+    (distinct base distances) of them.  A space whose related values are
+    nearly all distinct is written slower than by encoding each row
+    directly.  suspend writes the same bytes from _space_chunks one row at
+    a time, so no n x n table of strings and no copy of the whole output
+    is ever held.
     """
-    bits = X.tau.view(np.uint64)
-    uniq = np.unique(bits[X.leq])
-    tokens = np.array(_encode_numbers(uniq.view(np.float64).tolist()) + ["null"], dtype=object)
-    null = len(tokens) - 1
-    tau = (
-        tokens[np.where(leq_row, np.searchsorted(uniq, bits_row), null)].tolist()
-        for bits_row, leq_row in zip(bits, X.leq)
-    )
-    digits = np.array(["0", "1"], dtype=object)
-    leq = (digits[row].tolist() for row in X.leq.view(np.uint8))
-    labels = ",\n    ".join(json.dumps(label) for label in X.labels).encode()
-    parts = [b"{\n"]
-    if X.coords is not None:
-        coords = (_encode_numbers(row) for row in X.coords.tolist())
-        parts += [b'  "coords": [\n', _render_rows(coords), b"\n  ],\n"]
-    parts += [
-        b'  "kind": "finite_causal",\n  "labels": [\n    ', labels, b"\n  ],\n",
-        b'  "leq": [\n', _render_rows(leq), b"\n  ],\n",
-        b'  "tau": [\n', _render_rows(tau), b"\n  ]\n}\n",
-    ]
-    return b"".join(parts)
+    return b"".join(_space_chunks(X))
 
 
 def parse_geodesic_file(raw: bytes):
@@ -561,6 +582,9 @@ def _cmd_subdivide(X, options):
 def _cmd_split(X, options):
     try:
         gamma = rg.find_line(X)
+        # nothing after find_line takes a chain, so the chain index, one
+        # n x n matrix, need not outlive it
+        vars(X).pop("_chain_index", None)
         result = rg.build_splitting(X, gamma, tol=options.tol_disc)
     except (InfeasibleError, ConvergenceError, ExtractionError) as exc:
         # no usable line, one at least pi long, asymptotes that do not
@@ -633,11 +657,11 @@ _CHECK_COMMANDS = {
 }
 
 
-def run_command(command: str, raw: bytes, options) -> tuple:
-    """Dispatch one command over raw input bytes.
+def _run_chunks(command: str, raw: bytes, options) -> tuple:
+    """run_command with the output as an iterable of byte chunks.
 
-    Returns (output bytes, exit code): a ReportFile for check commands,
-    a SpaceFile for suspend, a CSV table for geodesics.
+    Every input error is raised before the first chunk; a suspend space
+    is rendered lazily, row by row, as the chunks are taken.
     """
     for flag, value in (("--samples", options.samples), ("--jobs", options.jobs)):
         if value < 1:
@@ -646,18 +670,48 @@ def run_command(command: str, raw: bytes, options) -> tuple:
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ParameterError(f"{flag} must be a finite number >= 0, got {value}")
     if command == "geodesics":
-        return emit_geodesic_table(parse_geodesic_file(raw), options.step), EXIT_PASS
+        return [emit_geodesic_table(parse_geodesic_file(raw), options.step)], EXIT_PASS
     parsed = parse_space_file(raw)
     if command == "suspend" and parsed.kind != "suspension_request":
         raise ParameterError("suspend needs a suspension_request input")
     X = _materialize(parsed, options)
     if command == "suspend":
-        return render_space(X), EXIT_PASS
+        return _space_chunks(X), EXIT_PASS
     checks, work_units = _CHECK_COMMANDS[command](X, options)
     digest = hashlib.sha256(raw).hexdigest()
     report = report_payload(command, options, parsed.kind, X.size, checks, work_units, digest)
     code = EXIT_PASS if report["verdict"] else EXIT_FAIL
-    return _render_json(report), code
+    return [_render_json(report)], code
+
+
+def run_command(command: str, raw: bytes, options) -> tuple:
+    """Dispatch one command over raw input bytes.
+
+    Returns (output bytes, exit code): a ReportFile for check commands,
+    a SpaceFile for suspend, a CSV table for geodesics.
+    """
+    chunks, code = _run_chunks(command, raw, options)
+    return b"".join(chunks), code
+
+
+def _write_output(chunks, outfile) -> None:
+    """Write the chunks to outfile, or to stdout without one, as they come.
+
+    A write that fails part-way removes the partial file and re-raises.
+    """
+    if not outfile:
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("utf-8"))
+        return
+    handle = open(outfile, "wb")
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(outfile)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -687,16 +741,16 @@ def main(argv=None) -> int:
         print(f"error [cli.input] {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        output, code = run_command(options.command, raw, options)
+        chunks, code = _run_chunks(options.command, raw, options)
     except GeometryError as exc:
         qualified = f"{type(exc).__module__}.{type(exc).__name__}"
         print(f"error [{qualified}] {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if options.outfile:
-        with open(options.outfile, "wb") as handle:
-            handle.write(output)
-    else:
-        sys.stdout.write(output.decode("utf-8"))
+    try:
+        _write_output(chunks, options.outfile)
+    except OSError as exc:
+        print(f"error [cli.output] {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

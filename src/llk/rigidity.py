@@ -45,6 +45,10 @@ SPAN_TOL = 1e-9
 # a longest chain shorter than this is no usable line
 MIN_VALUE = 2.0
 
+# The splitting audit works on blocks of about this many sample pairs, so
+# each float64 temporary stays within 512 KB.
+_AUDIT_CELLS = 1 << 16
+
 # Asymptote membership works on at most this many (point, point) cells
 # at a time, which bounds each of its temporaries to 256 KB; at 1 MB the
 # blocks of a 252-point split raised its peak memory above the old
@@ -601,6 +605,64 @@ def extract_slice(
     return slice_space, tuple(rep_lines), fibers
 
 
+def _audit(X: cs.FiniteCausalSpace, dist, xidx, bidx, svals, collar: float):
+    """(residual, mismatches, forgiven) of the samples against the model.
+
+    Sample k is space point xidx[k] on slice point bidx[k] at time
+    svals[k], and dist is the slice metric.  Each pair of samples k < l
+    at distinct space points is audited once, from both of its
+    orientations: the residual is the largest
+    |(tau(k, l) - tau(l, k)) - (w(k, l) - w(l, k))| with w the model
+    separation, and the pair is a mismatch when the causal class of
+    either orientation differs between space and model, forgiven when
+    the model pair sits within collar of its null cone.
+
+    The pairs go through in blocks of rows, each against the columns
+    from its first row on, so every temporary holds at most about
+    _AUDIT_CELLS cells.  An orientation reads the same entries, and the
+    model the same operands, whatever the block, so the figures do not
+    depend on it.
+    """
+    m = len(xidx)
+    lam = np.log(np.tan(svals / 2.0 + math.pi / 4.0))
+    block = max(1, _AUDIT_CELLS // m)
+    worst = [0.0]
+    mismatches = forgiven = 0
+    for lo in range(0, m, block):
+        rows, cols = slice(lo, lo + block), slice(lo, m)
+        s, t = svals[rows], svals[cols]
+        xr, xc = xidx[rows], xidx[cols]
+        br, bc = bidx[rows], bidx[cols]
+        at = np.arange(m - lo)
+        pairs = (at[None, :] > at[:len(s), None]) & (xr[:, None] != xc[None, :])
+        later = t[None, :] > s[:, None]
+        earlier = t[None, :] < s[:, None]
+        # the model pair runs from the earlier sample to the later one
+        d = dist[np.ix_(br, bc)]
+        dx = np.where(earlier, dist[np.ix_(bc, br)].T, d)
+        leq_w, timelike_w, w = ms.ads_separation(s, t, dx, later | earlier)
+        cls_w = np.where(timelike_w, 2, leq_w.astype(np.int8))
+        fwd = X.tau[np.ix_(xr, xc)]
+        bwd = X.tau[np.ix_(xc, xr)].T
+        gap = fwd - bwd
+        gap -= np.where(later, w, -w)
+        np.abs(gap, out=gap)
+        worst.append(np.max(gap, initial=0.0, where=pairs))
+        bad = np.zeros_like(pairs)
+        for tau, leq, model in (
+            (fwd, X.leq[np.ix_(xr, xc)], later),
+            (bwd, X.leq[np.ix_(xc, xr)].T, earlier),
+        ):
+            cls_x = np.where(tau > 0.0, 2, leq.astype(np.int8))
+            bad |= cls_x != np.where(model, cls_w, 0)
+        bad &= pairs
+        near_cone = np.abs(d - np.abs(lam[cols][None, :] - lam[rows][:, None])) <= collar
+        hits = int(np.count_nonzero(bad & near_cone))
+        forgiven += hits
+        mismatches += int(np.count_nonzero(bad)) - hits
+    return float(np.max(worst)), mismatches, forgiven
+
+
 def build_splitting(
     X: cs.FiniteCausalSpace,
     gamma: LineSample,
@@ -640,37 +702,7 @@ def build_splitting(
     svals = np.array([rec[1] for rec in samples])
     bidx = np.array([slice_space.index(rec[0]) for rec in samples])
     xidx = np.array([rec[2] for rec in samples])
-
-    tau_x = X.tau[np.ix_(xidx, xidx)]
-    leq_x = X.leq[np.ix_(xidx, xidx)]
-
-    dmat = slice_space.dist[np.ix_(bidx, bidx)]
-    future = svals[None, :] > svals[:, None]
-    leq_w, timelike_w, wtau = ms.ads_separation(svals, svals, dmat, future)
-
-    # split sets the peak memory of the process here, so the difference of
-    # signed separations is formed in one buffer
-    distinct = xidx[:, None] != xidx[None, :]
-    gap = tau_x - tau_x.T
-    gap -= wtau - wtau.T
-    np.abs(gap, out=gap)
-    gap[~distinct] = 0.0
-    residual = float(np.max(gap))
-    del gap, wtau
-
-    null_x = leq_x & (tau_x <= 0.0) & distinct
-    cls_x = np.where(tau_x > 0.0, 2, np.where(null_x, 1, 0))
-    null_w = leq_w & ~timelike_w
-    cls_w = np.where(timelike_w, 2, np.where(null_w, 1, 0))
-    mismatch = (cls_x != cls_w) & distinct
-
-    lam = np.log(np.tan(svals / 2.0 + math.pi / 4.0))
-    margin = np.abs(dmat - np.abs(lam[None, :] - lam[:, None]))
-    near_cone = margin <= collar
-    upper = np.triu(np.ones_like(mismatch, dtype=bool), 1)
-    bad = (mismatch | mismatch.T) & upper
-    forgiven = int(np.count_nonzero(bad & near_cone))
-    mismatches = int(np.count_nonzero(bad & ~near_cone))
+    residual, mismatches, forgiven = _audit(X, slice_space.dist, xidx, bidx, svals, collar)
 
     return SplittingResult(
         slice_space=slice_space,

@@ -119,15 +119,6 @@ def triangle_vertices(X, rng, count, min_tau=0.15):
     return out
 
 
-def side_chains(X, verts):
-    i, j, k = verts
-    return (
-        cs.longest_chain(X, i, j),
-        cs.longest_chain(X, j, k),
-        cs.longest_chain(X, i, k),
-    )
-
-
 # ---------------------------------------------------------------- structure
 
 
@@ -703,7 +694,7 @@ def test_triangle_comparison_is_equality_on_model_sample():
     X, _ = diamond_space(2.0, 11)
     rng = np.random.default_rng(7)
     for verts in triangle_vertices(X, rng, 25):
-        rep = cs.check_triangle_comparison(X, verts, side_chains(X, verts), GRID_TOL)
+        rep = cs.check_triangle_comparison(X, verts, cli._side_chains(X, verts), GRID_TOL)
         assert rep.verdict
         assert rep.max_deficit < GRID_TOL
         assert rep.max_excess < GRID_TOL
@@ -713,7 +704,7 @@ def test_triangle_comparison_passes_on_suspension():
     X = suspension_space()
     rng = np.random.default_rng(8)
     for verts in triangle_vertices(X, rng, 25):
-        rep = cs.check_triangle_comparison(X, verts, side_chains(X, verts), GRID_TOL)
+        rep = cs.check_triangle_comparison(X, verts, cli._side_chains(X, verts), GRID_TOL)
         assert rep.verdict, rep.violations[:1]
 
 
@@ -723,7 +714,7 @@ def test_triangle_comparison_fails_on_constant_strip():
     tris = triangle_vertices(X, rng, 60)
     failing = 0
     for verts in tris:
-        rep = cs.check_triangle_comparison(X, verts, side_chains(X, verts), GRID_TOL)
+        rep = cs.check_triangle_comparison(X, verts, cli._side_chains(X, verts), GRID_TOL)
         if not rep.verdict:
             failing += 1
             worst = max(v.deficit for v in rep.violations)
@@ -741,7 +732,7 @@ def test_triangle_comparison_detects_value_mismatch():
             break
     assert verts is not None
     i, j, k = verts
-    full = side_chains(X, verts)
+    full = cli._side_chains(X, verts)
     truncated = cs.Chain(
         indices=(i, k),
         params=(0.0, float(X.tau[i, k]) - 0.5),
@@ -896,7 +887,7 @@ def interior_subdivision_case(X, rng, which, count):
         if not cand:
             break
         verts = cand[0]
-        chains = side_chains(X, verts)
+        chains = cli._side_chains(X, verts)
         host = chains[2] if which == "across" else chains[0]
         if len(host.indices) < 3:
             continue
@@ -1416,7 +1407,7 @@ def audit_triangles(space, count=15):
     if space == "flat21":
         # one fiber from the first level to the last: 3.9 is too long to realize
         verts.append((0, 120, 240))
-    return X, [(v, side_chains(X, v)) for v in verts]
+    return X, [(v, cli._side_chains(X, v)) for v in verts]
 
 
 def test_triangle_and_monotonicity_match_reference():

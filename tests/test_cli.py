@@ -6,10 +6,12 @@ report byte for byte, independently of the worker count.  Small inline
 documents exercise the diagnostic paths.
 """
 
+import errno
 import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 import types
 
 import numpy as np
@@ -347,6 +349,60 @@ def test_render_space_rejects_non_finite_numbers():
     coords[3, 1] = np.nan
     with pytest.raises(ValueError):
         cli.render_space(cs.FiniteCausalSpace(X.labels, X.tau, X.leq, coords))
+
+
+def test_space_writer_holds_one_row_at_a_time():
+    # 972 points: the output is about 24 MB, and joined whole it raised
+    # the traced peak by 47 MB; chunk by chunk the writer holds one row, a
+    # block of the scan for distinct numbers and their encodings (2.3 MB)
+    parsed = cli.parse_space_file((FIXTURES / "suspension_circle12.json").read_bytes())
+    grid = np.linspace(parsed.t_grid[0], parsed.t_grid[-1], 81)
+    X = wp.sample_warped_product(parsed.warping, parsed.base, tuple(grid))
+    tracemalloc.start()
+    try:
+        sizes = [len(chunk) for chunk in cli._space_chunks(X)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) > 20 * 2**20
+    assert max(sizes) < 2**20
+    assert peak < 5 * 2**20
+
+
+def test_suspend_to_stdout_matches_the_out_file(tmp_path, capsys):
+    infile = FIXTURES / "suspension_circle12.json"
+    out = tmp_path / "space.json"
+    assert run_cli("suspend", infile, out) == 0
+    capsys.readouterr()
+    assert cli.main(["suspend", "--in", str(infile)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("command", ["validate", "suspend"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "absent" / "x.json"
+    assert run_cli(command, FIXTURES / "suspension_circle12.json", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli.output] ")
+    assert str(out) in err
+    assert not out.parent.exists()
+
+
+def test_a_write_failing_part_way_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "space.json"
+    chunks = cli._space_chunks
+
+    def full_disk(X):
+        stream = chunks(X)
+        yield next(stream)
+        yield next(stream)
+        assert out.exists()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_space_chunks", full_disk)
+    assert run_cli("suspend", FIXTURES / "suspension_circle12.json", out) == 2
+    assert "error [cli.output] [Errno 28] No space left on device" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

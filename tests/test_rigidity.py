@@ -11,6 +11,7 @@ parallelism, and small synthetic spaces exercise the guard paths.
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -687,17 +688,23 @@ def test_noisy_tables_still_complete():
         assert result.residual >= 0.0
 
 
+def jittered_net(seed):
+    """A bench-like base: fiber k at site 2k or 2k + 1 of 24 on a circle
+    of circumference 4, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    sites = 2 * np.arange(N_FIBERS) + rng.integers(0, 2, N_FIBERS)
+    gaps = np.abs(sites[:, None] - sites[None, :])
+    return wp.FiniteMetricSpace(
+        tuple(f"c{i:02d}" for i in range(N_FIBERS)),
+        np.minimum(gaps, 24 - gaps) * (4.0 / 24),
+    )
+
+
 def test_cos_table_splits_without_deviation():
     # a 2049-knot table of cos over a jittered circle net, at 7 time levels:
     # the timelike pairs read each fiber distance to solver precision, so
     # neither the c-tables nor the triangle repair see a deviation
-    rng = np.random.default_rng(5)
-    sites = 2 * np.arange(N_FIBERS) + rng.integers(0, 2, N_FIBERS)
-    gaps = np.abs(sites[:, None] - sites[None, :])
-    base = wp.FiniteMetricSpace(
-        tuple(f"c{i:02d}" for i in range(N_FIBERS)),
-        np.minimum(gaps, 24 - gaps) * (4.0 / 24),
-    )
+    base = jittered_net(5)
     knots = np.linspace(-ms.HALF_PI + 1e-9, ms.HALF_PI - 1e-9, 2049)
     warping = wp.table_warping(knots.tolist(), np.cos(knots).tolist())
     grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, 7)
@@ -707,6 +714,80 @@ def test_cos_table_splits_without_deviation():
     assert result.slice_space.size == N_FIBERS
     assert result.diagnostics["worst_dev"] <= 1e-6
     assert result.diagnostics["slack"] <= 1e-6
+
+
+def reference_audit(X, result):
+    """(residual, mismatches, forgiven) from whole samples x samples
+    matrices, the audit as build_splitting ran it before it went by rows."""
+    S = result.slice_space
+    svals = np.array([rec[1] for rec in result.samples])
+    bidx = np.array([S.index(rec[0]) for rec in result.samples])
+    xidx = np.array([rec[2] for rec in result.samples])
+    tau_x = X.tau[np.ix_(xidx, xidx)]
+    leq_x = X.leq[np.ix_(xidx, xidx)]
+    dmat = S.dist[np.ix_(bidx, bidx)]
+    future = svals[None, :] > svals[:, None]
+    leq_w, timelike_w, wtau = ms.ads_separation(svals, svals, dmat, future)
+    distinct = xidx[:, None] != xidx[None, :]
+    gap = np.abs((tau_x - tau_x.T) - (wtau - wtau.T))
+    gap[~distinct] = 0.0
+    null_x = leq_x & (tau_x <= 0.0) & distinct
+    cls_x = np.where(tau_x > 0.0, 2, np.where(null_x, 1, 0))
+    cls_w = np.where(timelike_w, 2, np.where(leq_w & ~timelike_w, 1, 0))
+    mismatch = (cls_x != cls_w) & distinct
+    lam = np.log(np.tan(svals / 2.0 + math.pi / 4.0))
+    near_cone = np.abs(dmat - np.abs(lam[None, :] - lam[:, None])) <= result.collar
+    bad = np.triu(mismatch | mismatch.T, 1)
+    return (
+        float(np.max(gap)),
+        int(np.count_nonzero(bad & ~near_cone)),
+        int(np.count_nonzero(bad & near_cone)),
+    )
+
+
+def near_miss_table(seed, a=1.25):
+    """cos(a t) as a 257-knot table over a jittered net, at 11 levels: its
+    lines are pi / a long, so it is not the cos product and split fails."""
+    half = ms.HALF_PI / a
+    knots = np.linspace(-half + 1e-9, half - 1e-9, 257)
+    warping = wp.table_warping(knots.tolist(), np.cos(a * knots).tolist())
+    grid = np.linspace(-half + DELTA / a, half - DELTA / a, 11)
+    return wp.sample_warped_product(warping, jittered_net(seed), tuple(grid))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "one", "seven"])
+def test_row_blocked_audit_matches_whole_matrix_reference(monkeypatch, rows):
+    spaces = [noisy_suspension(0), unlinked_suspension(1), near_miss_table(1), near_miss_table(2)]
+    expected = []
+    for X in spaces:
+        result = rg.build_splitting(X, rg.find_line(X))
+        # seven rows leave a short last block
+        assert len(result.samples) % 7 != 0
+        expected.append(reference_audit(X, result))
+        if rows is not None:
+            monkeypatch.setattr(rg, "_AUDIT_CELLS", rows * len(result.samples))
+            result = rg.build_splitting(X, rg.find_line(X))
+            monkeypatch.undo()
+        assert (result.residual, result.mismatches, result.forgiven) == expected[-1]
+    # the spaces reach every branch: mismatches outside and inside the collar
+    assert all(e[1] > 0 for e in expected[:2]) and all(e[2] > 0 for e in expected)
+
+
+def test_splitting_audit_works_in_row_blocks():
+    # the cos product over a bench-like net at 81 levels, 972 points: the
+    # whole-matrix audit held about six n x n float64 matrices at its peak
+    base = jittered_net(3)
+    grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, 81)
+    X = wp.sample_warped_product(wp.cos_warping(), base, tuple(grid))
+    gamma = rg.find_line(X)
+    tracemalloc.start()
+    try:
+        result = rg.build_splitting(X, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.verdict
+    assert peak < X.size**2 * 8
 
 
 def test_extract_slice_rejects_unrepairable_metrics():
