@@ -340,6 +340,20 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
     scan order: stage by stage in the order above, within the reverse
     triangle stage by k, and within each stage or k by (i, j) in
     row-major order.
+
+    Each k whose future is dense in its index span lo:hi (hi - lo <=
+    4 |J+(k)|, a property of the point order) is screened first: past
+    row i is flagged when the minimum over J+(k) of fl(tau(i, j) -
+    tau(k, j)), read from one row slice, falls below fl(tau(i, k) +
+    fl(margin - tol)), and only a flagged k is compared cell by cell.
+    With u = eps / 2 and M = max tau, a violation fl(tau(i, j) + tol) <
+    fl(tau(i, k) + tau(k, j)) has tau(i, j) - tau(k, j) < tau(i, k) - tol
+    + u (3M + tol); the screen's difference and threshold round by at
+    most uM and u (M + 2 tol + 3 margin), so margin = 8 eps (M + tol) =
+    16u (M + tol) flags its row, and reports are those of the exact
+    comparison.  The screen runs only when margin < tol: an infinite tau
+    (inf - inf would hide a row as NaN) turns it off, and so does a tol
+    below the margin, where the row i = k would flag every k.
     """
     tau, leq = X.tau, X.leq
     n = X.size
@@ -352,10 +366,17 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
                 "chronological relation is not transitive")
 
     books.checked = 3 * n * n
+    margin = 8.0 * np.finfo(float).eps * (tau.max() + tol)
     for k in range(n):
         past = np.nonzero(leq[:, k])[0]
         fut = np.nonzero(leq[k, :])[0]
         books.checked += len(past) * len(fut)
+        lo, hi = fut[0], fut[-1] + 1
+        if margin < tol and hi - lo <= 4 * len(fut):
+            screen = tau[past, lo:hi]
+            screen -= np.where(leq[k, lo:hi], tau[k, lo:hi], -np.inf)
+            if not (screen.min(axis=1) < tau[past, k] + (margin - tol)).any():
+                continue
         direct = tau[np.ix_(past, fut)]
         sums = tau[past, k][:, None] + tau[k, fut][None, :]
         bad = direct + tol < sums

@@ -330,6 +330,14 @@ VALIDATE_CASES = [
       for s in range(8)),
     pytest.param(lambda: corrupted_model_space(8, flips=20, nudges=20), id="corrupted-heavy"),
     pytest.param(lambda: scrambled_space(0), id="scrambled"),
+    pytest.param(lambda: suspension_space(4, 7), id="suspension"),
+    pytest.param(lambda: inflated_suspension(), id="suspension-inflated"),
+    pytest.param(lambda: permuted(suspension_space(4, 7)), id="suspension-permuted"),
+    pytest.param(lambda: permuted(inflated_suspension()), id="suspension-inflated-permuted"),
+    pytest.param(lambda: with_infinite_tau(suspension_space(4, 7), np.random.default_rng(0)),
+                 id="suspension-inf"),
+    pytest.param(lambda: with_infinite_last_column(suspension_space(4, 7)),
+                 id="suspension-inf-column"),
 ]
 
 
@@ -342,6 +350,8 @@ def test_validate_matches_triple_loop_reference(make):
 def test_validate_matches_reference_at_zero_tolerance():
     # Additive time separations along the fibers meet the reverse
     # triangle bound with equality, so only a strict comparison passes.
+    # tol 0 lies below the screen's rounding margin, so every k takes
+    # the exact comparison.
     X = suspension_space(3, 5)
     assert cs.validate_space(X, tol=0.0) == reference_validate(X, tol=0.0)
 
@@ -364,6 +374,105 @@ def test_validate_summary_ignores_point_order(make):
         assert (other.verdict, other.checked, other.violation_count, other.max_deficit) == (
             rep.verdict, rep.checked, rep.violation_count, rep.max_deficit
         )
+
+
+def reference_gather_validate(X, tol=cs.RTI_TOL):
+    """validate_space without its screen: every diamond J-(k) x J+(k) is
+    gathered and compared cell by cell.  The oracle for sizes the triple
+    loop cannot reach."""
+    tau, leq, n = X.tau, X.leq, X.size
+    books = cs._Tally(tol)
+    bad = np.nonzero((tau > 0.0) & ~leq)
+    books.found(np.column_stack(bad), tau[bad], 0.0, tau[bad], "timelike pair is not leq-related")
+    books.found(np.argwhere(cs._composed(leq) & ~leq), 1.0, 0.0, 1.0, "leq is not transitive")
+    ll = tau > 0.0
+    books.found(np.argwhere(cs._composed(ll) & ~ll), 1.0, 0.0, 1.0,
+                "chronological relation is not transitive")
+    books.checked = 3 * n * n
+    for k in range(n):
+        past = np.nonzero(leq[:, k])[0]
+        fut = np.nonzero(leq[k, :])[0]
+        books.checked += len(past) * len(fut)
+        direct = tau[np.ix_(past, fut)]
+        sums = tau[past, k][:, None] + tau[k, fut][None, :]
+        a, b = np.nonzero(direct + tol < sums)
+        books.found(np.column_stack((past[a], np.full(len(a), k), fut[b])),
+                    direct[a, b], sums[a, b], sums[a, b] - direct[a, b],
+                    "reverse triangle inequality fails through the middle point")
+    return books.report(verdict=books.count == 0)
+
+
+def inflated_suspension():
+    return with_inflated_tau(suspension_space(4, 7), np.random.default_rng(2))
+
+
+def permuted(X):
+    """X out of time order: some futures fill less than a quarter of
+    their index span, and validate_space gathers those diamonds without
+    screening them."""
+    return relabelled(X, np.random.default_rng(1).permutation(X.size))
+
+
+def with_moved_entry(X, i, j, value):
+    tau = X.tau.copy()
+    tau[i, j] = value
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+def with_infinite_last_column(X):
+    """The last point of a 4 x 7 suspension at +inf from its whole past,
+    and one separation along its fiber shortened: the reverse triangle
+    inequality fails only through the points between its ends, whose
+    futures all hold the infinite column, and inf - inf would hide each
+    of their past rows from a screen as NaN."""
+    tau = X.tau.copy()
+    i, j, last = (X.index(f"c03@{r}") for r in (0, 5, 6))
+    tau[X.leq[:, last], last] = np.inf
+    tau[last, last] = 0.0
+    tau[i, j] -= 0.1
+    return cs.FiniteCausalSpace(X.labels, tau, X.leq, X.coords)
+
+
+@pytest.mark.parametrize("a, b, d, tol", [
+    (1.7009144993963021, 2.4808538080615112, 4.081768307457813, 0.1),
+    (2.6515778658176714, 1.675096095155975, 3.9566739609736463, 0.37),
+])
+def test_validate_flags_triples_within_the_rounding_margin(a, b, d, tol):
+    # d + tol < a + b in floating point, but not d - b < a - tol: a
+    # screen without its margin would pass this chain
+    assert d + tol < a + b and not d - b < a - tol
+    tau = np.array([[0.0, a, d], [0.0, 0.0, b], [0.0, 0.0, 0.0]])
+    X = cs.FiniteCausalSpace(("p", "q", "r"), tau, np.triu(np.ones((3, 3), dtype=bool)))
+    rep = cs.validate_space(X, tol)
+    assert rep.violation_count == 1
+    assert rep == reference_validate(X, tol)
+
+
+@pytest.mark.parametrize("tol", [cs.RTI_TOL, 1e-3])
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+def test_validate_matches_reference_at_the_tolerance_boundary(tol, ulps):
+    # tau(i, j) moved to tol below tau(i, k) + tau(k, j) and a few ulp
+    # to either side: the screen must pass every k the exact comparison
+    # flags, however close the call
+    X = suspension_space(4, 7)
+    i, k, j = (X.index(f"c00@{r}") for r in (0, 3, 6))
+    value = (X.tau[i, k] + X.tau[k, j]) - tol
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, math.copysign(np.inf, ulps))
+    X = with_moved_entry(X, i, j, value)
+    assert cs.validate_space(X, tol) == reference_validate(X, tol)
+
+
+@pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
+def test_validate_matches_the_gather_loop_on_a_bench_net(corrupted):
+    # 492 points, as the bench nets at --grid 41, at the CLI's tol
+    X = seeded_net_space(3, "cos", n_times=41)
+    if corrupted:
+        i, j = X.index("c05@10"), X.index("c05@30")
+        X = with_moved_entry(X, i, j, X.tau[i, j] - 1e-6)
+    rep = cs.validate_space(X, 1e-8)
+    assert (rep.violation_count > 0) == corrupted
+    assert rep == reference_gather_validate(X, 1e-8)
 
 
 # ---------------------------------------------------------------- chains
