@@ -19,7 +19,6 @@ coordinate in column 0 that is isotone for the relation.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -118,8 +117,9 @@ class FiniteCausalSpace:
 
     tau holds forward time separations (np.inf is the +infinity
     encoding); leq is the reflexive causal relation.  coords is optional
-    per-point provenance, column 0 being a time coordinate usable as a
-    topological-sort key.
+    per-point provenance, column 0 being a time coordinate; when it
+    respects leq it orders the chain index, and otherwise the size of
+    each point's causal past does.
     """
 
     labels: tuple
@@ -175,23 +175,34 @@ class FiniteCausalSpace:
 
     @cached_property
     def _chain_index(self):
-        """Time order of the whole space for longest_chain, or None.
+        """Topological order of the whole space for longest_chain.
 
-        Returns (perm, rank, leq_s, W): perm sorts the points by time,
-        ties by index, rank is its inverse, leq_s is leq in that order and
-        W is tau in that order, -inf off leq_s and on the diagonal.  None
-        without coords or when that order breaks leq somewhere.  A stored
-        order that already is the time order is read in place.  Built on
-        the first chain and kept: one n-by-n float64 matrix per space.
+        Returns (perm, rank, leq_s, W): perm sorts the points by time if
+        coords exist and that order respects leq, else by the size of
+        their causal past, ties by index; rank is its inverse, leq_s is
+        leq in that order and W is tau in that order, -inf off leq_s and
+        on the diagonal.  The past grows strictly along every strict
+        relation of a partial order, so a past-size order that breaks leq
+        means a cycle or a relation that is not transitive, and raises
+        CausalityError.  A stored order that already is the chosen order
+        is read in place.  Built on the first chain and kept: one n-by-n
+        float64 matrix per space.
         """
-        if self.coords is None:
-            return None
         n = self.size
-        perm = np.lexsort((np.arange(n), self.coords[:, 0]))
-        moved = (perm != np.arange(n)).any()
-        leq_s = self.leq[np.ix_(perm, perm)] if moved else self.leq
-        if np.tril(leq_s, -1).any():
-            return None
+
+        def keys():
+            if self.coords is not None:
+                yield self.coords[:, 0]
+            yield self.leq.sum(axis=0)
+
+        for key in keys():
+            perm = np.lexsort((np.arange(n), key))
+            moved = (perm != np.arange(n)).any()
+            leq_s = self.leq[np.ix_(perm, perm)] if moved else self.leq
+            if not np.tril(leq_s, -1).any():
+                break
+        else:
+            raise CausalityError("leq has a cycle among distinct points or is not transitive")
         W = self.tau[np.ix_(perm, perm)] if moved else self.tau.copy()
         W[~leq_s] = -np.inf
         np.fill_diagonal(W, -np.inf)
@@ -390,43 +401,6 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
     return books.report(verdict=books.count == 0)
 
 
-def _kahn_order(leq: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    sub = leq[np.ix_(nodes, nodes)].copy()
-    np.fill_diagonal(sub, False)
-    indeg = sub.sum(axis=0)
-    ready = [int(nodes[r]) for r in np.nonzero(indeg == 0)[0]]
-    heapq.heapify(ready)
-    pos = {int(node): r for r, node in enumerate(nodes)}
-    order = []
-    while ready:
-        node = heapq.heappop(ready)
-        r = pos[node]
-        order.append(node)
-        for m in np.nonzero(sub[r])[0]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, int(nodes[m]))
-    if len(order) != len(nodes):
-        raise CausalityError("causal relation has a cycle among distinct points")
-    return np.array(order, dtype=int)
-
-
-def _interval_order(X: FiniteCausalSpace, nodes: np.ndarray):
-    """Topological order of the node subset and the leq block in that order.
-
-    Sorts by the time coordinate, ties by index, when coords are present
-    and that order respects leq; otherwise falls back to Kahn's
-    algorithm, smallest index first, which also detects cycles.
-    """
-    if X.coords is not None:
-        order = nodes[np.lexsort((nodes, X.coords[nodes, 0]))]
-        sub = X.leq[np.ix_(order, order)]
-        if not np.tril(sub, -1).any():
-            return order, sub
-    order = _kahn_order(X.leq, nodes)
-    return order, X.leq[np.ix_(order, order)]
-
-
 def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     """Chain from i to j maximizing the summed time separation.
 
@@ -447,13 +421,13 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     collar.
 
     The interval and W are gathered from the space's chain index
-    (FiniteCausalSpace._chain_index), built on the first call: the time
-    order of the whole space, which restricted to [i, j] is the order
-    sorted here per interval, so chains are the same.  It costs one
+    (FiniteCausalSpace._chain_index), built on the first call: one
+    topological order of the whole space, by time or else by past size,
+    which restricted to [i, j] puts i first and j last.  It costs one
     n-by-n float64 matrix per space that takes chains: curvature and
     subdivide keep it, and split drops it once find_line, its only
-    chain, returns.  Without coords, or when the time order breaks leq,
-    each interval is sorted on its own.
+    chain, returns.  A relation that no such order respects, one with a
+    cycle or not transitive, raises CausalityError.
     """
     n = X.size
     for name, v in (("i", i), ("j", j)):
@@ -463,18 +437,11 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
         raise ChainError(f"points {i} and {j} are not causally related")
     if i == j:
         return Chain((i,), (0.0,))
-    index = X._chain_index
-    if index is None:
-        order, sub = _interval_order(X, np.nonzero(X.leq[i] & X.leq[:, j])[0])
-        W = X.tau[np.ix_(order, order)]
-        W[~sub] = -np.inf
-        np.fill_diagonal(W, -np.inf)
-    else:
-        perm, rank, leq_s, W_s = index
-        ri, rj = rank[i], rank[j]
-        pos = ri + np.flatnonzero(leq_s[ri, ri:rj + 1] & leq_s[ri:rj + 1, rj])
-        order = perm[pos]
-        W = W_s[np.ix_(pos, pos)]
+    perm, rank, leq_s, W_s = X._chain_index
+    ri, rj = rank[i], rank[j]
+    pos = ri + np.flatnonzero(leq_s[ri, ri:rj + 1] & leq_s[ri:rj + 1, rj])
+    order = perm[pos]
+    W = W_s[np.ix_(pos, pos)]
     first = np.argmax(W > -np.inf, axis=1).tolist()  # first successor per row
     m = len(order)
     best = np.zeros(m)

@@ -39,7 +39,8 @@ class StructuralError(GeometryError):
 
 
 class CausalityError(GeometryError):
-    """The causal relation has a cycle among distinct points."""
+    """The causal relation is not a partial order: a cycle among distinct
+    points, or a relation that is not transitive."""
 
 
 class ChainError(GeometryError):

@@ -7,6 +7,7 @@ on the comparison bound, cosine suspensions must satisfy it, and a
 constant-warping strip must violate it.
 """
 
+import heapq
 import itertools
 import math
 import warnings
@@ -545,10 +546,32 @@ def test_longest_chain_detects_cycles_without_coordinates():
 # ------------------------------------------------- block DP against its oracle
 
 
+def kahn_order(leq, nodes):
+    """Kahn's topological sort of the node subset, smallest index first."""
+    sub = leq[np.ix_(nodes, nodes)].copy()
+    np.fill_diagonal(sub, False)
+    indeg = sub.sum(axis=0)
+    ready = [int(nodes[r]) for r in np.nonzero(indeg == 0)[0]]
+    heapq.heapify(ready)
+    pos = {int(node): r for r, node in enumerate(nodes)}
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for m in np.nonzero(sub[pos[node]])[0]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, int(nodes[m]))
+    assert len(order) == len(nodes), "the relation has a cycle"
+    return np.array(order, dtype=int)
+
+
 def reference_longest_chain(X, i, j):
     """The per-node DP that longest_chain replaced, kept as its oracle:
     one masked max per point of the interval, walking down a topological
-    order, and the earliest achiever in that order on reconstruction."""
+    order of the interval alone (by time when coords respect leq there,
+    else Kahn's), and the earliest achiever in that order on
+    reconstruction."""
     if i == j:
         return cs.Chain((i,), (0.0,))
     nodes = np.nonzero(X.leq[i] & X.leq[:, j])[0]
@@ -558,7 +581,7 @@ def reference_longest_chain(X, i, j):
         if np.tril(X.leq[np.ix_(order, order)], -1).any():
             order = None
     if order is None:
-        order = cs._kahn_order(X.leq, nodes)
+        order = kahn_order(X.leq, nodes)
     m = len(order)
     pos = {int(node): r for r, node in enumerate(order)}
     ri, rj = pos[i], pos[j]
@@ -693,7 +716,10 @@ def test_longest_chain_detects_cycles_behind_coordinates():
     Y = cs.FiniteCausalSpace(X.labels, X.tau, leq, X.coords)
     with pytest.raises(CausalityError):
         cs.longest_chain(Y, X.index("c00@0"), X.index("c00@20"))
-    assert Y._chain_index is None
+    # a failed build is not cached: every read refuses the space again
+    for _ in range(2):
+        with pytest.raises(CausalityError):
+            Y._chain_index
 
 
 # ------------------------------------------------------------ the chain index
@@ -727,7 +753,7 @@ def test_chain_index_permutes_a_shuffled_space():
     assert np.array_equal(W, np.where(strict, X.tau[np.ix_(perm, perm)], -np.inf))
 
 
-def test_chain_index_is_skipped_when_time_order_breaks_one_pair():
+def test_longest_chain_refuses_a_relation_that_is_not_transitive():
     X = seeded_net_space(3, "cos")
     # two spacelike points, the earlier one declared above the later one
     a, b = X.index("c00@15"), X.index("c06@16")
@@ -735,18 +761,28 @@ def test_chain_index_is_skipped_when_time_order_breaks_one_pair():
     leq = X.leq.copy()
     leq[b, a] = True
     Y = cs.FiniteCausalSpace(X.labels, X.tau, leq, X.coords)
-    assert Y._chain_index is None
-    rng = np.random.default_rng(4)
-    tested = 0
-    for i, j in sample_pairs(Y, rng, 80):
+    # the index orders the whole space, so intervals without both points
+    # are refused as well
+    apart = 0
+    for i, j in sample_pairs(Y, np.random.default_rng(4), 80):
+        with pytest.raises(CausalityError):
+            cs.longest_chain(Y, i, j)
         nodes = np.nonzero(Y.leq[i] & Y.leq[:, j])[0]
-        if a in nodes and b in nodes:
-            continue
-        order, _ = cs._interval_order(Y, nodes)
-        assert np.array_equal(order, nodes[np.lexsort((nodes, Y.coords[nodes, 0]))])
-        assert cs.longest_chain(Y, i, j) == reference_longest_chain(Y, i, j), (i, j)
-        tested += 1
-    assert tested >= 40
+        apart += not (a in nodes and b in nodes)
+    assert apart >= 40
+    notes = {v.note for v in cs.validate_space(Y).violations}
+    assert "leq is not transitive" in notes
+
+
+def test_chain_index_orders_by_past_size_when_time_breaks_leq():
+    X = seeded_net_space(3, "cos")
+    Y = cs.FiniteCausalSpace(X.labels, X.tau, X.leq, -X.coords)
+    Z = cs.FiniteCausalSpace(X.labels, X.tau, X.leq)
+    past_order = np.lexsort((np.arange(X.size), X.leq.sum(axis=0)))
+    for S in (Y, Z):
+        assert np.array_equal(S._chain_index[0], past_order)
+    for i, j in sample_pairs(X, np.random.default_rng(6), 200):
+        assert cs.longest_chain(Y, i, j) == cs.longest_chain(Z, i, j), (i, j)
 
 
 def test_validate_and_render_do_not_build_the_chain_index():
@@ -769,6 +805,15 @@ def test_longest_chain_value_ignores_point_order(seed, n):
     for a, b in strict_pairs(X):
         got = cs.longest_chain(Y, int(where[a]), int(where[b])).value
         assert abs(got - cs.longest_chain(X, int(a), int(b)).value) <= EXACT
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=40))
+def test_longest_chain_value_ignores_coords(seed, n):
+    X = random_model_space(np.random.default_rng(seed), n)
+    Y = cs.FiniteCausalSpace(X.labels, X.tau, X.leq)
+    for a, b in strict_pairs(X):
+        assert cs.longest_chain(Y, int(a), int(b)).value == cs.longest_chain(X, int(a), int(b)).value
 
 
 @settings(max_examples=40, deadline=None)

@@ -465,6 +465,32 @@ def test_reports_are_identical_across_worker_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_curvature_without_coords_matches_the_golden_checks(tmp_path):
+    # the chains then follow the past-size order, not the time order
+    doc = json.loads((FIXTURES / "ads_diamond_81.json").read_text())
+    del doc["coords"]
+    infile = tmp_path / "ads_no_coords.json"
+    infile.write_bytes(doc_bytes(doc))
+    out = tmp_path / "curvature.json"
+    assert run_cli("curvature", infile, out, "--samples", "50", "--seed", "0") == 0
+    golden = json.loads((GOLDEN / "ads_diamond_81.curvature.json").read_text())
+    assert json.loads(out.read_text())["checks"] == golden["checks"]
+
+
+def test_a_causal_cycle_is_a_usage_error(tmp_path, capsys):
+    infile = tmp_path / "cycle.json"
+    infile.write_bytes(doc_bytes({
+        "kind": "finite_causal",
+        "labels": ["a", "b"],
+        "tau": [[0.0, 1.0], [0.0, 0.0]],
+        "leq": [[1, 1], [1, 1]],
+    }))
+    out = tmp_path / "split.json"
+    assert run_cli("split", infile, out) == 2
+    assert not out.exists()
+    assert "error [llk.errors.CausalityError] " in capsys.readouterr().err
+
+
 def test_split_reports_residual_and_passes(tmp_path):
     out = tmp_path / "split.json"
     assert run_cli("split", FIXTURES / "suspension_circle12.json", out) == 0
