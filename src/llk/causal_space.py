@@ -342,11 +342,12 @@ def _composed(rel: np.ndarray) -> np.ndarray:
 def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonReport:
     """Exhaustive audit of the causal-space axioms.
 
-    Checks timelikeness (tau > 0 implies leq), transitivity of leq and
-    of the chronological relation tau > 0, and the reverse triangle
-    inequality tau(i, j) >= tau(i, k) + tau(k, j) over every causal
-    triple i <= k <= j, that is over the diamond J-(k) x J+(k) of each
-    middle point k, where the inequality is defined.  All checks are
+    Checks timelikeness (tau > 0 implies leq), transitivity of leq, its
+    antisymmetry (each pair i < j with i <= j <= i is reported once),
+    transitivity of the chronological relation tau > 0, and the reverse
+    triangle inequality tau(i, j) >= tau(i, k) + tau(k, j) over every
+    causal triple i <= k <= j, that is over the diamond J-(k) x J+(k) of
+    each middle point k, where the inequality is defined.  All checks are
     vectorized.  The report lists the first VIOLATION_CAP offenders in
     scan order: stage by stage in the order above, within the reverse
     triangle stage by k, and within each stage or k by (i, j) in
@@ -372,6 +373,7 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
     bad = np.nonzero((tau > 0.0) & ~leq)
     books.found(np.column_stack(bad), tau[bad], 0.0, tau[bad], "timelike pair is not leq-related")
     books.found(np.argwhere(_composed(leq) & ~leq), 1.0, 0.0, 1.0, "leq is not transitive")
+    books.found(np.argwhere(np.triu(leq & leq.T, 1)), 1.0, 0.0, 1.0, "leq is not antisymmetric")
     ll = tau > 0.0
     books.found(np.argwhere(_composed(ll) & ~ll), 1.0, 0.0, 1.0,
                 "chronological relation is not transitive")

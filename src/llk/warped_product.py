@@ -41,7 +41,8 @@ NULL_BAND = 1e-9
 # Metric axioms are audited with this slack.
 METRIC_TOL = 1e-9
 
-# Cap on the Newton steps of the table separation solver.
+# Cap on the Newton steps of the table separation solver, counting the
+# closed-form first step at p = 0.
 _MAX_STEPS = 200
 
 # The table solver works on at most this many (displacement, piece)
@@ -231,6 +232,12 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
     every dx short of the cone; a bracket with bisection guards them
     against rounding.
 
+    The first step, at p = 0, is in closed form: hypot(f, 0) is f exactly,
+    so q = 0, the gap is -dx and the slope is one sum over the pieces,
+    shared by every lane.  Each later step forms every (lanes, pieces)
+    intermediate once, in reused buffers and in the operation order of a
+    direct evaluation, so every separation keeps its bits.
+
     Every displacement is one lane of (lanes, pieces) arrays with its
     own bracket, and leaves the active set once its own stopping rule
     holds.  Each lane's sums run along a contiguous row, so a lane's
@@ -243,26 +250,41 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
     w, f0, f1 = _table_pieces(f, lo, hi)
     prod, rise, total = f0 * f1, f1 - f0, f0 + f1
     span = w * total
+    slope0 = np.sum(span / (prod * total))
     # f1 of each piece is f0 of the next, so r = sqrt(f^2 + p^2) is taken
     # once per knot and shared by the two pieces that meet there
     ends = np.append(f0, f1[-1])
     block = max(1, _SOLVE_CELLS // len(w))
+    rows = min(block, lanes.size)
+    bufs = [np.empty((rows, len(ends)))] + [np.empty((rows, len(w))) for _ in range(4)]
     for first in range(0, lanes.size, block):
         idx = lanes[first:first + block]
         target = dx[idx]
         p = np.zeros(idx.size)
         p_lo = np.zeros(idx.size)
         p_hi = np.full(idx.size, math.inf)
-        for _ in range(_MAX_STEPS):
-            col = p[:, None]
-            r = np.hypot(ends, col)
-            r0, r1 = r[:, :-1], r[:, 1:]
-            q = col / (prod * (r0 + r1))
-            v = q * rise * total
-            flat = v == 0.0
-            shrink = np.where(flat, 1.0, np.arcsinh(v) / np.where(flat, 1.0, v))
-            gap = np.sum(q * span * shrink, axis=1) - target
-            slope = np.sum(span / (r0 * r1 * (r0 + r1)), axis=1)
+        gap, slope = -target, slope0
+        for step_no in range(_MAX_STEPS):
+            if step_no:
+                col = p[:, None]
+                r, s, q, v, shrink = (buf[:idx.size] for buf in bufs)
+                np.hypot(ends, col, out=r)
+                r0, r1 = r[:, :-1], r[:, 1:]
+                np.add(r0, r1, out=s)
+                np.divide(col, np.multiply(prod, s, out=q), out=q)
+                np.multiply(q, rise, out=v)
+                v *= total
+                np.arcsinh(v, out=shrink)
+                if not v.all():
+                    flat = v == 0.0
+                    v[flat] = shrink[flat] = 1.0
+                shrink /= v
+                q *= span
+                q *= shrink
+                gap = np.sum(q, axis=1) - target
+                np.multiply(r0, r1, out=v)
+                v *= s
+                slope = np.sum(np.divide(span, v, out=v), axis=1)
             hit = gap == 0.0
             below = gap < 0.0
             p_lo = np.where(below, p, p_lo)

@@ -231,6 +231,25 @@ def test_validate_flags_nontransitive_leq():
     assert any("transitiv" in v.note for v in rep.violations)
 
 
+def test_validate_flags_a_pair_related_both_ways():
+    # a <= b <= a below the chain a, c, d: every other axiom holds
+    tau = np.array(
+        [
+            [0.0, 0.0, 1.0, 2.0],
+            [0.0, 0.0, 1.0, 2.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    leq = np.triu(np.ones((4, 4), dtype=bool))
+    leq[1, 0] = True
+    X = cs.FiniteCausalSpace(("a", "b", "c", "d"), tau, leq)
+    rep = cs.validate_space(X)
+    assert not rep.verdict
+    assert rep.violations == (cs.Violation((0, 1), 1.0, 0.0, 1.0, "leq is not antisymmetric"),)
+    assert rep == reference_validate(X)
+
+
 def test_validate_flags_chronological_gap():
     # timelike hops a->b->c but c unreachable from a
     tau = np.array(
@@ -270,6 +289,11 @@ def reference_validate(X, tol=cs.RTI_TOL):
             for j in range(n):
                 if not rel[i, j] and any(rel[i, k] and rel[k, j] for k in range(n)):
                     found.append(((i, j), 1.0, 0.0, 1.0, note))
+        if rel is leq:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if leq[i, j] and leq[j, i]:
+                        found.append(((i, j), 1.0, 0.0, 1.0, "leq is not antisymmetric"))
     checked = 3 * n * n
     for k in range(n):
         for i in range(n):
@@ -386,6 +410,7 @@ def reference_gather_validate(X, tol=cs.RTI_TOL):
     bad = np.nonzero((tau > 0.0) & ~leq)
     books.found(np.column_stack(bad), tau[bad], 0.0, tau[bad], "timelike pair is not leq-related")
     books.found(np.argwhere(cs._composed(leq) & ~leq), 1.0, 0.0, 1.0, "leq is not transitive")
+    books.found(np.argwhere(np.triu(leq & leq.T, 1)), 1.0, 0.0, 1.0, "leq is not antisymmetric")
     ll = tau > 0.0
     books.found(np.argwhere(cs._composed(ll) & ~ll), 1.0, 0.0, 1.0,
                 "chronological relation is not transitive")

@@ -491,6 +491,21 @@ def test_a_causal_cycle_is_a_usage_error(tmp_path, capsys):
     assert "error [llk.errors.CausalityError] " in capsys.readouterr().err
 
 
+def test_validate_fails_a_pair_related_both_ways(tmp_path):
+    infile = tmp_path / "loop.json"
+    infile.write_bytes(doc_bytes({
+        "kind": "finite_causal",
+        "labels": ["a", "b", "c", "d"],
+        "tau": [[0, 0, 1, 2], [0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0]],
+        "leq": [[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]],
+    }))
+    out = tmp_path / "validate.json"
+    assert run_cli("validate", infile, out) == 1
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] is False
+    assert [v["note"] for v in doc["checks"][0]["violations"]] == ["leq is not antisymmetric"]
+
+
 def test_split_reports_residual_and_passes(tmp_path):
     out = tmp_path / "split.json"
     assert run_cli("split", FIXTURES / "suspension_circle12.json", out) == 0

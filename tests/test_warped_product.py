@@ -431,16 +431,30 @@ def test_separation_is_monotone_in_displacement():
     assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
+def mixed_table():
+    """Flat pieces between sloped ones: the solver meets v = 0 in some
+    pieces and not in others."""
+    return wp.table_warping([-2.0, -1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 2.0, 2.0, 1.0])
+
+
 def test_table_separation_matches_scalar_reference_bit_for_bit():
     rng = np.random.default_rng(11)
-    for f in (cos_power_table(33), cos_power_table(65, 1.5), wp.table_warping([0.0, 4.0], [1.0, 1.0])):
+    tables = (
+        cos_power_table(33),
+        cos_power_table(65, 1.5),
+        wp.table_warping([0.0, 4.0], [1.0, 1.0]),
+        mixed_table(),
+    )
+    for f in tables:
         a, b = f.interval
         for _ in range(40):
             s, t = sorted(rng.uniform(a + 0.05, b - 0.05, size=2))
-            dx = rng.uniform(0.0, 1.2) * wp.null_offset(f, s, t)
-            relation, tau = sampled_separation(f, s, t, dx)
-            if relation == "timelike":
-                assert tau == reference_table_tau(f, s, t, dx)
+            reach = wp.null_offset(f, s, t)
+            # a tiny p, and the bisection next to the cone
+            for dx in (rng.uniform(0.0, 1.2) * reach, 1e-100 * reach, (1.0 - 1e-6) * reach):
+                relation, tau = sampled_separation(f, s, t, dx)
+                if relation == "timelike":
+                    assert tau == reference_table_tau(f, s, t, dx)
 
 
 def test_table_solver_reports_a_lane_that_does_not_converge(monkeypatch):
@@ -530,6 +544,7 @@ def test_batched_table_sample_matches_scalar_reference_off_cos():
     assert_matches_reference(cos_power_table(65, 1.5), S, BENCH_GRID)
     flat = wp.table_warping(np.linspace(0.0, 4.0, 9), np.ones(9))
     assert_matches_reference(flat, S, np.linspace(0.05, 3.95, 7))
+    assert_matches_reference(mixed_table(), S, BENCH_GRID)
 
 
 def test_batched_table_sample_on_one_base_point_and_one_time_level():
