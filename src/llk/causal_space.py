@@ -43,8 +43,8 @@ RTI_TOL = 1e-9
 # Reports keep at most this many violation records; counts stay exact.
 VIOLATION_CAP = 200
 
-# Chain-reconstruction tie collar.  Must stay well below the staleness
-# tolerance so collared chains still count as maximizing.
+# Chain-reconstruction tie collar.  The staleness check forgives it once
+# per hop, so collared chains still count as maximizing at eps 0.
 RECON_COLLAR = 1e-12
 
 
@@ -482,18 +482,18 @@ def make_chain(X: FiniteCausalSpace, indices) -> Chain:
     return Chain(tuple(idx), tuple(params))
 
 
-def _realize_clamped(a12: float, a23: float, a13: float, eps: float):
-    """Realize sides, clamping a13 up to a12 + a23 when within eps.
+def _realize_clamped(a12: float, a23: float, a13: float, budget: float):
+    """Realize sides, clamping a13 up to a12 + a23 when within budget.
 
     Chain values can undershoot the reverse triangle inequality by the
-    discretization budget; the clamp restores feasibility and is
-    reported via the returned note.
+    discretization budget eps plus the drift of the chains (_drift); the
+    clamp restores feasibility and is reported via the returned note.
     """
     note = ""
     if a13 < a12 + a23:
-        if a13 + eps < a12 + a23:
+        if a13 + budget < a12 + a23:
             raise ChainError(
-                f"side {a13!r} undershoots {a12 + a23!r} beyond the eps budget {eps!r}"
+                f"side {a13!r} undershoots {a12 + a23!r} beyond the budget {budget!r}"
             )
         note = f"long side clamped from {a13!r} to {a12 + a23!r}"
         a13 = a12 + a23
@@ -517,12 +517,22 @@ def _check_triangle_inputs(X, verts, chains):
     return i, j, k
 
 
+def _drift(chain: Chain) -> float:
+    """How far longest_chain may leave a chain's value below the longest
+    one: its walk lets each hop fall RECON_COLLAR short, and its sums
+    round by an ulp or two per hop."""
+    return (len(chain.indices) - 1) * (RECON_COLLAR + 2.0 * math.ulp(chain.value))
+
+
 def _stale_check(X, chains, pairs, eps):
+    """Raise ChainError on a chain whose value falls short of tau over its
+    ends by more than eps plus its drift."""
     for chain, (a, b) in zip(chains, pairs):
-        if chain.value < X.tau[a, b] - eps:
+        tau = float(X.tau[a, b])
+        if chain.value < tau - eps - _drift(chain):
             raise ChainError(
-                f"chain {a}..{b} value {chain.value!r} is stale against "
-                f"tau = {X.tau[a, b]!r} (eps = {eps!r})"
+                f"chain {a}..{b} value {float(chain.value)!r} is stale against "
+                f"tau = {tau!r} (eps = {float(eps)!r})"
             )
 
 
@@ -544,7 +554,7 @@ def check_triangle_comparison(
         eps = tol
     _stale_check(X, chains, ((i, j), (j, k), (i, k)), eps)
     a12, a23 = c12.value, c23.value
-    tri, a13, clamp_note = _realize_clamped(a12, a23, c13.value, eps)
+    tri, a13, clamp_note = _realize_clamped(a12, a23, c13.value, eps + _drift(c13))
     notes = [clamp_note] if clamp_note else []
     for name, chain in (("12", c12), ("23", c23), ("13", c13)):
         if any(b - a <= 0.0 for a, b in zip(chain.params, chain.params[1:])):
@@ -707,7 +717,7 @@ def check_subdivision(
         )
     s_p = host.params[host.indices.index(p)]
 
-    whole, a13w, clamp_note = _realize_clamped(c12.value, c23.value, c13.value, eps)
+    whole, a13w, clamp_note = _realize_clamped(c12.value, c23.value, c13.value, eps + _drift(c13))
     notes = [clamp_note] if clamp_note else []
     whole_angles = dict(zip("xyz", _realized_angles(whole).values()))
 
@@ -722,7 +732,8 @@ def check_subdivision(
             raise ParameterError(
                 f"p = {p} and the middle vertex {j} are not timelike related"
             )
-        c_pq = (longest_chain(X, p, j) if up else longest_chain(X, j, p)).value
+        pq = longest_chain(X, p, j) if up else longest_chain(X, j, p)
+        c_pq = pq.value
         a_xp, a_pz = s_p, c13.value - s_p
         if up:
             subs = (("xpy", (a_xp, c_pq, c12.value)), ("pyz", (c_pq, c23.value, a_pz)))
@@ -737,13 +748,16 @@ def check_subdivision(
             raise ParameterError(
                 f"p = {p} is not timelike below the opposite vertex {k}"
             )
-        c_pq = longest_chain(X, p, k).value
+        pq = longest_chain(X, p, k)
+        c_pq = pq.value
         subs = (("xpz", (s_p, c_pq, c13.value)), ("pyz", (c12.value - s_p, c23.value, c_pq)))
         host_side, scale, q_t = "12", 1.0, whole.x3
         q_sides = (("13", False), ("23", False))
         flips, vertex_ge = (False, True), False
 
-    realized = [_realize_clamped(*sides, eps) for _, sides in subs]
+    # each long side is one of the four chains or a part of c13
+    budget = eps + max(_drift(c) for c in (c12, c23, c13, pq))
+    realized = [_realize_clamped(*sides, budget) for _, sides in subs]
     notes += [note for _, _, note in realized if note]
     bar = [
         dict(zip(names, _realized_angles(tri).values()))

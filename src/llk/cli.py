@@ -63,9 +63,8 @@ DRAW_TRIES = 64
 # geodesics builds its table in memory, at about 150 bytes a row
 MAX_TABLE_ROWS = 10**6
 
-# a materialized space holds n x n matrices, and sampling it sets the peak
-# memory of suspend and split: 135 and 137 MB at 1,932 points, 482 MB
-# each at 4,092
+# a materialized space holds n x n matrices: suspend and split peak at
+# 103 and 132 MB at 1,932 points, and at 339 and 433 MB at 4,092
 MAX_SPACE_POINTS = 4096
 
 

@@ -583,6 +583,8 @@ def extract_slice(
         labels.append(label)
 
     k = len(reps)
+    if not k:
+        raise ExtractionError("no point lies in the line's timelike domain")
     d_s = np.zeros((k, k))
     for a in range(k):
         for b in range(a + 1, k):

@@ -10,7 +10,8 @@ geodesic with conserved quantity p = f(t)^2 x' every integral over a
 linear piece is elementary, so they are summed exactly per piece.
 
 Sampling a finite metric space against a time grid yields a finite
-causal space with closed-form entries for the cos warping.
+causal space; one fill serves every kind, computing each separation once
+per pair of time levels and distinct base distance.
 """
 
 from __future__ import annotations
@@ -313,49 +314,57 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
 def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> FiniteCausalSpace:
     """Finite causal space sampling I x_f S on a time grid.
 
-    The cos kind delegates to sample_suspension; constant warpings fill
-    the matrices with the vectorized Minkowski closed form; table
-    warpings classify the distinct base distances against the null
-    offset of each pair of time levels a <= b and solve for all the
-    timelike ones in one batched Newton solve, then fill the (a, b)
-    block of the matrices through the inverse map of the distances.
-    Point order and labels follow sample_suspension.
+    Points are ordered time-major: index = grid_index * |S| + base_index
+    with labels "<base>@<grid_index>".  An entry depends only on its two
+    time levels and its base distance, so _separations gives each (level
+    pair, distinct distance) entry once, and the matrices are filled one
+    level's rows at a time through the inverse map of the distances.
     """
-    if f.kind == COS:
-        return sample_suspension(S, t_grid)
     grid = _checked_grid(f.interval, t_grid)
-    nb = S.size
-    t = np.repeat(np.asarray(grid), nb)
-    base = np.tile(np.arange(nb), len(grid))
-    labels = tuple(f"{S.labels[b]}@{g}" for g in range(len(grid)) for b in range(nb))
-    coords = np.column_stack([t, base.astype(float)])
-    if f.kind == CONSTANT:
-        D = S.dist[np.ix_(base, base)]
-        dt = t[None, :] - t[:, None]
-        order = dt >= 0.0
-        reach = np.where(order, dt, 0.0) / f.value
-        leq = order & (D <= reach + NULL_BAND)
-        timelike = order & (D < reach - NULL_BAND)
-        rad = np.maximum(dt * dt - (f.value * D) ** 2, 0.0)
-        tau = np.where(timelike, np.sqrt(rad), 0.0)
-        return FiniteCausalSpace(labels, tau, leq, coords)
-    n = len(labels)
-    tau = np.zeros((n, n))
-    leq = np.zeros((n, n), dtype=bool)
+    nb, levels = S.size, len(grid)
+    n = nb * levels
+    labels = tuple(f"{S.labels[b]}@{g}" for g in range(levels) for b in range(nb))
+    coords = np.column_stack([np.repeat(grid, nb), np.tile(np.arange(nb), levels).astype(float)])
     dists, inv = np.unique(S.dist, return_inverse=True)
     inv = inv.reshape(nb, nb)
-    for a, lo in enumerate(grid):
+    tau = np.empty((n, n))
+    leq = np.empty((n, n), dtype=bool)
+    for a in range(levels):
         rows = slice(a * nb, (a + 1) * nb)
-        for b in range(a, len(grid)):
-            hi = grid[b]
-            reach = null_offset(f, lo, hi)
-            timelike = dists < reach - NULL_BAND
-            sep = np.zeros(len(dists))
-            sep[timelike] = _table_tau(f, lo, hi, dists[timelike])
-            cols = slice(b * nb, (b + 1) * nb)
-            leq[rows, cols] = (dists <= reach + NULL_BAND)[inv]
-            tau[rows, cols] = sep[inv]
+        for out, sep in zip((leq, tau), _separations(f, grid, a, dists)):
+            # block (a, b) of the rows is sep[b] read through the distances
+            out[rows].reshape(nb, levels, nb).transpose(1, 0, 2)[...] = sep[:, inv]
     return FiniteCausalSpace(labels, tau, leq, coords)
+
+
+def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
+    """(leq, tau) from time level a to every level b at each distinct base
+    distance, as (levels, distances) arrays; pairs with b < a are unrelated.
+    Cos classifies as the model strip, the others within NULL_BAND."""
+    g = np.asarray(grid)
+    if f.kind == COS:
+        # the cos strip is symmetric in the two times: only the order
+        # mask directs the pair from level a to level b
+        leq, _, tau = ms.ads_separation(
+            g, g[a:a + 1], np.broadcast_to(dists, (len(g), len(dists))), (g[a] <= g)[:, None]
+        )
+        return leq, tau
+    if f.kind == CONSTANT:
+        dt = (g - g[a])[:, None]
+        order = dt >= 0.0
+        reach = np.where(order, dt, 0.0) / f.value
+        leq = order & (dists <= reach + NULL_BAND)
+        timelike = order & (dists < reach - NULL_BAND)
+        rad = np.maximum(dt * dt - (f.value * dists) ** 2, 0.0)
+        return leq, np.where(timelike, np.sqrt(rad), 0.0)
+    leq = np.zeros((len(g), len(dists)), dtype=bool)
+    tau = np.zeros((len(g), len(dists)))
+    for b in range(a, len(g)):
+        reach = null_offset(f, grid[a], grid[b])
+        leq[b] = dists <= reach + NULL_BAND
+        timelike = dists < reach - NULL_BAND
+        tau[b, timelike] = _table_tau(f, grid[a], grid[b], dists[timelike])
+    return leq, tau
 
 
 def _checked_grid(interval, t_grid):
@@ -372,21 +381,6 @@ def _checked_grid(interval, t_grid):
 
 
 def sample_suspension(S: FiniteMetricSpace, t_grid) -> FiniteCausalSpace:
-    """Finite causal space sampling the cos warped product over S.
-
-    Points are ordered time-major: index = grid_index * |S| + base_index
-    with labels "<base>@<grid_index>".  Entries are the closed-form cos
-    values, classified exactly as in the model strip, so the sample is
-    deterministic and validates by construction.
-    """
-    grid = _checked_grid((-ms.HALF_PI, ms.HALF_PI), t_grid)
-    nb = S.size
-    t = np.repeat(np.asarray(grid), nb)
-    base = np.tile(np.arange(nb), len(grid))
-    D = S.dist[np.ix_(base, base)]
-    leq, _, tau = ms.ads_separation(t, t, D, t[:, None] <= t[None, :])
-    labels = tuple(
-        f"{S.labels[b]}@{g}" for g in range(len(grid)) for b in range(nb)
-    )
-    coords = np.column_stack([t, base.astype(float)])
-    return FiniteCausalSpace(labels, tau, leq, coords)
+    """The cos case of sample_warped_product: classified exactly as in
+    the model strip, the sample validates by construction."""
+    return sample_warped_product(cos_warping(), S, t_grid)

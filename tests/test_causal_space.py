@@ -866,6 +866,62 @@ def test_make_chain_validates_connectivity():
         cs.make_chain(X, pair)
 
 
+def tied_realizer_space():
+    """Three points with tau(a, c) one ulp above tau(a, b) + tau(b, c)."""
+    tau = np.array([[0.0, 0.1, math.nextafter(0.1 + 0.2, 1.0)], [0.0, 0.0, 0.2], [0.0] * 3])
+    return cs.FiniteCausalSpace(("a", "b", "c"), tau, np.triu(np.ones((3, 3), dtype=bool)))
+
+
+def test_stale_check_forgives_the_drift_of_the_chain_walk():
+    # the chain through b ties the direct pair within the collar, and its
+    # summed value lands one ulp below tau(a, c): maximal at eps 0
+    X = tied_realizer_space()
+    chain = cs.longest_chain(X, 0, 2)
+    assert chain.indices == (0, 1, 2)
+    assert chain.value < X.tau[0, 2]
+    cs._stale_check(X, (chain,), ((0, 2),), 0.0)
+    # each of the two hops may fall a collar short
+    collared = cs.Chain((0, 1, 2), (0.0, 0.1, float(X.tau[0, 2]) - 1.5 * cs.RECON_COLLAR))
+    cs._stale_check(X, (collared,), ((0, 2),), 0.0)
+
+
+def test_stale_check_forgives_the_rounding_of_the_walk():
+    # at this scale an ulp outgrows the collar: the walk sums x..z as
+    # (a + b1) + b2, an ulp below tau(x, z) = a + (b1 + b2)
+    a, b1, b2 = (v * 2.0**20 for v in (0.51, 0.85, 0.19))
+    tau = np.array([[0, a, a + b1, a + (b1 + b2)], [0, 0, b1, b1 + b2], [0, 0, 0, b2], [0.0] * 4])
+    X = cs.FiniteCausalSpace(("x", "y", "q", "z"), tau, np.triu(np.ones((4, 4), dtype=bool)))
+    chain = cs.longest_chain(X, 0, 3)
+    assert chain.indices == (0, 1, 2, 3)
+    assert X.tau[0, 3] - chain.value > 3 * cs.RECON_COLLAR
+    cs._stale_check(X, (chain,), ((0, 3),), 0.0)
+
+
+def test_audits_clamp_a_long_side_that_drifted_at_zero_eps():
+    # x, y, q, z on one realizer: the walk sums the long side as
+    # (0.51 + 0.85) + 0.19, an ulp below 0.51 + (0.85 + 0.19) of the two
+    # short sides, so the clamp must forgive that drift at eps 0
+    a, b1, b2 = 0.51, 0.85, 0.19
+    tau = np.array([[0, a, a + b1, (a + b1) + b2], [0, 0, b1, b1 + b2], [0, 0, 0, b2], [0.0] * 4])
+    X = cs.FiniteCausalSpace(("x", "y", "q", "z"), tau, np.triu(np.ones((4, 4), dtype=bool)))
+    chains = (cs.longest_chain(X, 0, 1), cs.longest_chain(X, 1, 3), cs.longest_chain(X, 0, 3))
+    assert chains[2].indices == (0, 1, 2, 3)
+    assert chains[2].value < chains[0].value + chains[1].value
+    clamped = "long side clamped from 1.5499999999999998 to 1.55"
+    report = cs.check_triangle_comparison(X, (0, 1, 3), chains, tol=0.0, eps=0.0)
+    assert clamped in report.notes
+    report = cs.check_subdivision(X, (0, 1, 3), chains, 2, "across", tol=0.0, eps=0.0)
+    assert clamped in report.notes
+
+
+def test_stale_check_rejects_a_chain_short_beyond_its_drift():
+    X = tied_realizer_space()
+    short = cs.Chain((0, 1, 2), (0.0, 0.1, float(X.tau[0, 2]) - 3 * cs.RECON_COLLAR))
+    with pytest.raises(ChainError) as err:
+        cs._stale_check(X, (short,), ((0, 2),), 0.0)
+    assert str(err.value).endswith("is stale against tau = 0.3000000000000001 (eps = 0.0)")
+
+
 # ---------------------------------------------------------------- triangles
 
 

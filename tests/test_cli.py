@@ -633,6 +633,26 @@ def coarse_table_request(tmp_path):
     return path
 
 
+def test_split_on_two_levels_fails_the_check(tmp_path):
+    out = tmp_path / "split.json"
+    assert run_cli("split", FIXTURES / "suspension_circle12.json", out, "--grid", "2") == 1
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["verdict"] is False
+    assert check["reason"] == "no point lies in the line's timelike domain"
+
+
+@pytest.mark.parametrize("fixture", ["flat_strip.json", "ads_diamond_81.json", "suspension_circle12.json"])
+def test_chain_audits_run_at_zero_tol_disc(tmp_path, capsys, fixture):
+    # chains along tied realizers drift ulps below tau; at eps 0 they
+    # still count as maximizing, so curvature reports instead of stopping
+    out = tmp_path / "curvature.json"
+    assert run_cli("curvature", FIXTURES / fixture, out, "--tol-disc", "0") in (0, 1)
+    assert json.loads(out.read_text())["checks"]
+    # subdivide may still draw an inadmissible point, but no chain is stale
+    run_cli("subdivide", FIXTURES / fixture, tmp_path / "subdivide.json", "--tol-disc", "0")
+    assert "ChainError" not in capsys.readouterr().err
+
+
 def test_split_fails_the_check_when_the_slice_cannot_be_metrized(tmp_path):
     infile = coarse_table_request(tmp_path)
     assert run_cli("validate", infile, tmp_path / "validate.json", "--grid", "7") == 0
