@@ -177,16 +177,15 @@ class FiniteCausalSpace:
     def _chain_index(self):
         """Topological order of the whole space for longest_chain.
 
-        Returns (perm, rank, leq_s, W): perm sorts the points by time if
-        coords exist and that order respects leq, else by the size of
-        their causal past, ties by index; rank is its inverse, leq_s is
-        leq in that order and W is tau in that order, -inf off leq_s and
-        on the diagonal.  The past grows strictly along every strict
-        relation of a partial order, so a past-size order that breaks leq
-        means a cycle or a relation that is not transitive, and raises
-        CausalityError.  A stored order that already is the chosen order
-        is read in place.  Built on the first chain and kept: one n-by-n
-        float64 matrix per space.
+        Returns (rank, W), both in the stored point order: rank[k] is the
+        place of point k when the points are sorted by time if coords
+        exist and that order respects leq, else by the size of their
+        causal past, ties by index; W is tau, -inf off leq and on the
+        diagonal.  The past grows strictly along every strict relation of
+        a partial order, so a past-size order that breaks leq means a
+        cycle or a relation that is not transitive, and raises
+        CausalityError.  Built on the first chain and kept: one n-by-n
+        float64 matrix per space, whatever the stored order.
         """
         n = self.size
 
@@ -196,21 +195,16 @@ class FiniteCausalSpace:
             yield self.leq.sum(axis=0)
 
         for key in keys():
-            perm = np.lexsort((np.arange(n), key))
-            moved = (perm != np.arange(n)).any()
-            leq_s = self.leq[np.ix_(perm, perm)] if moved else self.leq
-            if not np.tril(leq_s, -1).any():
+            rank = np.empty(n, dtype=int)
+            rank[np.lexsort((np.arange(n), key))] = np.arange(n)
+            if not (self.leq & (rank[:, None] > rank[None, :])).any():
                 break
         else:
             raise CausalityError("leq has a cycle among distinct points or is not transitive")
-        W = self.tau[np.ix_(perm, perm)] if moved else self.tau.copy()
-        W[~leq_s] = -np.inf
+        W = np.where(self.leq, self.tau, -np.inf)
         np.fill_diagonal(W, -np.inf)
-        rank = np.empty(n, dtype=int)
-        rank[perm] = np.arange(n)
-        for a in (leq_s, W):
-            a.setflags(write=False)
-        return perm, rank, leq_s, W
+        W.setflags(write=False)
+        return rank, W
 
     def relation(self, i: int, j: int) -> str:
         """Relation string of the ordered pair, matching the model-space
@@ -224,7 +218,7 @@ class FiniteCausalSpace:
         return ms.UNRELATED
 
 
-def sample_model_points(points, labels=None) -> FiniteCausalSpace:
+def sample_model_points(points) -> FiniteCausalSpace:
     """Finite causal space of model-strip points with closed-form tau.
 
     Pairs are classified by ms.ads_separation, which matches
@@ -237,9 +231,8 @@ def sample_model_points(points, labels=None) -> FiniteCausalSpace:
     x = np.array([p.x for p in pts])
     order = t[:, None] <= t[None, :]
     leq, _, tau = ms.ads_separation(t, t, x[None, :] - x[:, None], order)
-    if labels is None:
-        width = len(str(len(pts) - 1))
-        labels = tuple(f"p{k:0{width}d}" for k in range(len(pts)))
+    width = len(str(len(pts) - 1))
+    labels = tuple(f"p{k:0{width}d}" for k in range(len(pts)))
     return FiniteCausalSpace(labels, tau, leq, np.column_stack([t, x]))
 
 
@@ -422,11 +415,12 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     a space satisfying the reverse triangle inequality, up to the same
     collar.
 
-    The interval and W are gathered from the space's chain index
-    (FiniteCausalSpace._chain_index), built on the first call: one
-    topological order of the whole space, by time or else by past size,
-    which restricted to [i, j] puts i first and j last.  It costs one
-    n-by-n float64 matrix per space that takes chains: curvature and
+    The interval is the points k with i <= k <= j, sorted by the rank of
+    the space's chain index (FiniteCausalSpace._chain_index), built on
+    the first call: one topological order of the whole space, by time or
+    else by past size, which puts i first and j last.  W is gathered from
+    the index's W, tau in the stored order.  It costs one n-by-n float64
+    matrix per space that takes chains: curvature and
     subdivide keep it, and split drops it once find_line, its only
     chain, returns.  A relation that no such order respects, one with a
     cycle or not transitive, raises CausalityError.
@@ -439,11 +433,10 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
         raise ChainError(f"points {i} and {j} are not causally related")
     if i == j:
         return Chain((i,), (0.0,))
-    perm, rank, leq_s, W_s = X._chain_index
-    ri, rj = rank[i], rank[j]
-    pos = ri + np.flatnonzero(leq_s[ri, ri:rj + 1] & leq_s[ri:rj + 1, rj])
-    order = perm[pos]
-    W = W_s[np.ix_(pos, pos)]
+    rank, W = X._chain_index
+    order = np.flatnonzero(X.leq[i] & X.leq[:, j])
+    order = order[np.argsort(rank[order])]
+    W = W[np.ix_(order, order)]
     first = np.argmax(W > -np.inf, axis=1).tolist()  # first successor per row
     m = len(order)
     best = np.zeros(m)
@@ -577,13 +570,9 @@ def check_triangle_comparison(
             pv = mapped[v]
             pairs.append((u, v))
             lhs.append(block[a][b])
-            # ads_interval calls a pair running back in time past-directed
-            # or unrelated, and either compares against 0
-            if pu.t > pv.t:
-                rhs.append(0.0)
-            else:
-                res = ms.ads_interval(pu, pv)
-                rhs.append(res.tau if res.relation in (ms.TIMELIKE, ms.NULL) else 0.0)
+            # a pair running back in time compares against 0, and so does a
+            # forward pair that is not timelike: its tau is already 0
+            rhs.append(ms.ads_interval(pu, pv).tau if pu.t <= pv.t else 0.0)
     lhs, rhs = np.array(lhs), np.array(rhs)
     books = _Tally(tol)
     books.sweep(pairs, lhs, rhs, lhs - rhs, "tau exceeds comparison tau")

@@ -355,19 +355,9 @@ def parse_geodesic_file(raw: bytes):
 # ---------------------------------------------------------------- reports
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _violation_dict(v: cs.Violation) -> dict:
     return {
-        "pair": _jsonable(v.pair),
+        "pair": list(v.pair),
         "lhs": float(v.lhs),
         "rhs": float(v.rhs),
         "deficit": float(v.deficit),
@@ -450,24 +440,24 @@ def _side_chains(X, verts):
     )
 
 
-def _curvature_sample(X, seed, sample, min_sep, tol):
-    rng = _sample_rng(seed, sample)
-    verts = _draw_triangle(X, rng, min_sep)
+def _curvature_sample(X, rng, tol):
+    """(triangle report, monotonicity report) of one drawn triangle, or
+    None when no triangle is drawn."""
+    verts = _draw_triangle(X, rng, tol)
     if verts is None:
         return None
     chains = _side_chains(X, verts)
-    try:
-        triangle = cs.check_triangle_comparison(X, verts, chains, tol)
-        monotone = cs.check_monotonicity(X, verts[0], chains[0], chains[2], tol)
-    except SizeBoundError:
-        return "unrealizable"
-    return triangle, monotone
+    return (
+        cs.check_triangle_comparison(X, verts, chains, tol),
+        cs.check_monotonicity(X, verts[0], chains[0], chains[2], tol),
+    )
 
 
-def _subdivision_sample(X, seed, sample, min_sep, tol):
-    rng = _sample_rng(seed, sample)
+def _subdivision_sample(X, rng, tol):
+    """("across" or "future", report) of one drawn subdivision, or None
+    when none is drawn."""
     for _ in range(DRAW_TRIES):
-        verts = _draw_triangle(X, rng, min_sep)
+        verts = _draw_triangle(X, rng, tol)
         if verts is None:
             return None
         chains = _side_chains(X, verts)
@@ -478,14 +468,8 @@ def _subdivision_sample(X, seed, sample, min_sep, tol):
             if not interior:
                 continue
             p = int(interior[int(rng.integers(0, len(interior)))])
-            try:
-                return attempt, cs.check_subdivision(X, verts, chains, p, attempt, tol)
-            except SizeBoundError:
-                return "unrealizable"
+            return attempt, cs.check_subdivision(X, verts, chains, p, attempt, tol)
     return None
-
-
-# ---------------------------------------------------------------- commands
 
 
 def _effective_tol_disc(options, X: cs.FiniteCausalSpace) -> float:
@@ -496,6 +480,34 @@ def _effective_tol_disc(options, X: cs.FiniteCausalSpace) -> float:
     if gaps.size == 0:
         return options.tol_exact
     return 2.0 * float(np.median(gaps))
+
+
+def _sweep(X, options, sample):
+    """Run sample(X, rng, tol) for every sample index, in order.
+
+    tol is the effective --tol-disc, which also bounds the sides a
+    triangle is drawn with from below; each sample reads its own stream
+    _sample_rng(seed, k).  Returns (tol, results, counts): the results
+    of the samples that drew, and counts of the others, "unrealizable"
+    for a SizeBoundError and "undrawn" for a None.
+    """
+    tol = _effective_tol_disc(options, X)
+    results = []
+    counts = {"unrealizable": 0, "undrawn": 0}
+    for k in range(options.samples):
+        try:
+            result = sample(X, _sample_rng(options.seed, k), tol)
+        except SizeBoundError:
+            counts["unrealizable"] += 1
+            continue
+        if result is None:
+            counts["undrawn"] += 1
+        else:
+            results.append(result)
+    return tol, results, counts
+
+
+# ---------------------------------------------------------------- commands
 
 
 def _materialize(parsed: SpaceFile, options) -> cs.FiniteCausalSpace:
@@ -533,48 +545,34 @@ def _cmd_myers(X, options):
 
 
 def _cmd_curvature(X, options):
-    tol = _effective_tol_disc(options, X)
-    results = [
-        _curvature_sample(X, options.seed, k, tol, tol) for k in range(options.samples)
-    ]
-    drawn = [r for r in results if isinstance(r, tuple)]
-    unrealizable = sum(1 for r in results if r == "unrealizable")
-    triangle = cs.merge_reports([r[0] for r in drawn])
-    monotone = cs.merge_reports([r[1] for r in drawn])
-    extra = {
-        "tol": tol,
-        "triangles": len(drawn),
-        "triangles_violated": sum(1 for r in drawn if r[0].violation_count > 0),
-        "unrealizable": unrealizable,
-        "undrawn": int(options.samples - len(drawn) - unrealizable),
-    }
+    tol, results, counts = _sweep(X, options, _curvature_sample)
+    triangle = cs.merge_reports([r[0] for r in results])
+    monotone = cs.merge_reports([r[1] for r in results])
     checks = [
-        _check_dict("triangle_comparison", triangle, **extra),
+        _check_dict(
+            "triangle_comparison",
+            triangle,
+            tol=tol,
+            triangles=len(results),
+            triangles_violated=sum(1 for r in results if r[0].violation_count > 0),
+            **counts,
+        ),
         _check_dict("monotonicity", monotone, tol=tol),
     ]
     return checks, triangle.checked + monotone.checked
 
 
 def _cmd_subdivide(X, options):
-    tol = _effective_tol_disc(options, X)
-    results = [
-        _subdivision_sample(X, options.seed, k, tol, tol) for k in range(options.samples)
-    ]
-    drawn = [r for r in results if isinstance(r, tuple)]
-    unrealizable = sum(1 for r in results if r == "unrealizable")
+    tol, results, counts = _sweep(X, options, _subdivision_sample)
     checks = []
     for which in ("across", "future"):
-        rep = cs.merge_reports([r[1] for r in drawn if r[0] == which])
+        reps = [rep for attempt, rep in results if attempt == which]
         checks.append(
             _check_dict(
-                f"subdivision_{which}",
-                rep,
-                tol=tol,
-                triangles=sum(1 for r in drawn if r[0] == which),
+                f"subdivision_{which}", cs.merge_reports(reps), tol=tol, triangles=len(reps)
             )
         )
-    checks[0]["unrealizable"] = unrealizable
-    checks[0]["undrawn"] = int(options.samples - len(drawn) - unrealizable)
+    checks[0].update(counts)
     return checks, sum(c["checked"] for c in checks)
 
 

@@ -39,9 +39,6 @@ LINE_TOL = 1e-6
 # parallel distances at or below this are treated as zero when grouping
 ZERO_C = 1e-9
 
-# slack allowed between a line's value and pi minus twice its edge margin
-SPAN_TOL = 1e-9
-
 # a longest chain shorter than this is no usable line
 MIN_VALUE = 2.0
 
@@ -62,13 +59,11 @@ class LineSample:
 
     indices lists the sample points in time order; params holds their
     time coordinates, strictly increasing with increments equal to the
-    pairwise time separations; delta is the edge margin, so the params
-    span an interval of length pi - 2 delta inside (-pi/2, pi/2).
+    pairwise time separations, all inside (-pi/2, pi/2).
     """
 
     indices: tuple
     params: tuple
-    delta: float
 
     def __post_init__(self):
         indices = tuple(int(k) for k in self.indices)
@@ -83,17 +78,8 @@ class LineSample:
             raise ParameterError("line params must be strictly increasing")
         if not (-ms.HALF_PI < params[0] and params[-1] < ms.HALF_PI):
             raise ParameterError("line params must lie inside (-pi/2, pi/2)")
-        delta = float(self.delta)
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ParameterError(f"edge margin delta = {delta!r} must be positive")
-        span = params[-1] - params[0]
-        if abs(span - (math.pi - 2.0 * delta)) > SPAN_TOL:
-            raise ParameterError(
-                f"span {span!r} is inconsistent with edge margin {delta!r}"
-            )
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "delta", delta)
 
     @property
     def size(self) -> int:
@@ -134,8 +120,8 @@ class SplittingResult:
 def line_from_chain(X: cs.FiniteCausalSpace, chain: cs.Chain) -> LineSample:
     """Line sample from a timelike chain, centered so params are symmetric.
 
-    The chain value fixes the edge margin delta = (pi - value) / 2; a
-    chain at least pi long cannot fit inside the strip.
+    The params run from -value / 2 to value / 2; a chain at least pi
+    long cannot fit inside the strip.
     """
     value = chain.value
     if not value < math.pi:
@@ -143,11 +129,7 @@ def line_from_chain(X: cs.FiniteCausalSpace, chain: cs.Chain) -> LineSample:
     if any(b - a <= 0.0 for a, b in zip(chain.params, chain.params[1:])):
         raise ChainError("chain contains a null step and cannot be a line sample")
     half = value / 2.0
-    line = LineSample(
-        chain.indices,
-        tuple(q - half for q in chain.params),
-        (math.pi - value) / 2.0,
-    )
+    line = LineSample(chain.indices, tuple(q - half for q in chain.params))
     _require_line(X, line, "chain")
     return line
 
@@ -408,7 +390,7 @@ def _chain_into_line(X: cs.FiniteCausalSpace, members, th) -> LineSample:
     span = params[-1] - params[0]
     if not span < math.pi:
         raise ConvergenceError(f"selected points span {span!r}, at least pi")
-    return LineSample(tuple(order), params, (math.pi - span) / 2.0)
+    return LineSample(tuple(order), params)
 
 
 def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edge_cos):

@@ -465,6 +465,27 @@ def test_reports_are_identical_across_worker_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("fixture, code, across, future, unrealizable", [
+    ("ads_diamond_81.json", 0, 3, 2, 0),
+    ("flat_strip.json", 1, 2, 2, 1),
+])
+def test_subdivide_reports_its_triangles(tmp_path, fixture, code, across, future, unrealizable):
+    outs = []
+    for jobs in ("1", "8"):
+        out = tmp_path / f"subdivide_{jobs}.json"
+        assert run_cli("subdivide", FIXTURES / fixture, out,
+                       "--samples", "5", "--seed", "0", "--jobs", jobs) == code
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["verdict"] is (code == 0)
+    first, second = report["checks"]
+    assert (first["name"], second["name"]) == ("subdivision_across", "subdivision_future")
+    assert (first["triangles"], second["triangles"]) == (across, future)
+    assert (first["unrealizable"], first["undrawn"]) == (unrealizable, 0)
+    assert report["timings"]["work_units"] == first["checked"] + second["checked"]
+
+
 def test_curvature_without_coords_matches_the_golden_checks(tmp_path):
     # the chains then follow the past-size order, not the time order
     doc = json.loads((FIXTURES / "ads_diamond_81.json").read_text())
