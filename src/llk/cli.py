@@ -217,8 +217,8 @@ def _parse_warping(doc):
             if not isinstance(knots, list) or not isinstance(values, list):
                 _fail("warping", "table warping needs knots and values lists")
             return wp.table_warping(
-                [_number(v, f"warping.knots[{k}]") for k, v in enumerate(knots)],
-                [_number(v, f"warping.values[{k}]") for k, v in enumerate(values)],
+                _entries(knots, "warping.knots", _number),
+                _entries(values, "warping.values", _number),
             )
     except StructuralError as exc:
         _fail("warping", str(exc))
@@ -239,7 +239,7 @@ def _parse_suspension_request(doc) -> SpaceFile:
     grid_doc = doc.get("t_grid")
     if not isinstance(grid_doc, list) or not grid_doc:
         _fail("t_grid", "expected a nonempty list of times")
-    t_grid = tuple(_number(v, f"t_grid[{k}]") for k, v in enumerate(grid_doc))
+    t_grid = tuple(_entries(grid_doc, "t_grid", _number))
     return SpaceFile(
         kind="suspension_request", warping=warping, base=base, t_grid=t_grid
     )

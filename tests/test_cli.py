@@ -209,6 +209,48 @@ def test_entry_errors_name_the_first_bad_entry(doc, message):
     assert str(err.value) == message
 
 
+def table_request_doc():
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    knots = [-1.5 + 0.75 * k for k in range(5)]
+    doc["warping"] = {"kind": "table", "knots": knots, "values": [1.0] * 5}
+    return doc
+
+
+def bad_knot_doc():
+    doc = table_request_doc()
+    doc["warping"]["knots"][3] = "x"
+    doc["warping"]["knots"][4] = None
+    return doc_bytes(doc)
+
+
+def bad_value_doc():
+    doc = table_request_doc()
+    doc["warping"]["values"][2] = True
+    return doc_bytes(doc)
+
+
+def bad_grid_doc():
+    # 1e400 reads as inf, which only the number check rejects
+    doc = table_request_doc()
+    doc["t_grid"][4] = 12345.5
+    doc["t_grid"][6] = "late"
+    return doc_bytes(doc).replace(b"12345.5", b"1e400")
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (bad_knot_doc(), "warping: warping.knots[3]: expected a number, got 'x'"),
+        (bad_value_doc(), "warping: warping.values[2]: expected a number, got True"),
+        (bad_grid_doc(), "t_grid[4]: non-finite number outside the null (+inf) encoding"),
+    ],
+)
+def test_request_entry_errors_name_the_first_bad_entry(raw, message):
+    with pytest.raises(StructuralError) as err:
+        cli.parse_space_file(raw)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [

@@ -69,9 +69,14 @@ def reference_table_tau(f, lo, hi, dx):
         return hi - lo
     w, f0, f1 = wp._table_pieces(f, lo, hi)
     span = w * (f0 + f1)
+    reach = wp.null_offset(f, lo, hi)
+
+    def radius(fv, p):
+        # unscaled: the solver's power-of-two units change no bit here
+        return np.sqrt(fv * fv + p * p)
 
     def displacement(p):
-        r0, r1 = np.hypot(f0, p), np.hypot(f1, p)
+        r0, r1 = radius(f0, p), radius(f1, p)
         q = p / (f0 * f1 * (r0 + r1))
         v = q * (f1 - f0) * (f0 + f1)
         flat = v == 0.0
@@ -79,7 +84,10 @@ def reference_table_tau(f, lo, hi, dx):
         gap = float(np.sum(q * span * shrink)) - dx
         return gap, float(np.sum(span / (r0 * r1 * (r0 + r1))))
 
-    p, p_lo, p_hi = 0.0, 0.0, math.inf
+    # the root for the constant warping with the same null offset
+    rho = dx / reach
+    p = (hi - lo) / reach * rho / math.sqrt((1.0 - rho) * (1.0 + rho))
+    p_lo, p_hi = 0.0, math.inf
     for _ in range(200):
         gap, slope = displacement(p)
         if gap == 0.0:
@@ -96,7 +104,7 @@ def reference_table_tau(f, lo, hi, dx):
             break
     else:
         raise AssertionError(f"reference solve for {dx!r} did not converge")
-    return float(np.sum(span / (np.hypot(f0, p) + np.hypot(f1, p))))
+    return float(np.sum(span / (radius(f0, p) + radius(f1, p))))
 
 
 def reference_table_sample(f, S, grid):
@@ -486,6 +494,47 @@ def test_table_solver_reports_a_lane_that_does_not_converge(monkeypatch):
         wp.sample_warped_product(f, circle_space(4, 2.0), [-0.5, 0.5])
 
 
+@pytest.mark.parametrize("power", [600, -600])
+def test_table_separations_scale_with_the_table(power):
+    # t = mu s maps I x_f S onto mu (I/mu x_{f(mu s)/mu} S): scaling knots,
+    # values and times by mu scales every tau by mu and keeps the relation;
+    # at 2^600 a square of f overflows, at 2^-600 it underflows
+    mu = math.ldexp(1.0, power)
+    f = cos_power_table(33)
+    S = jittered_circle_net(1)
+    X = wp.sample_warped_product(f, S, BENCH_GRID)
+    g = wp.table_warping(np.array(f.knots) * mu, np.array(f.values) * mu)
+    Y = wp.sample_warped_product(g, S, BENCH_GRID * mu)
+    assert np.array_equal(Y.leq, X.leq)
+    assert np.all(np.abs(Y.tau / mu - X.tau) <= 4 * np.finfo(float).eps * X.tau)
+
+
+FLAT_GRID = np.linspace(0.05, 3.95, 7)
+
+
+def flat_table():
+    return wp.table_warping(np.linspace(0.0, 4.0, 9), np.ones(9))
+
+
+def test_flat_table_matches_the_constant_warping():
+    S = jittered_circle_net(3)
+    X = wp.sample_warped_product(flat_table(), S, FLAT_GRID)
+    Y = wp.sample_warped_product(wp.constant_warping(1.0, (0.0, 4.0)), S, FLAT_GRID)
+    assert np.array_equal(X.leq, Y.leq)
+    t = X.coords[:, 0]
+    elapsed = np.abs(t[None, :] - t[:, None])
+    assert np.all(np.abs(X.tau - Y.tau) <= 4 * np.finfo(float).eps * elapsed)
+
+
+def test_flat_table_solver_starts_at_the_root(monkeypatch):
+    # from the constant warping's root the first step is below rounding
+    S = jittered_circle_net(3)
+    whole = wp.sample_warped_product(flat_table(), S, FLAT_GRID)
+    monkeypatch.setattr(wp, "_MAX_STEPS", 2)
+    capped = wp.sample_warped_product(flat_table(), S, FLAT_GRID)
+    assert np.array_equal(capped.tau, whole.tau)
+
+
 def test_separation_rejects_time_outside_interval():
     f = wp.constant_warping(1.0, (0.0, 1.0))
     with pytest.raises(DomainError):
@@ -562,8 +611,7 @@ def test_batched_table_sample_matches_scalar_reference_off_cos():
     # f'' + f changes sign for cos^1.5, and the flat table has no slope
     S = jittered_circle_net(3)
     assert_matches_reference(cos_power_table(65, 1.5), S, BENCH_GRID)
-    flat = wp.table_warping(np.linspace(0.0, 4.0, 9), np.ones(9))
-    assert_matches_reference(flat, S, np.linspace(0.05, 3.95, 7))
+    assert_matches_reference(flat_table(), S, FLAT_GRID)
     assert_matches_reference(mixed_table(), S, BENCH_GRID)
 
 
