@@ -47,6 +47,10 @@ VIOLATION_CAP = 200
 # per hop, so collared chains still count as maximizing at eps 0.
 RECON_COLLAR = 1e-12
 
+# The chain index works in row blocks of about this many cells, so its
+# only n x n float64 array is W itself, even for a space stored out of order.
+_INDEX_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -177,15 +181,32 @@ class FiniteCausalSpace:
     def _chain_index(self):
         """Topological order of the whole space for longest_chain.
 
-        Returns (rank, W), both in the stored point order: rank[k] is the
-        place of point k when the points are sorted by time if coords
-        exist and that order respects leq, else by the size of their
-        causal past, ties by index; W is tau, -inf off leq and on the
-        diagonal.  The past grows strictly along every strict relation of
-        a partial order, so a past-size order that breaks leq means a
-        cycle or a relation that is not transitive, and raises
-        CausalityError.  Built on the first chain and kept: one n-by-n
-        float64 matrix per space, whatever the stored order.
+        Returns (rank, byrank, W, heads, ends).  rank[k] is the place of
+        point k when the points are sorted by time if coords exist and
+        that order respects leq, else by the size of their causal past,
+        ties by index; byrank is its inverse, the stored index of the
+        point at each place.  The past grows strictly along every strict
+        relation of a partial order, so a past-size order that breaks
+        leq means a cycle or a relation that is not transitive, and
+        raises CausalityError.
+
+        W is tau in rank order, -inf off leq and on the diagonal, so
+        every row's successors lie to its right.  A space stored in rank
+        order, as every sampled suspension is, fills W straight from its
+        matrices; any other is permuted once, in row blocks of about
+        _INDEX_CELLS cells, so the index peaks at one n-by-n float64
+        matrix either way.  heads holds, for each place, the first place
+        of its antichain run of the whole order.  The runs are found
+        walking down from the top: a run grows while its next row has no
+        successor inside it, so no row of a run depends on another.
+
+        ends caches the dynamic program of longest_chain: for an end
+        place e, [done, best] with best[r] the longest value of a path of
+        leq hops from place r to e, -inf where there is none, filled for
+        done <= r <= e.  It holds at most one float array of e + 1
+        entries per distinct end, n (n + 1) / 2 floats when every point
+        ends a chain, half of W.  Built on the first chain and kept with
+        the space; split drops it with the index once find_line returns.
         """
         n = self.size
 
@@ -195,16 +216,38 @@ class FiniteCausalSpace:
             yield self.leq.sum(axis=0)
 
         for key in keys():
+            byrank = np.lexsort((np.arange(n), key))
             rank = np.empty(n, dtype=int)
-            rank[np.lexsort((np.arange(n), key))] = np.arange(n)
+            rank[byrank] = np.arange(n)
             if not (self.leq & (rank[:, None] > rank[None, :])).any():
                 break
         else:
             raise CausalityError("leq has a cycle among distinct points or is not transitive")
-        W = np.where(self.leq, self.tau, -np.inf)
+        step = max(1, _INDEX_CELLS // n)
+        if np.array_equal(byrank, np.arange(n)):
+            W = np.where(self.leq, self.tau, -np.inf)
+        else:
+            W = np.empty((n, n))
+            for lo in range(0, n, step):
+                rows = byrank[lo:lo + step]
+                block = np.where(self.leq[rows], self.tau[rows], -np.inf)
+                np.take(block, byrank, axis=1, out=W[lo:lo + step])
         np.fill_diagonal(W, -np.inf)
         W.setflags(write=False)
-        return rank, W
+        first = np.empty(n, dtype=int)  # first successor of each row, n for none
+        for lo in range(0, n, step):
+            related = W[lo:lo + step] > -np.inf
+            first[lo:lo + step] = np.where(related.any(axis=1), related.argmax(axis=1), n)
+        first = first.tolist()
+        heads = [0] * n
+        hi = n
+        while hi > 0:
+            lo = hi - 1
+            while lo > 0 and first[lo - 1] >= hi:
+                lo -= 1
+            heads[lo:hi] = [lo] * (hi - lo)
+            hi = lo
+        return rank, byrank, W, heads, {}
 
     def relation(self, i: int, j: int) -> str:
         """Relation string of the ordered pair, matching the model-space
@@ -399,31 +442,38 @@ def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonRepo
 def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     """Chain from i to j maximizing the summed time separation.
 
-    Dynamic programming over a topological order of the causal interval
-    [i, j], in which i comes first and j last.  W holds tau on the
-    strictly related pairs and -inf elsewhere; best[r] is the value of
-    the longest chain from row r to j.  Walking down from j, consecutive
-    rows none of which has a successor inside their own run form an
-    antichain block, and each block takes its best in one reduction over
-    the rows already done.  Every candidate is the single sum
-    tau(r, s) + best[s] and max is exact, so the values do not depend on
-    how the rows are blocked.  Ties (within a rounding collar, since
-    floating sums along a realizer drift by an ulp per hop) break toward
-    the achieving point that comes first in the order, never by input
-    index, so the chain walks through every point lying on a realizer
-    whatever the point labelling.  The value never exceeds tau(i, j) on
-    a space satisfying the reverse triangle inequality, up to the same
-    collar.
+    Dynamic programming over the space's chain index
+    (FiniteCausalSpace._chain_index), built on the first chain: one
+    topological order of the whole space, by time or else by past size,
+    with W, tau on the strictly related pairs and -inf elsewhere, stored
+    in that order.  best[r] is the value of the longest path of leq hops
+    from place r to the place of j.  It is filled from the top down one
+    antichain run of the index at a time, each run in one reduction over
+    contiguous rows of W against the places already done, and cached per
+    end point: a later chain to j that starts further down extends the
+    same array through the runs in between, finishing a run that an
+    earlier start cut.  Every candidate is the single sum
+    tau(r, s) + best[s] and max is exact, so the values do not depend
+    on how the rows are blocked or which chains warmed the cache.
 
-    The interval is the points k with i <= k <= j, sorted by the rank of
-    the space's chain index (FiniteCausalSpace._chain_index), built on
-    the first call: one topological order of the whole space, by time or
-    else by past size, which puts i first and j last.  W is gathered from
-    the index's W, tau in the stored order.  It costs one n-by-n float64
-    matrix per space that takes chains: curvature and
-    subdivide keep it, and split drops it once find_line, its only
-    chain, returns.  A relation that no such order respects, one with a
-    cycle or not transitive, raises CausalityError.
+    The walk from i takes, at each place r, the first place s in the
+    order with tau(r, s) + best[s] within a rounding collar of best[r]
+    (floating sums along a realizer drift by an ulp per hop), never the
+    first by input index, so the chain walks through every point lying
+    on a realizer whatever the point labelling.  The value never exceeds
+    tau(i, j) on a space satisfying the reverse triangle inequality, up
+    to the same collar.
+
+    On a transitive relation every path from i to j stays in the
+    interval i <= k <= j, so the chain is the longest chain of that
+    interval.  On a relation that is not transitive, which validate_space
+    reports, it is the longest path of leq hops, which may leave the
+    interval.  When neither order of the index respects leq, which takes
+    a cycle or a relation that is not transitive, the index raises
+    CausalityError.  The index costs one n-by-n float64 matrix
+    per space that takes chains, and its cache at most half as much
+    again: curvature and subdivide keep both, and split drops them once
+    find_line, its only chain, returns.
     """
     n = X.size
     for name, v in (("i", i), ("j", j)):
@@ -433,29 +483,30 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
         raise ChainError(f"points {i} and {j} are not causally related")
     if i == j:
         return Chain((i,), (0.0,))
-    rank, W = X._chain_index
-    order = np.flatnonzero(X.leq[i] & X.leq[:, j])
-    order = order[np.argsort(rank[order])]
-    W = W[np.ix_(order, order)]
-    first = np.argmax(W > -np.inf, axis=1).tolist()  # first successor per row
-    m = len(order)
-    best = np.zeros(m)
-    hi = m - 1
-    # -inf + inf is NaN on an unrelated pair in front of an infinite best;
-    # fmax skips it, and every row has the finite-or-inf candidate via j.
+    rank, byrank, W, heads, ends = X._chain_index
+    r, e = int(rank[i]), int(rank[j])
+    entry = ends.get(e)
+    if entry is None:
+        best = np.empty(e + 1)
+        best[e] = 0.0
+        entry = ends[e] = [e, best]
+    done, best = entry
+    indices, params = [int(i)], [0.0]
+    # -inf + inf is NaN on an unrelated pair in front of an infinite best:
+    # fmax skips it, every row keeps the -inf, finite or inf candidate of
+    # place e itself, and the walk never takes it
     with np.errstate(invalid="ignore"):
-        while hi > 0:
-            lo = hi - 1
-            while lo > 0 and first[lo - 1] >= hi:
-                lo -= 1
-            best[lo:hi] = np.fmax.reduce(W[lo:hi, hi:] + best[hi:], axis=1)
+        hi = done
+        while hi > r:
+            lo = max(heads[hi - 1], r)
+            np.fmax.reduce(W[lo:hi, hi:e + 1] + best[hi:], axis=1, out=best[lo:hi])
             hi = lo
-        indices, params = [int(i)], [0.0]
-        r = 0
-        while r != m - 1:
-            s = int(np.argmax(W[r] + best >= best[r] - RECON_COLLAR))
+        entry[0] = min(done, r)
+        while r != e:
+            ahead = W[r, r + 1:e + 1] + best[r + 1:]
+            s = r + 1 + int(np.argmax(ahead >= best[r] - RECON_COLLAR))
             params.append(params[-1] + float(W[r, s]))
-            indices.append(int(order[s]))
+            indices.append(int(byrank[s]))
             r = s
     return Chain(tuple(indices), tuple(params))
 

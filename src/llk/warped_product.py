@@ -209,18 +209,24 @@ def null_offset(f: WarpingSpec, t0: float, t1: float) -> float:
         return ms.conformal_time(t1) - ms.conformal_time(t0)
     if f.kind == CONSTANT:
         return (t1 - t0) / f.value
-    w, f0, f1 = _table_pieces(f, t0, t1)
+    return _table_reach(_table_pieces(f, t0, t1))
+
+
+def _table_reach(pieces) -> float:
+    """Null offset across the linear pieces (w, f0, f1) of a table."""
+    w, f0, f1 = pieces
     u = (f1 - f0) / f0
     flat = u == 0.0
     ratio = np.where(flat, 1.0, np.log1p(u) / np.where(flat, 1.0, u))
     return float(np.sum(w / f0 * ratio))
 
 
-def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray, reach: float) -> np.ndarray:
+def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarray:
     """Time separations over a table warping, one per base displacement
     in dx, from the geodesic whose conserved quantity p = f^2 x' carries
-    it across that displacement; reach is the null offset from lo to hi,
-    and every dx must lie short of it.
+    it across that displacement.  pieces are the (w, f0, f1) of the table
+    from time lo to hi = lo + elapsed, reach is the null offset across
+    them, and every dx must lie short of it.
 
     On a linear piece of width w from f0 to f1, with r = sqrt(f^2 + p^2)
     and q = p / (f0 f1 (r0 + r1)), the integrals along the geodesic are
@@ -259,11 +265,11 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray, reach: floa
     holds.  Each lane's sums run along a contiguous row, so a lane's
     result does not depend on which other lanes share the solve.
     """
-    tau = np.full(len(dx), hi - lo)
+    tau = np.full(len(dx), elapsed)
     lanes = np.flatnonzero(dx != 0.0)
     if not lanes.size:
         return tau
-    w, f0, f1 = _table_pieces(f, lo, hi)
+    w, f0, f1 = pieces
     # capped so that a table of subnormal values still has a finite scale
     scale = math.ldexp(1.0, min(-math.frexp(max(f0.max(), f1.max()))[1], 1022))
     w, f0, f1 = w * scale, f0 * scale, f1 * scale
@@ -271,7 +277,7 @@ def _table_tau(f: WarpingSpec, lo: float, hi: float, dx: np.ndarray, reach: floa
     span = w * total
     ends = np.append(f0, f1[-1])
     squares = ends * ends
-    fbar = (hi - lo) * scale / reach
+    fbar = elapsed * scale / reach
     block = max(1, _SOLVE_CELLS // len(w))
     rows = min(block, lanes.size)
     knot_buf = np.empty((rows, len(ends)))
@@ -386,10 +392,12 @@ def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
     leq = np.zeros((len(g), len(dists)), dtype=bool)
     tau = np.zeros((len(g), len(dists)))
     for b in range(a, len(g)):
-        reach = null_offset(f, grid[a], grid[b])
+        # one set of pieces per time pair serves the reach and the solve
+        pieces = _table_pieces(f, grid[a], grid[b])
+        reach = _table_reach(pieces)
         leq[b] = dists <= reach + NULL_BAND
         timelike = dists < reach - NULL_BAND
-        tau[b, timelike] = _table_tau(f, grid[a], grid[b], dists[timelike], reach)
+        tau[b, timelike] = _table_tau(pieces, grid[b] - grid[a], dists[timelike], reach)
     return leq, tau
 
 

@@ -10,6 +10,8 @@ constant-warping strip must violate it.
 import heapq
 import itertools
 import math
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -591,15 +593,17 @@ def kahn_order(leq, nodes):
     return np.array(order, dtype=int)
 
 
-def reference_longest_chain(X, i, j):
+def reference_longest_chain(X, i, j, paths=False):
     """The per-node DP that longest_chain replaced, kept as its oracle:
     one masked max per point of the interval, walking down a topological
     order of the interval alone (by time when coords respect leq there,
     else Kahn's), and the earliest achiever in that order on
-    reconstruction."""
+    reconstruction.  With paths, the nodes are the whole space, so the
+    chain is the longest path of leq hops, which leaves the interval
+    only where leq is not transitive."""
     if i == j:
         return cs.Chain((i,), (0.0,))
-    nodes = np.nonzero(X.leq[i] & X.leq[:, j])[0]
+    nodes = np.arange(X.size) if paths else np.nonzero(X.leq[i] & X.leq[:, j])[0]
     order = None
     if X.coords is not None:
         order = nodes[np.lexsort((nodes, X.coords[nodes, 0]))]
@@ -728,9 +732,13 @@ def test_longest_chain_equals_per_node_reference(space, variant):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got.append(cs.longest_chain(X, a, b))
-        assert got[-1] == reference_longest_chain(X, a, b), (a, b)
+        # a dropped leq entry breaks transitivity: chains are longest paths
+        expect = reference_longest_chain(X, a, b, paths=variant == "dropped-leq")
+        assert got[-1] == expect, (a, b)
     assert sum(len(ch.indices) > 2 for ch in got) >= 5
     assert any(math.isinf(ch.value) for ch in got) == (variant == "inf-tau")
+    left = [not (X.leq[a, ch.indices] & X.leq[ch.indices, b]).all() for (a, b), ch in zip(pairs, got)]
+    assert any(left) == (variant == "dropped-leq")
 
 
 def test_longest_chain_detects_cycles_behind_coordinates():
@@ -755,25 +763,179 @@ def sample_pairs(X, rng, count=40):
     return [(int(a), int(b)) for a, b in rel[rng.choice(len(rel), count, replace=False)]]
 
 
+def run_starts(W, heads):
+    """The first places of the runs that heads names, after checking that
+    they are the greedy antichain runs of W from the top: no row of a run
+    has a successor inside it, and the row below each run but the lowest
+    has one, so that run could not grow."""
+    n = len(W)
+    starts = np.unique(heads)
+    assert np.array_equal(heads, np.repeat(starts, np.diff([*starts, n])))
+    related = W > -np.inf
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        assert not related[lo:hi, lo:hi].any()
+        assert lo == 0 or related[lo - 1, lo:hi].any()
+    return starts
+
+
 def test_chain_index_reads_a_time_ordered_space_in_place():
     X = seeded_net_space(3, "cos")
-    rank, W = X._chain_index
+    rank, byrank, W, heads, ends = X._chain_index
     assert np.array_equal(rank, np.arange(X.size))
+    assert np.array_equal(byrank, np.arange(X.size))
     strict = X.leq & ~np.eye(X.size, dtype=bool)
     assert np.array_equal(W, np.where(strict, X.tau, -np.inf))
+    assert W.flags.c_contiguous and not W.flags.writeable
+    # every time level of the suspension is one run
+    assert np.array_equal(run_starts(W, heads), np.arange(0, X.size, 12))
+    assert ends == {}
 
 
 def test_chain_index_ranks_a_shuffled_space():
     # its chains are checked against the reference as the cos21-shuffled
-    # oracle space; the index ranks the points and keeps W in their
-    # stored order
+    # oracle space; the index ranks the points and keeps W in rank order
     X = shuffled_cos_space()
-    rank, W = X._chain_index
+    rank, byrank, W, heads, _ = X._chain_index
     perm = np.lexsort((np.arange(X.size), X.coords[:, 0]))
     assert not np.array_equal(perm, np.arange(X.size))
+    assert np.array_equal(byrank, perm)
     assert np.array_equal(rank[perm], np.arange(X.size))
     strict = X.leq & ~np.eye(X.size, dtype=bool)
-    assert np.array_equal(W, np.where(strict, X.tau, -np.inf))
+    assert np.array_equal(W, np.where(strict, X.tau, -np.inf)[np.ix_(perm, perm)])
+    assert W.flags.c_contiguous and not W.flags.writeable
+    assert np.array_equal(run_starts(W, heads), np.arange(0, X.size, 12))
+
+
+def test_longest_chain_extends_the_cache_of_its_end_point():
+    X = seeded_net_space(3, "cos")
+    rank, _, _, _, ends = X._chain_index
+    e = X.index("c05@20")
+    # the chains walk the fiber of c05; the first start sits inside the
+    # run of its time level, so the second chain finishes that run before
+    # it goes further down
+    first, second = X.index("c05@10"), X.index("c05@2")
+    assert rank[first] % 12 == 5
+    a = cs.longest_chain(X, first, e)
+    assert list(ends) == [rank[e]] and ends[rank[e]][0] == rank[first]
+    cached = ends[rank[e]][1]
+    b = cs.longest_chain(X, second, e)
+    assert list(ends) == [rank[e]] and ends[rank[e]][0] == rank[second]
+    assert ends[rank[e]][1] is cached
+    assert len(b.indices) > len(a.indices) > 2
+    for i, chain in ((first, a), (second, b)):
+        cold = cs.FiniteCausalSpace(X.labels, X.tau, X.leq, X.coords)
+        assert cs.longest_chain(cold, i, e) == chain
+        assert cs.longest_chain(X, i, e) == chain
+    # every row of the extended array, the cut run's included, is the
+    # one a single cold fill from the lower start gives
+    low = rank[second]
+    assert np.array_equal(cached[low:], cold._chain_index[4][rank[e]][1][low:])
+
+
+def test_warm_chains_work_in_place():
+    # 972 points, as at --grid 81: warm chains gather no interval and
+    # form no n x n temporary, and the index and its cache stay within
+    # one and a half n x n float64 matrices
+    X = seeded_net_space(3, "cos", n_times=81)
+    n = X.size
+    pairs = sample_pairs(X, np.random.default_rng(1), 201)
+    cs.longest_chain(X, *pairs[0])
+    tracemalloc.start()
+    try:
+        for a, b in pairs[1:]:
+            cs.longest_chain(X, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the arrays the cache keeps are most of it
+    assert peak < n * n * 8 / 4
+    rank, byrank, W, heads, ends = X._chain_index
+    kept = rank.nbytes + byrank.nbytes + W.nbytes + sys.getsizeof(heads)
+    kept += sum(best.nbytes for _, best in ends.values())
+    assert kept <= 1.5 * n * n * 8
+
+
+def test_split_drops_the_chain_index():
+    X = suspension_space()
+    options = cli._build_parser().parse_args(["split", "--in", "x"])
+    checks, _ = cli._cmd_split(X, options)
+    assert checks[0]["verdict"]
+    assert "_chain_index" not in vars(X)
+
+
+def python_longest_path(X, i, j):
+    """Longest path of leq hops from i to j in plain Python: the points
+    in the chain index's order (time when coords respect leq, else past
+    size, ties by index), one max per point over its successors that
+    reach j, and the first achiever in that order within the collar."""
+    n = X.size
+    tau, leq = X.tau.tolist(), X.leq.tolist()
+    past = [sum(leq[a][b] for a in range(n)) for b in range(n)]
+    order = None
+    if X.coords is not None:
+        order = sorted(range(n), key=lambda k: (float(X.coords[k, 0]), k))
+        where = {k: p for p, k in enumerate(order)}
+        if any(leq[a][b] and where[a] > where[b] for a in range(n) for b in range(n)):
+            order = None
+    if order is None:
+        order = sorted(range(n), key=lambda k: (past[k], k))
+    where = {k: p for p, k in enumerate(order)}
+    between = order[where[i]:where[j] + 1]
+    best = {j: 0.0}
+    for r in reversed(between[:-1]):
+        values = [tau[r][s] + best[s] for s in between if s != r and leq[r][s] and s in best]
+        if values:
+            best[r] = max(values)
+    indices, params = [i], [0.0]
+    while indices[-1] != j:
+        r = indices[-1]
+        s = next(s for s in order[where[r] + 1:] if leq[r][s] and s in best
+                 and tau[r][s] + best[s] >= best[r] - cs.RECON_COLLAR)
+        indices.append(s)
+        params.append(params[-1] + tau[r][s])
+    return cs.Chain(tuple(indices), tuple(params))
+
+
+def random_dag_space(rng, n, closed, shuffled, timed):
+    """Points at tied integer times, edges only forward in time, closed
+    under transitivity or not; tau drawn from a few tied values, with
+    null (0) and infinite entries."""
+    t = np.sort(rng.integers(0, max(2, n // 2), size=n)).astype(float)
+    leq = (t[:, None] < t[None, :]) & (rng.random((n, n)) < rng.uniform(0.2, 0.7))
+    leq |= np.eye(n, dtype=bool)
+    if closed:
+        for k in range(n):
+            leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+    values = np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0, np.inf])
+    tau = np.where(leq, values[rng.integers(0, len(values), size=(n, n))], 0.0)
+    np.fill_diagonal(tau, 0.0)
+    perm = rng.permutation(n) if shuffled else np.arange(n)
+    coords = np.column_stack([t, np.zeros(n)])[perm] if timed else None
+    return cs.FiniteCausalSpace(
+        tuple(f"q{k}" for k in range(n)), tau[np.ix_(perm, perm)], leq[np.ix_(perm, perm)], coords
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=14),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_longest_chain_does_not_depend_on_the_warm_cache(seed, n, closed, shuffled, timed):
+    # without coords the past-size order is topological only on a
+    # transitive relation, so an open relation keeps its times
+    rng = np.random.default_rng(seed)
+    X = random_dag_space(rng, n, closed or not timed, shuffled, timed)
+    rel = np.argwhere(X.leq)
+    pairs = [tuple(int(v) for v in rel[k]) for k in rng.integers(0, len(rel), size=3 * n)]
+    for i, j in pairs:
+        got = cs.longest_chain(X, i, j)
+        cold = cs.FiniteCausalSpace(X.labels, X.tau, X.leq, X.coords)
+        assert got == cs.longest_chain(cold, i, j), (i, j)
+        assert got == python_longest_path(X, i, j), (i, j)
 
 
 def test_longest_chain_refuses_a_relation_that_is_not_transitive():
