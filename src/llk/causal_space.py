@@ -12,6 +12,13 @@ and violations, takes the worst deficit, keeps the first VIOLATION_CAP
 records in scan order and builds the ComparisonReport; merge_reports
 joins several reports under the same cap.
 
+Triangle comparison and angle monotonicity also run in batches, for a
+curvature sweep: triangle_audit and fan_audit make every check of one
+triangle that can raise, and check_triangle_comparisons and
+check_monotonicities compare many triangles in one array pass, keeping
+each triangle's books as a _Tally would (_books).  The one-triangle
+checkers are one-item calls of the batches.
+
 Conventions: tau(i, j) is the forward time separation and is 0 whenever
 i is not below j; leq is reflexive; coords, when present, store a time
 coordinate in column 0 that is isotone for the relation.
@@ -23,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +38,6 @@ from . import model_space as ms
 from .errors import (
     CausalityError,
     ChainError,
-    GeometryError,
     ParameterError,
     SizeBoundError,
     StructuralError,
@@ -580,22 +587,42 @@ def _stale_check(X, chains, pairs, eps):
             )
 
 
-def check_triangle_comparison(
-    X: FiniteCausalSpace, verts, chains, tol: float, eps: float = None
-) -> ComparisonReport:
-    """Triangle comparison of a chained timelike triangle against the model.
+class TriangleAudit(NamedTuple):
+    """A chained triangle mapped into its comparison triangle, as
+    triangle_audit leaves it for check_triangle_comparisons: the chain
+    points in index order, the coordinates t and x of their comparison
+    points, and the notes of the report."""
 
-    Realizes the comparison triangle for the chain values, maps every
-    chain point to its comparison point by cumulative parameter, and for
-    every ordered pair of mapped points checks the curvature bound
-    tau(u, v) <= tau_bar(u_bar, v_bar) + tol.  The reversed inequality
-    is tallied in the excess fields so a curvature-above audit can read
-    the same sweep.  Chains must be eps-maximizing against tau.
-    """
+    keys: list
+    t: list
+    x: list
+    notes: tuple
+
+    @property
+    def cells(self) -> int:
+        return len(self.keys) ** 2
+
+
+class FanAudit(NamedTuple):
+    """Two future chains from a common vertex, as fan_audit leaves them
+    for check_monotonicities: the vertex and the points of each chain
+    after it."""
+
+    vertex: int
+    alpha: tuple
+    beta: tuple
+
+    @property
+    def cells(self) -> int:
+        return len(self.alpha) * len(self.beta)
+
+
+def triangle_audit(X: FiniteCausalSpace, verts, chains, eps: float) -> TriangleAudit:
+    """The part of check_triangle_comparison that can raise: the input
+    checks, the staleness check against eps, the realization of the
+    comparison triangle, and the comparison point of every chain point."""
     i, j, k = _check_triangle_inputs(X, verts, chains)
     c12, c23, c13 = chains
-    if eps is None:
-        eps = tol
     _stale_check(X, chains, ((i, j), (j, k), (i, k)), eps)
     a12, a23 = c12.value, c23.value
     tri, a13, clamp_note = _realize_clamped(a12, a23, c13.value, eps + _drift(c13))
@@ -611,39 +638,138 @@ def check_triangle_comparison(
             if idx not in mapped:
                 mapped[idx] = ms.comparison_point(tri, side, s * scale)
     keys = sorted(mapped)
-    block = X.tau[keys][:, keys].tolist()
-    pairs, lhs, rhs = [], [], []
-    for a, u in enumerate(keys):
-        pu = mapped[u]
-        for b, v in enumerate(keys):
-            if a == b:
-                continue
-            pv = mapped[v]
-            pairs.append((u, v))
-            lhs.append(block[a][b])
-            # a pair running back in time compares against 0, and so does a
-            # forward pair that is not timelike: its tau is already 0
-            rhs.append(ms.ads_interval(pu, pv).tau if pu.t <= pv.t else 0.0)
-    lhs, rhs = np.array(lhs), np.array(rhs)
-    books = _Tally(tol)
-    books.sweep(pairs, lhs, rhs, lhs - rhs, "tau exceeds comparison tau")
-    excess = rhs - lhs
-    return books.report(
-        max_excess=max(0.0, float(np.fmax.reduce(excess, initial=-np.inf))),
-        excess_count=int(np.count_nonzero(excess > tol)),
-        notes=tuple(notes),
+    points = [mapped[u] for u in keys]
+    return TriangleAudit(keys, [p.t for p in points], [p.x for p in points], tuple(notes))
+
+
+def check_triangle_comparison(
+    X: FiniteCausalSpace, verts, chains, tol: float, eps: float = None
+) -> ComparisonReport:
+    """Triangle comparison of a chained timelike triangle against the model.
+
+    Realizes the comparison triangle for the chain values, maps every
+    chain point to its comparison point by cumulative parameter, and for
+    every ordered pair of mapped points checks the curvature bound
+    tau(u, v) <= tau_bar(u_bar, v_bar) + tol.  The reversed inequality
+    is tallied in the excess fields so a curvature-above audit can read
+    the same sweep.  Chains must be eps-maximizing against tau.  One
+    triangle through triangle_audit and check_triangle_comparisons.
+    """
+    audit = triangle_audit(X, verts, chains, tol if eps is None else eps)
+    return check_triangle_comparisons(X, [audit], tol)[0]
+
+
+def check_triangle_comparisons(X: FiniteCausalSpace, triangles, tol: float) -> list:
+    """The report of check_triangle_comparison for each TriangleAudit.
+
+    The ordered pairs (u, v) of distinct mapped points of every triangle,
+    triangle by triangle and each in row-major order, are compared in one
+    pass: tau(u, v) from one gather, the comparison tau from one
+    ms.ads_forward_taus call, 0 for a pair running back in time and for
+    a forward pair that is not timelike.  The books of each triangle
+    are those of one _Tally sweep over its pairs.
+    """
+    if not triangles:
+        return []
+    sizes = np.array([len(a.keys) for a in triangles])
+    keys = list(itertools.chain.from_iterable(a.keys for a in triangles))
+    first, second, owner = _ordered_pairs(sizes)
+    index = np.array(keys)
+    lhs = X.tau[index[first], index[second]]
+    rhs = ms.ads_forward_taus(
+        list(itertools.chain.from_iterable(a.t for a in triangles)),
+        list(itertools.chain.from_iterable(a.x for a in triangles)),
+        first, second,
     )
+    excess = rhs - lhs
+    max_excess = _tops(owner, len(triangles), excess)
+    excess_count = np.bincount(owner[excess > tol], minlength=len(triangles)).tolist()
+
+    def record(r):
+        return (keys[first[r]], keys[second[r]]), "tau exceeds comparison tau"
+
+    books = _books(owner, len(triangles), lhs, rhs, tol, record)
+    return [
+        ComparisonReport(
+            checked=checked, violations=violations, violation_count=count,
+            max_deficit=worst, verdict=worst <= tol, max_excess=excess_top,
+            excess_count=excesses, notes=a.notes,
+        )
+        for (checked, violations, count, worst), excess_top, excesses, a in zip(
+            books, max_excess, excess_count, triangles
+        )
+    ]
+
+
+def _ordered_pairs(sizes: np.ndarray):
+    """(first, second, owner) of the ordered pairs of distinct entries
+    within each group of a concatenation of groups of the given sizes,
+    group by group and each in row-major order; owner is the group."""
+    points = int(sizes.sum())
+    local = np.arange(points) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row = np.repeat(sizes - 1, sizes)
+    first = np.repeat(np.arange(points), row)
+    r = np.arange(len(first)) - np.repeat(np.cumsum(row) - row, row)
+    a = local[first]
+    second = first - a + r + (r >= a)
+    owner = np.repeat(np.repeat(np.arange(len(sizes)), sizes), row)
+    return first, second, owner
+
+
+def _books(owner, audits: int, lhs, rhs, tol: float, record):
+    """(checked, violations, violation_count, max_deficit) of each of
+    several audits whose comparisons lie in one array, audit by audit in
+    scan order, with deficit lhs - rhs: the books one _Tally sweep keeps
+    per audit.  record(r) gives the pair and the note of comparison r,
+    and is called only for the records kept."""
+    deficit = lhs - rhs
+    checked = np.bincount(owner, minlength=audits).tolist()
+    worst = _tops(owner, audits, deficit)
+    hit = np.flatnonzero(deficit > tol)
+    counts = np.bincount(owner[hit], minlength=audits).tolist()
+    kept = {}
+    for r, a in zip(hit.tolist(), owner[hit].tolist()):
+        records = kept.setdefault(a, [])
+        if len(records) < VIOLATION_CAP:
+            pair, note = record(r)
+            records.append(Violation(pair, float(lhs[r]), float(rhs[r]), float(deficit[r]), note))
+    return [
+        (checked[a], tuple(kept.get(a, ())), counts[a], worst[a]) for a in range(audits)
+    ]
+
+
+def _tops(owner, audits: int, values) -> list:
+    """The largest of the values of each audit, or 0.0 when none is
+    positive, as _Tally takes the worst deficit: a NaN is never the
+    largest."""
+    top = np.full(audits, -np.inf)
+    np.fmax.at(top, owner, values)
+    return np.where(top > 0.0, top, 0.0).tolist()
 
 
 def _signed_angle_at(X, a: int, x: int, b: int):
     """Signed comparison angle at x of the triangle (a, x, b) from matrix
-    taus; raises UndefinedAngleError when the domain is empty."""
+    taus; raises UndefinedAngleError when the domain is empty.  One grid
+    cell of check_monotonicities in scalar form, as the reference audit
+    of the tests computes it."""
     omega, sigma = ms.comparison_angle(
         float(X.tau[a, x]), float(X.tau[x, a]),
         float(X.tau[x, b]), float(X.tau[b, x]),
         float(X.tau[a, b]), float(X.tau[b, a]),
     )
     return sigma * omega, sigma
+
+
+def fan_audit(vertex: int, alpha: Chain, beta: Chain) -> FanAudit:
+    """The part of check_monotonicity that raises before its grid: both
+    chains must start at the vertex and stay shorter than pi."""
+    vertex = int(vertex)
+    if alpha.indices[0] != vertex or beta.indices[0] != vertex:
+        raise ParameterError("both chains must start at the vertex")
+    for chain in (alpha, beta):
+        if not chain.value < math.pi:
+            raise SizeBoundError("chain length reaches the size bound pi")
+    return FanAudit(vertex, alpha.indices[1:], beta.indices[1:])
 
 
 def check_monotonicity(
@@ -654,43 +780,79 @@ def check_monotonicity(
     Computes the signed comparison angle on the grid of chain points
     where it is defined and verifies it is nondecreasing in each
     argument within tol.  Undefined pairs (null or unrelated across the
-    chains) are skipped and counted.
+    chains) are skipped and counted.  One fan through fan_audit and
+    check_monotonicities.
     """
-    vertex = int(vertex)
-    if alpha.indices[0] != vertex or beta.indices[0] != vertex:
-        raise ParameterError("both chains must start at the vertex")
-    for chain in (alpha, beta):
-        if not chain.value < math.pi:
-            raise SizeBoundError("chain length reaches the size bound pi")
-    arows = alpha.indices[1:]
-    brows = beta.indices[1:]
-    grid = np.full((len(arows), len(brows)), np.nan)
-    skipped = 0
-    for ia, a in enumerate(arows):
-        for ib, b in enumerate(brows):
-            if a == b:
-                skipped += 1
-                continue
-            try:
-                grid[ia, ib] = _signed_angle_at(X, a, vertex, b)[0]
-            except GeometryError:
-                skipped += 1
-    if np.isnan(grid).all():
+    return check_monotonicities(X, [fan_audit(vertex, alpha, beta)], tol)[0]
+
+
+def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> list:
+    """The report of check_monotonicity for each FanAudit.
+
+    The grid of a fan pairs each point a of alpha with each point b of
+    beta, in row-major order, and holds the signed comparison angle at
+    the vertex of (a, vertex, b); a cell with a == b or outside the
+    angle's domain is skipped.  The cells of every fan go through one
+    ms.comparison_angles call.  A fan whose grid holds no angle raises
+    UndefinedAngleError, the first such fan in order.  Then consecutive
+    angles along every row of a grid, then along every column, skipping
+    the undefined cells, are compared: an angle that falls by more than
+    tol is a violation recorded as ("row", row, col0, col1) or ("col",
+    col, row0, row1).
+    """
+    if not fans:
+        return []
+    rows = np.array([len(f.alpha) for f in fans])
+    cols = np.array([len(f.beta) for f in fans])
+    owner = np.repeat(np.arange(len(fans)), rows * cols)
+    cell = np.arange(len(owner)) - np.repeat(np.cumsum(rows * cols) - rows * cols, rows * cols)
+    ia, ib = cell // cols[owner], cell % cols[owner]
+    # the row and the column of each cell among those of all fans
+    row = (np.cumsum(rows) - rows)[owner] + ia
+    col = (np.cumsum(cols) - cols)[owner] + ib
+    a = np.array(list(itertools.chain.from_iterable(f.alpha for f in fans)), dtype=int)[row]
+    b = np.array(list(itertools.chain.from_iterable(f.beta for f in fans)), dtype=int)[col]
+    x = np.array([f.vertex for f in fans])[owner]
+    tau = X.tau
+    angle, defined = ms.comparison_angles(
+        tau[a, x], tau[x, a], tau[x, b], tau[b, x], tau[a, b], tau[b, a]
+    )
+    defined &= a != b
+    skipped = np.bincount(owner[~defined], minlength=len(fans)).tolist()
+    value = np.flatnonzero(defined & ~np.isnan(angle))
+    if (np.bincount(owner[value], minlength=len(fans)) == 0).any():
         raise UndefinedAngleError("no grid pair admits a comparison angle")
 
-    # consecutive defined values along every row, then along every column
-    pairs, lhs, rhs = [], [], []
-    for tag, lines in (("row", grid), ("col", grid.T)):
-        for fixed, values in enumerate(lines.tolist()):
-            defined = [(q, v) for q, v in enumerate(values) if not math.isnan(v)]
-            for (q0, v0), (q1, v1) in zip(defined, defined[1:]):
-                pairs.append((tag, fixed, q0, q1))
-                lhs.append(v0)
-                rhs.append(v1)
-    books = _Tally(tol)
-    books.sweep(pairs, lhs, rhs, np.subtract(lhs, rhs),
-                "signed comparison angle decreases along the chain")
-    return books.report(skipped=skipped)
+    def steps(order, line):
+        """Each cell of order followed in order by the next of its line."""
+        same = np.flatnonzero(line[order[:-1]] == line[order[1:]])
+        return order[same], order[same + 1]
+
+    # consecutive cells with a value along each row, then along each
+    # column, fan by fan
+    by_row = steps(value, row)
+    by_col = steps(value[np.lexsort((ia[value], ib[value], owner[value]))], col)
+    first = np.concatenate([by_row[0], by_col[0]])
+    second = np.concatenate([by_row[1], by_col[1]])
+    along_col = np.repeat([False, True], [len(by_row[0]), len(by_col[0])])
+    scan = np.argsort(owner[first], kind="stable")
+    first, second, along_col = first[scan], second[scan], along_col[scan]
+    note = "signed comparison angle decreases along the chain"
+
+    def record(r):
+        u, v = first[r], second[r]
+        if along_col[r]:
+            return ("col", int(ib[u]), int(ia[u]), int(ia[v])), note
+        return ("row", int(ia[u]), int(ib[u]), int(ib[v])), note
+
+    books = _books(owner[first], len(fans), angle[first], angle[second], tol, record)
+    return [
+        ComparisonReport(
+            checked=checked, violations=violations, violation_count=count,
+            max_deficit=worst, verdict=worst <= tol, skipped=skip,
+        )
+        for (checked, violations, count, worst), skip in zip(books, skipped)
+    ]
 
 
 def _realized_angles(tri) -> dict:

@@ -14,7 +14,9 @@ table; both are equally deterministic.
 
 Randomized sweeps draw each sample from its own counter-based stream
 keyed by (seed, sample index) and run the samples in order in one
-thread; --jobs is accepted but does not change the report.
+thread; curvature then audits its drawn triangles in batches, with the
+reports of per-sample audits.  --jobs is accepted but does not change
+the report.
 """
 
 import argparse
@@ -62,6 +64,10 @@ DRAW_TRIES = 64
 
 # geodesics builds its table in memory, at about 150 bytes a row
 MAX_TABLE_ROWS = 10**6
+
+# curvature audits its drawn triangles in blocks of about this many
+# comparison pairs and angle grid cells
+_AUDIT_CELLS = 1 << 16
 
 # a materialized space holds n x n matrices: suspend and split peak at
 # 103 and 132 MB at 1,932 points, and at 339 and 433 MB at 4,092
@@ -410,15 +416,35 @@ def _render_json(doc) -> bytes:
 # ---------------------------------------------------------------- sampling
 
 
-def _sample_rng(seed: int, sample: int):
-    key = np.array([seed & (2**63 - 1), sample], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _sample_streams(seed: int, samples: int):
+    """The random stream of each sample index k in turn, in one generator.
+
+    Before it is yielded for k, the generator is reset to the state of
+    Generator(Philox(key=[seed & (2**63 - 1), k])): counter 0, that key
+    and an empty buffer.  Setting the state is several times cheaper than
+    building a Philox from a key, which draws a SeedSequence from OS
+    entropy on every call, and gives the same streams.  A caller must be
+    done with the stream of k before it asks for the next one.
+    """
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    empty = np.zeros(4, dtype=np.uint64)
+    for k in range(samples):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": np.array([seed & (2**63 - 1), k], dtype=np.uint64)},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _draw_triangle(X: cs.FiniteCausalSpace, rng, min_sep: float):
     n = X.size
     for _ in range(DRAW_TRIES):
-        trio = [int(v) for v in rng.integers(0, n, size=3)]
+        trio = rng.integers(0, n, size=3).tolist()
         if len(set(trio)) < 3:
             continue
         for a, b, c in itertools.permutations(trio):
@@ -441,16 +467,22 @@ def _side_chains(X, verts):
 
 
 def _curvature_sample(X, rng, tol):
-    """(triangle report, monotonicity report) of one drawn triangle, or
-    None when no triangle is drawn."""
+    """(cells, (triangle audit, fan audit)) of one drawn triangle, after
+    every check of its two audits that can raise, or None when no
+    triangle is drawn."""
     verts = _draw_triangle(X, rng, tol)
     if verts is None:
         return None
     chains = _side_chains(X, verts)
-    return (
-        cs.check_triangle_comparison(X, verts, chains, tol),
-        cs.check_monotonicity(X, verts[0], chains[0], chains[2], tol),
-    )
+    triangle = cs.triangle_audit(X, verts, chains, tol)
+    fan = cs.fan_audit(verts[0], chains[0], chains[2])
+    return triangle.cells + fan.cells, (triangle, fan)
+
+
+def _curvature_audits(X, block, tol) -> list:
+    """(triangle report, monotonicity report) of each audited triangle."""
+    triangles = cs.check_triangle_comparisons(X, [t for t, _ in block], tol)
+    return list(zip(triangles, cs.check_monotonicities(X, [f for _, f in block], tol)))
 
 
 def _subdivision_sample(X, rng, tol):
@@ -482,28 +514,47 @@ def _effective_tol_disc(options, X: cs.FiniteCausalSpace) -> float:
     return 2.0 * float(np.median(gaps))
 
 
-def _sweep(X, options, sample):
+def _sweep(X, options, sample, audit=None):
     """Run sample(X, rng, tol) for every sample index, in order.
 
     tol is the effective --tol-disc, which also bounds the sides a
     triangle is drawn with from below; each sample reads its own stream
-    _sample_rng(seed, k).  Returns (tol, results, counts): the results
+    of _sample_streams.  Returns (tol, results, counts): the results
     of the samples that drew, and counts of the others, "unrealizable"
     for a SizeBoundError and "undrawn" for a None.
+
+    With audit, a sample returns (cells, item) and its result comes
+    later, from audit(X, items, tol) over a block of items of about
+    _AUDIT_CELLS cells, in order.  A sample that raises a GeometryError
+    has the samples before it audited first, so that the error of the
+    first sample to fail, in either step, is the one raised.
     """
     tol = _effective_tol_disc(options, X)
-    results = []
+    results, block, cells = [], [], 0
     counts = {"unrealizable": 0, "undrawn": 0}
-    for k in range(options.samples):
-        try:
-            result = sample(X, _sample_rng(options.seed, k), tol)
-        except SizeBoundError:
-            counts["unrealizable"] += 1
-            continue
-        if result is None:
-            counts["undrawn"] += 1
-        else:
-            results.append(result)
+    try:
+        for rng in _sample_streams(options.seed, options.samples):
+            try:
+                result = sample(X, rng, tol)
+            except SizeBoundError:
+                counts["unrealizable"] += 1
+                continue
+            if result is None:
+                counts["undrawn"] += 1
+            elif audit is None:
+                results.append(result)
+            else:
+                block.append(result[1])
+                cells += result[0]
+                if cells >= _AUDIT_CELLS:
+                    full, block, cells = block, [], 0
+                    results += audit(X, full, tol)
+    except GeometryError:
+        if block:
+            audit(X, block, tol)
+        raise
+    if block:
+        results += audit(X, block, tol)
     return tol, results, counts
 
 
@@ -545,7 +596,7 @@ def _cmd_myers(X, options):
 
 
 def _cmd_curvature(X, options):
-    tol, results, counts = _sweep(X, options, _curvature_sample)
+    tol, results, counts = _sweep(X, options, _curvature_sample, _curvature_audits)
     triangle = cs.merge_reports([r[0] for r in results])
     monotone = cs.merge_reports([r[1] for r in results])
     checks = [

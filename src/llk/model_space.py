@@ -13,7 +13,10 @@ configuration sign, comparison-triangle realization, and unit-speed
 geodesics together with their conformal-time bookkeeping.
 
 Array kernels: ads_separation classifies blocks of pairs as ads_interval
-does, and ads_fiber_cosh inverts its closed form for the fiber distance.
+does, and ads_fiber_cosh inverts its closed form for the fiber distance;
+ads_forward_taus and comparison_angles give ads_interval's tau and
+comparison_angle's signed angle over arrays, bit for bit, for the
+curvature audits.
 
 Curvature is normalized to K = -1 throughout; callers rescale.
 Inverse-trig arguments are clamped into their legal domain when within
@@ -197,6 +200,34 @@ def ads_separation(s, t, dx, order):
     return leq, timelike, tau
 
 
+def _mapped(f, values: np.ndarray) -> np.ndarray:
+    """f of math over an array, one call per entry: numpy's cosh, arccos
+    and trigonometry differ from math's in the last place on some inputs,
+    and the array kernels must give the scalar functions' bits."""
+    return np.array(list(map(f, values.tolist())), dtype=float)
+
+
+def ads_forward_taus(t, x, first, second):
+    """Forward tau of the point pairs (first[k], second[k]) of points (t, x).
+
+    Where p = (t, x)[first[k]] runs no later than q = (t, x)[second[k]],
+    the entry is ads_interval(p, q).tau bit for bit, the cone band and a
+    NaN argument included; where p runs later it is 0.  The sines and
+    cosines are taken once per point and cosh and arccos once per
+    forward pair, all with math.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    tau = np.zeros(len(first))
+    fwd = np.flatnonzero(t[first] <= t[second])
+    p, q = first[fwd], second[fwd]
+    sin, cos = _mapped(math.sin, t), _mapped(math.cos, t)
+    arg = sin[p] * sin[q] + cos[p] * cos[q] * _mapped(math.cosh, x[q] - x[p])
+    timelike = ~(arg >= 1.0 - ARG_SLACK)
+    tau[fwd[timelike]] = _mapped(math.acos, np.clip(arg[timelike], -1.0, 1.0))
+    return tau
+
+
 def ads_fiber_cosh(tau, s, t):
     """cosh of the fiber distance of a pair at times s, t and separation
     tau, inverting ads_separation; rounding below 1 is clamped to 1."""
@@ -324,6 +355,47 @@ def comparison_angle(
         if not a < MAX_SIDE:
             raise SizeBoundError(f"side {name} = {a!r} reaches the size bound pi")
     return loc_angle(a12, a23, a13, sigma), sigma
+
+
+def comparison_angles(tau_12, tau_21, tau_23, tau_32, tau_13, tau_31):
+    """comparison_angle over arrays of directed taus: (angle, defined).
+
+    defined is False exactly where comparison_angle raises: a pair not
+    timelike related in exactly one direction, an inconsistent
+    configuration, a side not in (0, MAX_SIDE), sides against the
+    reverse triangle inequality, or cosh(omega) below 1 - ARG_SLACK.
+    Elsewhere angle is sigma * omega with the bits of comparison_angle,
+    its cosines, sines and arcosh taken with math; it is NaN where
+    defined is False.
+    """
+    taus = [np.asarray(v, dtype=float) for v in (tau_12, tau_21, tau_23, tau_32, tau_13, tau_31)]
+    fwd = [v > 0.0 for v in taus[0::2]]
+    rev = [v > 0.0 for v in taus[1::2]]
+    d12, d23, d13 = fwd
+    ordered = d12 == d23  # sigma = +1
+    defined = (fwd[0] != rev[0]) & (fwd[1] != rev[1]) & (fwd[2] != rev[2])
+    defined &= ~ordered | (d13 == d12)
+    # max(a, b) as Python takes it: b only when b > a
+    a12, a23, a13 = (np.where(b > a, b, a) for a, b in zip(taus[0::2], taus[1::2]))
+    for a in (a12, a23, a13):
+        defined &= (a > 0.0) & (a < MAX_SIDE)
+    with np.errstate(invalid="ignore"):
+        defined &= np.where(
+            ordered, ~(a13 + ARG_SLACK < a12 + a23), ~(a13 > np.abs(a12 - a23) + ARG_SLACK)
+        )
+    at = np.flatnonzero(defined)
+    sigma = np.where(ordered[at], 1.0, -1.0)
+    s12, s23 = a12[at], a23[at]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (_mapped(math.cos, s12) * _mapped(math.cos, s23) - _mapped(math.cos, a13[at])) / (
+            sigma * _mapped(math.sin, s12) * _mapped(math.sin, s23)
+        )
+    kept = ~(val < 1.0 - ARG_SLACK)
+    defined[at[~kept]] = False
+    angle = np.full(defined.shape, np.nan)
+    val = val[kept]
+    angle[at[kept]] = sigma[kept] * _mapped(math.acosh, np.where(1.0 > val, 1.0, val))
+    return angle, defined
 
 
 def geodesic_point(g: GeodesicParams, lam: float) -> AdsPrimePoint:

@@ -141,7 +141,9 @@ def find_line(X: cs.FiniteCausalSpace) -> LineSample:
     the result is deterministic) and walks the longest chain between
     them; a value below MIN_VALUE means the space has no usable line.
     """
-    flat = int(np.argmax(X.tau))
+    # np.argmax copies a read-only array in full; the first maximum
+    # found through one n x n bool gives the same flat index
+    flat = int(np.flatnonzero(X.tau == X.tau.max())[0])
     i, j = np.unravel_index(flat, X.tau.shape)
     if X.tau[i, j] <= 0.0:
         raise InfeasibleError("the space has no timelike related pair")

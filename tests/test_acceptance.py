@@ -55,10 +55,9 @@ def splitting(n_times=N_TIMES):
 def draw_triangles(X, n_wanted, min_sep, tol):
     """Seeded triangle sweep; yields one comparison report per triangle."""
     reports = []
-    sample = 0
-    while len(reports) < n_wanted and sample < 4 * n_wanted:
-        rng = cli._sample_rng(0, sample)
-        sample += 1
+    for rng in cli._sample_streams(0, 4 * n_wanted):
+        if len(reports) == n_wanted:
+            break
         verts = cli._draw_triangle(X, rng, min_sep)
         if verts is None:
             continue

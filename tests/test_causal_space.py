@@ -7,6 +7,7 @@ on the comparison bound, cosine suspensions must satisfy it, and a
 constant-warping strip must violate it.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -1905,6 +1906,200 @@ def test_merge_reports_matches_reference():
     assert not all(r.verdict for r in reports)
     for part in ([], reports[:1], reports[:5], reports):
         assert cs.merge_reports(part) == reference_merge_reports(part)
+
+
+# ---------------------------------------------------------- batched audits
+# curvature runs every check that can raise sample by sample, then the
+# comparisons of many triangles in one batch; the reports and the error
+# raised must be those of a sweep of one-item audits.
+
+
+def test_batched_audits_match_one_item_calls():
+    for space in AUDIT_SPACES:
+        X, cases = audit_triangles(space)
+        for tol in (GRID_TOL, -1.0):
+            triangles, fans, expected = [], [], []
+            for verts, chains in cases:
+                try:
+                    triangles.append(cs.triangle_audit(X, verts, chains, GRID_TOL))
+                except GeometryError:
+                    continue
+                fans.append(cs.fan_audit(verts[0], chains[0], chains[2]))
+                expected.append((
+                    cs.check_triangle_comparison(X, verts, chains, tol, GRID_TOL),
+                    outcome(cs.check_monotonicity, X, verts[0], chains[0], chains[2], tol),
+                ))
+            assert cs.check_triangle_comparisons(X, triangles, tol) == [e[0] for e in expected]
+            if all(isinstance(e[1], cs.ComparisonReport) for e in expected):
+                assert cs.check_monotonicities(X, fans, tol) == [e[1] for e in expected]
+    assert cs.check_triangle_comparisons(X, [], GRID_TOL) == []
+    assert cs.check_monotonicities(X, [], GRID_TOL) == []
+
+
+def test_batched_monotonicity_raises_for_its_first_empty_grid():
+    X, cases = audit_triangles("cos21", count=4)
+    fans = [cs.fan_audit(v[0], c[0], c[2]) for v, c in cases]
+    i, j, _ = cases[1][0]
+    hop = cs.make_chain(X, (i, j))
+    # one grid cell, with a == b: no angle, where every other fan has some
+    fans[1] = cs.fan_audit(i, hop, hop)
+    with pytest.raises(UndefinedAngleError):
+        cs.check_monotonicities(X, fans, GRID_TOL)
+    with pytest.raises(UndefinedAngleError):
+        cs.check_monotonicity(X, i, hop, hop, GRID_TOL)
+
+
+SWEEP_SPACES = ("ads_diamond_81.json", "suspension_circle12.json", "flat_strip.json", "cos41")
+
+SPOILS = ("plain", "stale", "long", "undefined", "vertex")
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_space(name):
+    """A fixture space as curvature materializes it, or a 492-point cos space."""
+    if name == "cos41":
+        return seeded_net_space(3, "cos", 41)
+    raw = (Path(__file__).resolve().parents[1] / "fixtures" / name).read_bytes()
+    options = cli._build_parser().parse_args(["curvature", "--in", name])
+    return cli._materialize(cli.parse_space_file(raw), options)
+
+
+def spoiled_chains(X, verts, spoil):
+    """(triangle chains, fan chains) of a drawn triangle.  "stale" cuts the
+    first side's value to a tenth (ChainError), "long" stretches the long
+    side to 3.5 (SizeBoundError, or ChainError when the other two sides are
+    longer), "undefined" gives the fan one hop to the middle vertex twice
+    (UndefinedAngleError), and "vertex" a fan from the middle vertex
+    (ParameterError)."""
+    c12, c23, c13 = cli._side_chains(X, verts)
+    if spoil == "stale":
+        c12 = cs.Chain(c12.indices, tuple(0.1 * s for s in c12.params))
+    elif spoil == "long":
+        c13 = cs.Chain(c13.indices, tuple(3.5 / c13.value * s for s in c13.params))
+    fan = (c12, c13)
+    if spoil == "undefined":
+        hop = cs.make_chain(X, verts[:2])
+        fan = (hop, hop)
+    elif spoil == "vertex":
+        fan = (c23, c13)
+    return (c12, c23, c13), fan
+
+
+def scripted_sample(spoils):
+    """cli._curvature_sample with the chains spoiled as spoils[k] says for
+    the k-th sample."""
+    index = itertools.count()
+
+    def sample(X, rng, tol):
+        spoil = spoils.get(next(index), "plain")
+        verts = cli._draw_triangle(X, rng, tol)
+        if verts is None:
+            return None
+        chains, fan = spoiled_chains(X, verts, spoil)
+        triangle = cs.triangle_audit(X, verts, chains, tol)
+        fan = cs.fan_audit(verts[0], *fan)
+        return triangle.cells + fan.cells, (triangle, fan)
+
+    return sample
+
+
+def reference_sweep(X, options, spoils, check_triangle, check_fan):
+    """The curvature sweep of one-item audits, sample by sample, on the
+    Philox stream built from each sample's key."""
+    tol = cli._effective_tol_disc(options, X)
+    results = []
+    counts = {"unrealizable": 0, "undrawn": 0}
+    for k in range(options.samples):
+        key = np.array([options.seed & (2**63 - 1), k], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        verts = cli._draw_triangle(X, rng, tol)
+        if verts is None:
+            counts["undrawn"] += 1
+            continue
+        chains, fan = spoiled_chains(X, verts, spoils.get(k, "plain"))
+        try:
+            results.append((
+                check_triangle(X, verts, chains, tol), check_fan(X, verts[0], *fan, tol)
+            ))
+        except SizeBoundError:
+            counts["unrealizable"] += 1
+    return tol, results, counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    space=st.sampled_from(SWEEP_SPACES),
+    seed=st.integers(0, 2**63 - 1),
+    samples=st.integers(1, 24),
+    spoils=st.dictionaries(st.integers(0, 23), st.sampled_from(SPOILS), max_size=4),
+    tol=st.sampled_from([None, 1e-6, 0.05]),
+    cells=st.sampled_from([1, 200, 1 << 16]),
+)
+def test_batched_sweep_matches_one_item_sweeps(space, seed, samples, spoils, tol, cells):
+    X = sweep_space(space)
+    options = cli._build_parser().parse_args(
+        ["curvature", "--in", space, "--seed", str(seed), "--samples", str(samples)]
+    )
+    options.tol_disc = tol
+    with pytest.MonkeyPatch.context() as mp:
+        # a small budget audits the samples in many blocks
+        mp.setattr(cli, "_AUDIT_CELLS", cells)
+        if not spoils:
+            batched = outcome(cli._sweep, X, options, cli._curvature_sample, cli._curvature_audits)
+        else:
+            batched = outcome(
+                cli._sweep, X, options, scripted_sample(spoils), cli._curvature_audits
+            )
+    assert batched == outcome(
+        reference_sweep, X, options, spoils, cs.check_triangle_comparison, cs.check_monotonicity
+    )
+    assert batched == outcome(
+        reference_sweep, X, options, spoils,
+        reference_check_triangle_comparison, reference_check_monotonicity,
+    )
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 16])
+def test_batched_sweep_raises_the_first_failing_samples_error(cells, monkeypatch):
+    # the empty grid of sample 2 is found only in the batch, after the
+    # stale chain of sample 5 stopped the per-sample checks
+    X = sweep_space("suspension_circle12.json")
+    options = cli._build_parser().parse_args(["curvature", "--in", "x", "--samples", "8"])
+    monkeypatch.setattr(cli, "_AUDIT_CELLS", cells)
+    for spoils, error in (
+        ({2: "undefined", 5: "stale"}, UndefinedAngleError),
+        ({2: "stale", 5: "undefined"}, ChainError),
+        ({2: "vertex", 5: "undefined"}, ParameterError),
+    ):
+        with pytest.raises(error):
+            cli._sweep(X, options, scripted_sample(spoils), cli._curvature_audits)
+        with pytest.raises(error):
+            reference_sweep(
+                X, options, spoils, cs.check_triangle_comparison, cs.check_monotonicity
+            )
+    # a triangle too long for the strip only counts as unrealizable
+    _, results, counts = cli._sweep(X, options, scripted_sample({3: "long"}),
+                                    cli._curvature_audits)
+    assert counts == {"unrealizable": 1, "undrawn": 0} and len(results) == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([0, 2**63 - 1, -1, 2**64 + 5])),
+    first=st.integers(0, 64),
+    n=st.integers(1, 5000),
+)
+def test_sample_streams_are_the_keyed_philox_streams(seed, first, n):
+    streams = cli._sample_streams(seed, first + 3)
+    for _ in range(first):
+        next(streams)
+    for k, rng in zip(range(first, first + 3), streams):
+        key = np.array([seed & (2**63 - 1), k], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(3):
+            assert rng.integers(0, n, size=3).tolist() == ref.integers(0, n, size=3).tolist()
+        assert rng.integers(0, 2) == ref.integers(0, 2)
+        assert rng.random() == ref.random()
 
 
 # ------------------------------------------------------------ time reversal

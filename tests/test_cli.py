@@ -8,6 +8,7 @@ documents exercise the diagnostic paths.
 
 import errno
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -46,6 +47,15 @@ GOLDEN_RUNS = (
     ),
     ("suspension_circle12.split.json", "split", "suspension_circle12.json", (), 0),
     ("flat_strip.myers.json", "myers", "flat_strip.json", (), 1),
+    # the one golden with violation records: 37 triangle and 4
+    # monotonicity violations, 14 unrealizable triangles
+    (
+        "flat_strip.curvature.json",
+        "curvature",
+        "flat_strip.json",
+        ("--samples", "100", "--seed", "0"),
+        1,
+    ),
 )
 
 
@@ -470,11 +480,13 @@ def test_suspend_output_is_pinned(tmp_path, extra, digest, size):
 
 
 def test_golden_reports_replay_byte_identical(tmp_path):
-    for golden, command, fixture, extra, expected in GOLDEN_RUNS:
+    for (golden, command, fixture, extra, expected), jobs in itertools.product(
+        GOLDEN_RUNS, ("1", "8")
+    ):
         out = tmp_path / golden
-        code = run_cli(command, FIXTURES / fixture, out, *extra)
-        assert code == expected, (command, fixture)
-        assert out.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+        code = run_cli(command, FIXTURES / fixture, out, *extra, "--jobs", jobs)
+        assert code == expected, (command, fixture, jobs)
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes(), (golden, jobs)
 
 
 @pytest.mark.parametrize("fixture, extra, points", [

@@ -791,6 +791,25 @@ def test_splitting_audit_works_in_row_blocks():
     assert peak < X.size**2 * 8
 
 
+def test_find_line_takes_the_first_maximum_without_copying_tau():
+    # np.argmax on the read-only tau of a space copied it whole, 8 n^2
+    # bytes at 972 points; the line's chain runs on a built index, so
+    # what is left is one n x n bool and the chain's small arrays
+    base = jittered_net(3)
+    grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, 81)
+    X = wp.sample_warped_product(wp.cos_warping(), base, tuple(grid))
+    X._chain_index
+    tracemalloc.start()
+    try:
+        gamma = rg.find_line(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    i, j = np.unravel_index(int(np.argmax(np.array(X.tau))), X.tau.shape)
+    assert (gamma.indices[0], gamma.indices[-1]) == (i, j)
+    assert peak < X.size**2 + 64 * 1024
+
+
 def test_extract_slice_rejects_unrepairable_metrics():
     X = noisy_suspension(1)
     with pytest.raises(ExtractionError):

@@ -103,6 +103,10 @@ def main():
     )
     write_golden("suspension_circle12.split.json", "split", suspension)
     write_golden("flat_strip.myers.json", "myers", strip)
+    write_golden(
+        "flat_strip.curvature.json", "curvature", strip,
+        ("--samples", "100", "--seed", "0"),
+    )
 
 
 if __name__ == "__main__":
