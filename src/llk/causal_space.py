@@ -12,12 +12,12 @@ and violations, takes the worst deficit, keeps the first VIOLATION_CAP
 records in scan order and builds the ComparisonReport; merge_reports
 joins several reports under the same cap.
 
-Triangle comparison and angle monotonicity also run in batches, for a
+Triangle comparison and angle monotonicity also run in blocks, for a
 curvature sweep: triangle_audit and fan_audit make every check of one
 triangle that can raise, and check_triangle_comparisons and
-check_monotonicities compare many triangles in one array pass, keeping
-each triangle's books as a _Tally would (_books).  The one-triangle
-checkers are one-item calls of the batches.
+check_monotonicities compare a block of triangles in one array pass,
+keeping the block's books in one _Tally sweep.  The one-triangle
+checkers are one-item calls of the blocks.
 
 Conventions: tau(i, j) is the forward time separation and is 0 whenever
 i is not below j; leq is reflexive; coords, when present, store a time
@@ -290,9 +290,9 @@ class _Tally:
     """Books of one audit: comparisons checked, violations counted
     exactly, the worst deficit, and the first VIOLATION_CAP violation
     records in the order they were recorded, which is the audit's scan
-    order.  pairs are a (k, slots) integer array or a sequence of
-    tuples; lhs, rhs and deficit broadcast against them, and note is one
-    string or one per entry.
+    order.  pairs are a (k, slots) integer array, a sequence of tuples
+    or a function from a position to its tuple; lhs, rhs and deficit
+    broadcast against them, and note is one string or one per entry.
     """
 
     def __init__(self, tol: float, worst: float = 0.0):
@@ -302,18 +302,21 @@ class _Tally:
         self.worst = worst
         self.records = []
 
-    def sweep(self, pairs, lhs, rhs, deficit, note) -> None:
+    def sweep(self, pairs, lhs, rhs, deficit, note) -> np.ndarray:
         """Record comparisons: each one is checked, the worst deficit is
-        taken over all of them, and a deficit above tol is a violation."""
+        taken over all of them, and a deficit above tol is a violation.
+        Returns the positions of the violations."""
         deficit = np.asarray(deficit, dtype=float)
         self.checked += deficit.size
         top = np.fmax.reduce(deficit, initial=-np.inf)  # a NaN is never the worst
         if top > self.worst:
             self.worst = float(top)
-        if top > self.tol:
-            hit = np.flatnonzero(deficit > self.tol)
-            self.count += hit.size
-            self.keep(_records(hit, pairs, lhs, rhs, deficit, note))
+        if not top > self.tol:
+            return np.empty(0, dtype=int)
+        hit = np.flatnonzero(deficit > self.tol)
+        self.count += hit.size
+        self.keep(_records(hit, pairs, lhs, rhs, deficit, note))
+        return hit
 
     def found(self, pairs, lhs, rhs, deficit, note) -> None:
         """Record violations the caller found itself; the worst deficit
@@ -345,7 +348,7 @@ def _records(hit, pairs, lhs, rhs, deficit, note):
     """Violation records at the positions hit, built only when taken."""
     lhs, rhs = (np.broadcast_to(np.asarray(v, dtype=float), deficit.shape) for v in (lhs, rhs))
     for r in hit:
-        pair = pairs[r]
+        pair = pairs(r) if callable(pairs) else pairs[r]
         yield Violation(
             tuple(pair.tolist()) if isinstance(pair, np.ndarray) else pair,
             float(lhs[r]), float(rhs[r]), float(deficit[r]),
@@ -659,18 +662,18 @@ def check_triangle_comparison(
     return check_triangle_comparisons(X, [audit], tol)[0]
 
 
-def check_triangle_comparisons(X: FiniteCausalSpace, triangles, tol: float) -> list:
-    """The report of check_triangle_comparison for each TriangleAudit.
+def check_triangle_comparisons(X: FiniteCausalSpace, triangles, tol: float) -> tuple:
+    """(report, violated) of check_triangle_comparison over a block of
+    TriangleAudits: one report for the whole block, and how many of its
+    triangles hold a violation.
 
     The ordered pairs (u, v) of distinct mapped points of every triangle,
     triangle by triangle and each in row-major order, are compared in one
-    pass: tau(u, v) from one gather, the comparison tau from one
+    _Tally sweep: tau(u, v) from one gather, the comparison tau from one
     ms.ads_forward_taus call, 0 for a pair running back in time and for
-    a forward pair that is not timelike.  The books of each triangle
-    are those of one _Tally sweep over its pairs.
+    a forward pair that is not timelike.  The notes are those of the
+    triangles, in order.
     """
-    if not triangles:
-        return []
     sizes = np.array([len(a.keys) for a in triangles])
     keys = list(itertools.chain.from_iterable(a.keys for a in triangles))
     first, second, owner = _ordered_pairs(sizes)
@@ -681,24 +684,18 @@ def check_triangle_comparisons(X: FiniteCausalSpace, triangles, tol: float) -> l
         list(itertools.chain.from_iterable(a.x for a in triangles)),
         first, second,
     )
+    books = _Tally(tol)
+    hit = books.sweep(
+        lambda r: (keys[first[r]], keys[second[r]]), lhs, rhs, lhs - rhs,
+        "tau exceeds comparison tau",
+    )
     excess = rhs - lhs
-    max_excess = _tops(owner, len(triangles), excess)
-    excess_count = np.bincount(owner[excess > tol], minlength=len(triangles)).tolist()
-
-    def record(r):
-        return (keys[first[r]], keys[second[r]]), "tau exceeds comparison tau"
-
-    books = _books(owner, len(triangles), lhs, rhs, tol, record)
-    return [
-        ComparisonReport(
-            checked=checked, violations=violations, violation_count=count,
-            max_deficit=worst, verdict=worst <= tol, max_excess=excess_top,
-            excess_count=excesses, notes=a.notes,
-        )
-        for (checked, violations, count, worst), excess_top, excesses, a in zip(
-            books, max_excess, excess_count, triangles
-        )
-    ]
+    report = books.report(
+        max_excess=max(0.0, float(np.fmax.reduce(excess, initial=-np.inf))),
+        excess_count=int(np.count_nonzero(excess > tol)),
+        notes=tuple(itertools.chain.from_iterable(a.notes for a in triangles)),
+    )
+    return report, len(np.unique(owner[hit]))
 
 
 def _ordered_pairs(sizes: np.ndarray):
@@ -714,50 +711,6 @@ def _ordered_pairs(sizes: np.ndarray):
     second = first - a + r + (r >= a)
     owner = np.repeat(np.repeat(np.arange(len(sizes)), sizes), row)
     return first, second, owner
-
-
-def _books(owner, audits: int, lhs, rhs, tol: float, record):
-    """(checked, violations, violation_count, max_deficit) of each of
-    several audits whose comparisons lie in one array, audit by audit in
-    scan order, with deficit lhs - rhs: the books one _Tally sweep keeps
-    per audit.  record(r) gives the pair and the note of comparison r,
-    and is called only for the records kept."""
-    deficit = lhs - rhs
-    checked = np.bincount(owner, minlength=audits).tolist()
-    worst = _tops(owner, audits, deficit)
-    hit = np.flatnonzero(deficit > tol)
-    counts = np.bincount(owner[hit], minlength=audits).tolist()
-    kept = {}
-    for r, a in zip(hit.tolist(), owner[hit].tolist()):
-        records = kept.setdefault(a, [])
-        if len(records) < VIOLATION_CAP:
-            pair, note = record(r)
-            records.append(Violation(pair, float(lhs[r]), float(rhs[r]), float(deficit[r]), note))
-    return [
-        (checked[a], tuple(kept.get(a, ())), counts[a], worst[a]) for a in range(audits)
-    ]
-
-
-def _tops(owner, audits: int, values) -> list:
-    """The largest of the values of each audit, or 0.0 when none is
-    positive, as _Tally takes the worst deficit: a NaN is never the
-    largest."""
-    top = np.full(audits, -np.inf)
-    np.fmax.at(top, owner, values)
-    return np.where(top > 0.0, top, 0.0).tolist()
-
-
-def _signed_angle_at(X, a: int, x: int, b: int):
-    """Signed comparison angle at x of the triangle (a, x, b) from matrix
-    taus; raises UndefinedAngleError when the domain is empty.  One grid
-    cell of check_monotonicities in scalar form, as the reference audit
-    of the tests computes it."""
-    omega, sigma = ms.comparison_angle(
-        float(X.tau[a, x]), float(X.tau[x, a]),
-        float(X.tau[x, b]), float(X.tau[b, x]),
-        float(X.tau[a, b]), float(X.tau[b, a]),
-    )
-    return sigma * omega, sigma
 
 
 def fan_audit(vertex: int, alpha: Chain, beta: Chain) -> FanAudit:
@@ -783,25 +736,23 @@ def check_monotonicity(
     chains) are skipped and counted.  One fan through fan_audit and
     check_monotonicities.
     """
-    return check_monotonicities(X, [fan_audit(vertex, alpha, beta)], tol)[0]
+    return check_monotonicities(X, [fan_audit(vertex, alpha, beta)], tol)
 
 
-def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> list:
-    """The report of check_monotonicity for each FanAudit.
+def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> ComparisonReport:
+    """The report of check_monotonicity over a block of FanAudits.
 
     The grid of a fan pairs each point a of alpha with each point b of
     beta, in row-major order, and holds the signed comparison angle at
     the vertex of (a, vertex, b); a cell with a == b or outside the
     angle's domain is skipped.  The cells of every fan go through one
     ms.comparison_angles call.  A fan whose grid holds no angle raises
-    UndefinedAngleError, the first such fan in order.  Then consecutive
-    angles along every row of a grid, then along every column, skipping
-    the undefined cells, are compared: an angle that falls by more than
-    tol is a violation recorded as ("row", row, col0, col1) or ("col",
-    col, row0, row1).
+    UndefinedAngleError, the first such fan in order.  Then, fan by fan,
+    consecutive angles along every row of a grid, then along every
+    column, skipping the undefined cells, are compared in one _Tally
+    sweep: an angle that falls by more than tol is a violation recorded
+    as ("row", row, col0, col1) or ("col", col, row0, row1).
     """
-    if not fans:
-        return []
     rows = np.array([len(f.alpha) for f in fans])
     cols = np.array([len(f.beta) for f in fans])
     owner = np.repeat(np.arange(len(fans)), rows * cols)
@@ -818,7 +769,6 @@ def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> list:
         tau[a, x], tau[x, a], tau[x, b], tau[b, x], tau[a, b], tau[b, a]
     )
     defined &= a != b
-    skipped = np.bincount(owner[~defined], minlength=len(fans)).tolist()
     value = np.flatnonzero(defined & ~np.isnan(angle))
     if (np.bincount(owner[value], minlength=len(fans)) == 0).any():
         raise UndefinedAngleError("no grid pair admits a comparison angle")
@@ -837,22 +787,17 @@ def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> list:
     along_col = np.repeat([False, True], [len(by_row[0]), len(by_col[0])])
     scan = np.argsort(owner[first], kind="stable")
     first, second, along_col = first[scan], second[scan], along_col[scan]
-    note = "signed comparison angle decreases along the chain"
 
-    def record(r):
+    def pair(r):
         u, v = first[r], second[r]
         if along_col[r]:
-            return ("col", int(ib[u]), int(ia[u]), int(ia[v])), note
-        return ("row", int(ia[u]), int(ib[u]), int(ib[v])), note
+            return ("col", int(ib[u]), int(ia[u]), int(ia[v]))
+        return ("row", int(ia[u]), int(ib[u]), int(ib[v]))
 
-    books = _books(owner[first], len(fans), angle[first], angle[second], tol, record)
-    return [
-        ComparisonReport(
-            checked=checked, violations=violations, violation_count=count,
-            max_deficit=worst, verdict=worst <= tol, skipped=skip,
-        )
-        for (checked, violations, count, worst), skip in zip(books, skipped)
-    ]
+    books = _Tally(tol)
+    books.sweep(pair, angle[first], angle[second], angle[first] - angle[second],
+                "signed comparison angle decreases along the chain")
+    return books.report(skipped=int(np.count_nonzero(~defined)))
 
 
 def _realized_angles(tri) -> dict:

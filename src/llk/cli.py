@@ -14,9 +14,9 @@ table; both are equally deterministic.
 
 Randomized sweeps draw each sample from its own counter-based stream
 keyed by (seed, sample index) and run the samples in order in one
-thread; curvature then audits its drawn triangles in batches, with the
-reports of per-sample audits.  --jobs is accepted but does not change
-the report.
+thread; curvature then audits its drawn triangles in blocks and merges
+one report per block.  --jobs is accepted but does not change the
+report.
 """
 
 import argparse
@@ -479,10 +479,11 @@ def _curvature_sample(X, rng, tol):
     return triangle.cells + fan.cells, (triangle, fan)
 
 
-def _curvature_audits(X, block, tol) -> list:
-    """(triangle report, monotonicity report) of each audited triangle."""
-    triangles = cs.check_triangle_comparisons(X, [t for t, _ in block], tol)
-    return list(zip(triangles, cs.check_monotonicities(X, [f for _, f in block], tol)))
+def _curvature_audits(X, block, tol) -> tuple:
+    """(triangles, triangle report, triangles violated, monotonicity
+    report) of a block of audited triangles."""
+    triangle, violated = cs.check_triangle_comparisons(X, [t for t, _ in block], tol)
+    return len(block), triangle, violated, cs.check_monotonicities(X, [f for _, f in block], tol)
 
 
 def _subdivision_sample(X, rng, tol):
@@ -523,8 +524,8 @@ def _sweep(X, options, sample, audit=None):
     of the samples that drew, and counts of the others, "unrealizable"
     for a SizeBoundError and "undrawn" for a None.
 
-    With audit, a sample returns (cells, item) and its result comes
-    later, from audit(X, items, tol) over a block of items of about
+    With audit, a sample returns (cells, item), and the results are
+    those of audit(X, items, tol), one per block of items of about
     _AUDIT_CELLS cells, in order.  A sample that raises a GeometryError
     has the samples before it audited first, so that the error of the
     first sample to fail, in either step, is the one raised.
@@ -548,13 +549,13 @@ def _sweep(X, options, sample, audit=None):
                 cells += result[0]
                 if cells >= _AUDIT_CELLS:
                     full, block, cells = block, [], 0
-                    results += audit(X, full, tol)
+                    results.append(audit(X, full, tol))
     except GeometryError:
         if block:
             audit(X, block, tol)
         raise
     if block:
-        results += audit(X, block, tol)
+        results.append(audit(X, block, tol))
     return tol, results, counts
 
 
@@ -597,15 +598,15 @@ def _cmd_myers(X, options):
 
 def _cmd_curvature(X, options):
     tol, results, counts = _sweep(X, options, _curvature_sample, _curvature_audits)
-    triangle = cs.merge_reports([r[0] for r in results])
-    monotone = cs.merge_reports([r[1] for r in results])
+    triangle = cs.merge_reports([r[1] for r in results])
+    monotone = cs.merge_reports([r[3] for r in results])
     checks = [
         _check_dict(
             "triangle_comparison",
             triangle,
             tol=tol,
-            triangles=len(results),
-            triangles_violated=sum(1 for r in results if r[0].violation_count > 0),
+            triangles=sum(r[0] for r in results),
+            triangles_violated=sum(r[2] for r in results),
             **counts,
         ),
         _check_dict("monotonicity", monotone, tol=tol),

@@ -218,7 +218,8 @@ def _table_reach(pieces) -> float:
     u = (f1 - f0) / f0
     flat = u == 0.0
     ratio = np.where(flat, 1.0, np.log1p(u) / np.where(flat, 1.0, u))
-    return float(np.sum(w / f0 * ratio))
+    with np.errstate(over="ignore"):  # past the float range the reach is inf
+        return float(np.sum(w / f0 * ratio))
 
 
 def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarray:
@@ -260,6 +261,11 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
     reach by up to 2e-10, the conditioning of the problem there, where
     both solvers sit equally far from a 50-digit solve.
 
+    A reach past the float range, about 1.8e308 or more, leaves every
+    displacement short of 1e300 so small a share of it that tau rounds
+    to elapsed, as a finite reach of 1e308 already gives; tau is elapsed
+    there without a solve, whose scaled widths would overflow.
+
     Every displacement is one lane of (lanes, pieces) arrays with its
     own bracket, and leaves the active set once its own stopping rule
     holds.  Each lane's sums run along a contiguous row, so a lane's
@@ -267,7 +273,7 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
     """
     tau = np.full(len(dx), elapsed)
     lanes = np.flatnonzero(dx != 0.0)
-    if not lanes.size:
+    if not lanes.size or reach == math.inf:
         return tau
     w, f0, f1 = pieces
     # capped so that a table of subnormal values still has a finite scale

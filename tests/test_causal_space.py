@@ -7,6 +7,7 @@ on the comparison bound, cosine suspensions must satisfy it, and a
 constant-warping strip must violate it.
 """
 
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -1239,7 +1240,7 @@ def nearest_signed_angles(X, v, ca, cb, count=4):
     found = []
     for *_, a, b in pairs:
         try:
-            found.append(cs._signed_angle_at(X, a, v, b))
+            found.append(_signed_angle_at(X, a, v, b))
         except GeometryError:
             continue
         if len(found) == count:
@@ -1449,6 +1450,19 @@ def reference_check_triangle_comparison(X, verts, chains, tol, eps=None):
     )
 
 
+def _signed_angle_at(X, a: int, x: int, b: int):
+    """Signed comparison angle at x of the triangle (a, x, b) from matrix
+    taus; raises UndefinedAngleError when the domain is empty.  One grid
+    cell of check_monotonicities in scalar form, as the reference audit
+    of the tests computes it."""
+    omega, sigma = ms.comparison_angle(
+        float(X.tau[a, x]), float(X.tau[x, a]),
+        float(X.tau[x, b]), float(X.tau[b, x]),
+        float(X.tau[a, b]), float(X.tau[b, a]),
+    )
+    return sigma * omega, sigma
+
+
 def reference_check_monotonicity(X, vertex, alpha, beta, tol):
     vertex = int(vertex)
     if alpha.indices[0] != vertex or beta.indices[0] != vertex:
@@ -1466,7 +1480,7 @@ def reference_check_monotonicity(X, vertex, alpha, beta, tol):
                 skipped += 1
                 continue
             try:
-                grid[ia, ib] = cs._signed_angle_at(X, a, vertex, b)[0]
+                grid[ia, ib] = _signed_angle_at(X, a, vertex, b)[0]
             except GeometryError:
                 skipped += 1
     if np.isnan(grid).all():
@@ -1910,8 +1924,17 @@ def test_merge_reports_matches_reference():
 
 # ---------------------------------------------------------- batched audits
 # curvature runs every check that can raise sample by sample, then the
-# comparisons of many triangles in one batch; the reports and the error
-# raised must be those of a sweep of one-item audits.
+# comparisons of a block of triangles in one batch; the report of a block
+# must be the merge of the one-item reports of its triangles, and the
+# error raised that of a sweep of one-item audits.
+
+
+def merged(reports):
+    """cs.merge_reports of one-item reports with their notes kept in
+    order: the report of one block of their triangles."""
+    reports = list(reports)
+    notes = tuple(itertools.chain.from_iterable(r.notes for r in reports))
+    return dataclasses.replace(cs.merge_reports(reports), notes=notes)
 
 
 def test_batched_audits_match_one_item_calls():
@@ -1929,11 +1952,12 @@ def test_batched_audits_match_one_item_calls():
                     cs.check_triangle_comparison(X, verts, chains, tol, GRID_TOL),
                     outcome(cs.check_monotonicity, X, verts[0], chains[0], chains[2], tol),
                 ))
-            assert cs.check_triangle_comparisons(X, triangles, tol) == [e[0] for e in expected]
+            assert cs.check_triangle_comparisons(X, triangles, tol) == (
+                merged(e[0] for e in expected),
+                sum(e[0].violation_count > 0 for e in expected),
+            )
             if all(isinstance(e[1], cs.ComparisonReport) for e in expected):
-                assert cs.check_monotonicities(X, fans, tol) == [e[1] for e in expected]
-    assert cs.check_triangle_comparisons(X, [], GRID_TOL) == []
-    assert cs.check_monotonicities(X, [], GRID_TOL) == []
+                assert cs.check_monotonicities(X, fans, tol) == merged(e[1] for e in expected)
 
 
 def test_batched_monotonicity_raises_for_its_first_empty_grid():
@@ -2026,6 +2050,25 @@ def reference_sweep(X, options, spoils, check_triangle, check_fan):
     return tol, results, counts
 
 
+def assert_blocks_merge(batched, reference):
+    """A batched sweep's outcome against reference_sweep's: the same
+    error, or the same tol and counts, with the triangles of each block
+    in turn, its reports the merges of their one-item reports, and its
+    count of violated triangles theirs."""
+    if len(reference) == 2:
+        assert batched == reference
+        return
+    tol, blocks, counts = batched
+    assert (tol, counts) == (reference[0], reference[2])
+    items = reference[1]
+    assert sum(block[0] for block in blocks) == len(items)
+    for size, triangle, violated, monotone in blocks:
+        part, items = items[:size], items[size:]
+        assert triangle == merged(t for t, _ in part)
+        assert violated == sum(t.violation_count > 0 for t, _ in part)
+        assert monotone == merged(m for _, m in part)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     space=st.sampled_from(SWEEP_SPACES),
@@ -2050,13 +2093,13 @@ def test_batched_sweep_matches_one_item_sweeps(space, seed, samples, spoils, tol
             batched = outcome(
                 cli._sweep, X, options, scripted_sample(spoils), cli._curvature_audits
             )
-    assert batched == outcome(
+    assert_blocks_merge(batched, outcome(
         reference_sweep, X, options, spoils, cs.check_triangle_comparison, cs.check_monotonicity
-    )
-    assert batched == outcome(
+    ))
+    assert_blocks_merge(batched, outcome(
         reference_sweep, X, options, spoils,
         reference_check_triangle_comparison, reference_check_monotonicity,
-    )
+    ))
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 16])
@@ -2080,7 +2123,48 @@ def test_batched_sweep_raises_the_first_failing_samples_error(cells, monkeypatch
     # a triangle too long for the strip only counts as unrealizable
     _, results, counts = cli._sweep(X, options, scripted_sample({3: "long"}),
                                     cli._curvature_audits)
-    assert counts == {"unrealizable": 1, "undrawn": 0} and len(results) == 7
+    assert counts == {"unrealizable": 1, "undrawn": 0}
+    assert sum(block[0] for block in results) == 7
+
+
+@pytest.mark.parametrize("cells", [1, 200, 1 << 16])
+def test_block_report_is_the_merge_when_one_triangle_fills_the_cap(cells, monkeypatch):
+    # at tol -1 every comparison is a violation, and a triangle of long
+    # chains alone holds more than VIOLATION_CAP of them; at 200 cells
+    # the short first triangle shares its block with the first long one
+    X = sweep_space("cos41")
+    tol = -1.0
+    vertices = ((12, 241, 470), (5, 185, 365), (0, 240, 480))
+    cases = [(v, cli._side_chains(X, v)) for v in vertices]
+    items = []
+    for verts, chains in cases:
+        triangle = cs.triangle_audit(X, verts, chains, GRID_TOL)
+        fan = cs.fan_audit(verts[0], chains[0], chains[2])
+        items.append((triangle.cells + fan.cells, (triangle, fan)))
+    one_item = [(
+        cs.check_triangle_comparison(X, verts, chains, tol, GRID_TOL),
+        cs.check_monotonicity(X, verts[0], chains[0], chains[2], tol),
+    ) for verts, chains in cases]
+    assert one_item[0][0].violation_count < cs.VIOLATION_CAP
+    for report in one_item[1]:
+        assert report.violation_count > cs.VIOLATION_CAP
+
+    options = cli._build_parser().parse_args(
+        ["curvature", "--in", "x", "--samples", str(len(items))]
+    )
+    monkeypatch.setattr(cli, "_AUDIT_CELLS", cells)
+    sample = iter(items).__next__
+    swept = cli._sweep(
+        X, options, lambda X, rng, _: sample(),
+        lambda X, block, _: cli._curvature_audits(X, block, tol),
+    )
+    assert_blocks_merge(swept, (swept[0], one_item, {"unrealizable": 0, "undrawn": 0}))
+    blocks = swept[1]
+    assert len(blocks) == {1: 3, 200: 2, 1 << 16: 1}[cells]
+    # every block but the short triangle's own holds a long triangle
+    capped = blocks[1:] if cells == 1 else blocks
+    assert all(len(block[1].violations) == cs.VIOLATION_CAP for block in capped)
+    assert all(len(block[3].violations) == cs.VIOLATION_CAP for block in capped)
 
 
 @settings(max_examples=40, deadline=None)

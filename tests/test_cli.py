@@ -14,6 +14,7 @@ import math
 import pathlib
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,25 @@ def test_suspend_to_stdout_matches_the_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["suspend", "--in", str(infile)]) == 0
     assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e-305, 1e-307, 1e-308, 3e-309, 1e-310])
+def test_suspend_takes_a_table_whose_reach_overflows(tmp_path, capsys, value):
+    # from 3e-309 down the reach, the integral of 1/f, is past the float
+    # range; at every value each pair across the two levels is timelike
+    # with tau the elapsed time
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    doc["warping"] = {"kind": "table", "knots": [0, 1, 2], "values": [value, 2 * value, value]}
+    doc["t_grid"] = [0.5, 1.5]
+    infile, out = tmp_path / "tiny.json", tmp_path / "space.json"
+    infile.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("suspend", infile, out) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == ""
+    space = json.loads(out.read_text())
+    assert all(v == 1.0 for row in space["tau"][:12] for v in row[12:])
 
 
 @pytest.mark.parametrize("command", ["validate", "suspend"])
