@@ -55,7 +55,7 @@ VIOLATION_CAP = 200
 RECON_COLLAR = 1e-12
 
 # The chain index works in row blocks of about this many cells, so its
-# only n x n float64 array is W itself, even for a space stored out of order.
+# only n x n float64 array is W itself.
 _INDEX_CELLS = 1 << 16
 
 
@@ -151,9 +151,10 @@ class FiniteCausalSpace:
             raise StructuralError(f"tau shape {tau.shape} does not match {n} labels")
         if leq.shape != (n, n):
             raise StructuralError(f"leq shape {leq.shape} does not match {n} labels")
-        if np.isnan(tau).any():
+        low = tau.min()  # NaN when any entry is
+        if np.isnan(low):
             raise StructuralError("tau contains NaN entries")
-        if (tau < 0.0).any():
+        if low < 0.0:
             raise StructuralError("tau entries must be nonnegative")
         if (np.diag(tau) != 0.0).any():
             raise StructuralError("tau diagonal must be zero")
@@ -198,12 +199,12 @@ class FiniteCausalSpace:
         raises CausalityError.
 
         W is tau in rank order, -inf off leq and on the diagonal, so
-        every row's successors lie to its right.  A space stored in rank
-        order, as every sampled suspension is, fills W straight from its
-        matrices; any other is permuted once, in row blocks of about
-        _INDEX_CELLS cells, so the index peaks at one n-by-n float64
-        matrix either way.  heads holds, for each place, the first place
-        of its antichain run of the whole order.  The runs are found
+        every row's successors lie to its right.  Every point order fills
+        it the same way, in row blocks of about _INDEX_CELLS cells whose
+        rows are gathered and columns permuted into rank order, so the
+        index peaks at one n-by-n float64 matrix; the same pass reads each
+        row's first successor.  heads holds, for each place, the first
+        place of its antichain run of the whole order.  The runs are found
         walking down from the top: a run grows while its next row has no
         successor inside it, so no row of a run depends on another.
 
@@ -231,20 +232,16 @@ class FiniteCausalSpace:
         else:
             raise CausalityError("leq has a cycle among distinct points or is not transitive")
         step = max(1, _INDEX_CELLS // n)
-        if np.array_equal(byrank, np.arange(n)):
-            W = np.where(self.leq, self.tau, -np.inf)
-        else:
-            W = np.empty((n, n))
-            for lo in range(0, n, step):
-                rows = byrank[lo:lo + step]
-                block = np.where(self.leq[rows], self.tau[rows], -np.inf)
-                np.take(block, byrank, axis=1, out=W[lo:lo + step])
-        np.fill_diagonal(W, -np.inf)
-        W.setflags(write=False)
+        W = np.empty((n, n))
         first = np.empty(n, dtype=int)  # first successor of each row, n for none
         for lo in range(0, n, step):
-            related = W[lo:lo + step] > -np.inf
+            rows = byrank[lo:lo + step]
+            block = W[lo:lo + step]
+            np.take(np.where(self.leq[rows], self.tau[rows], -np.inf), byrank, axis=1, out=block)
+            np.fill_diagonal(block[:, lo:], -np.inf)
+            related = block > -np.inf
             first[lo:lo + step] = np.where(related.any(axis=1), related.argmax(axis=1), n)
+        W.setflags(write=False)
         first = first.tolist()
         heads = [0] * n
         hi = n
@@ -455,16 +452,17 @@ def longest_chain(X: FiniteCausalSpace, i: int, j: int) -> Chain:
     Dynamic programming over the space's chain index
     (FiniteCausalSpace._chain_index), built on the first chain: one
     topological order of the whole space, by time or else by past size,
-    with W, tau on the strictly related pairs and -inf elsewhere, stored
-    in that order.  best[r] is the value of the longest path of leq hops
-    from place r to the place of j.  It is filled from the top down one
-    antichain run of the index at a time, each run in one reduction over
-    contiguous rows of W against the places already done, and cached per
-    end point: a later chain to j that starts further down extends the
-    same array through the runs in between, finishing a run that an
-    earlier start cut.  Every candidate is the single sum
-    tau(r, s) + best[s] and max is exact, so the values do not depend
-    on how the rows are blocked or which chains warmed the cache.
+    with W, tau on the strictly related pairs and -inf elsewhere, built
+    in that order from any stored order.  best[r] is the value of the
+    longest path of leq hops from place r to the place of j.  It is
+    filled from the top down one antichain run of the index at a time,
+    each run in one reduction over contiguous rows of W against the
+    places already done, and cached per end point: a later chain to j
+    that starts further down extends the same array through the runs in
+    between, finishing a run that an earlier start cut.  Every candidate
+    is the single sum tau(r, s) + best[s] and max is exact, so the values
+    do not depend on how the rows are blocked or which chains warmed the
+    cache.
 
     The walk from i takes, at each place r, the first place s in the
     order with tau(r, s) + best[s] within a rounding collar of best[r]
@@ -983,7 +981,7 @@ def myers_check(X: FiniteCausalSpace, tol: float = 1e-9) -> ComparisonReport:
     """
     tau = X.tau
     finite = np.isfinite(tau)  # never empty: the diagonal is zero
-    books = _Tally(tol, float(np.max(tau[finite]) - math.pi))
+    books = _Tally(tol, float(np.max(tau, where=finite, initial=-np.inf) - math.pi))
     books.checked = int(finite.sum())
     listed = np.argwhere(finite & (tau > math.pi - tol))
     value = tau[listed[:, 0], listed[:, 1]]

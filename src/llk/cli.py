@@ -70,7 +70,8 @@ MAX_TABLE_ROWS = 10**6
 _AUDIT_CELLS = 1 << 16
 
 # a materialized space holds n x n matrices: suspend and split peak at
-# 103 and 132 MB at 1,932 points, and at 339 and 433 MB at 4,092
+# 100 and 107 MB at 1,932 points, and at 323 and 324 MB at 4,092 (peak
+# RSS in a fresh interpreter, cos suspension over a 12-point net)
 MAX_SPACE_POINTS = 4096
 
 
@@ -508,7 +509,7 @@ def _subdivision_sample(X, rng, tol):
 def _effective_tol_disc(options, X: cs.FiniteCausalSpace) -> float:
     if options.tol_disc is not None:
         return options.tol_disc
-    gaps = np.where(X.tau > 0.0, X.tau, np.inf).min(axis=1)
+    gaps = np.min(X.tau, axis=1, where=X.tau > 0.0, initial=np.inf)
     gaps = gaps[np.isfinite(gaps)]
     if gaps.size == 0:
         return options.tol_exact

@@ -10,6 +10,7 @@ deterministic; no operation mutates its input space.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,35 +365,24 @@ def _chain_positions(linked: np.ndarray, defect: np.ndarray) -> list:
 
 
 def _chain_into_line(X: cs.FiniteCausalSpace, members, th) -> LineSample:
-    """Members ordered by time, parametrized by cumulative tau.
+    """Members parametrized by cumulative tau.
 
-    The anchor is the member nearest time zero; its fitted time is kept
-    exactly and the rest accumulate sampled separations outward, so the
-    params reproduce tau along the line by construction.
+    members are a timelike-chained selection in (time, index) order, as
+    _member_sets gives them.  The anchor is the member nearest time zero;
+    its fitted time is kept exactly and the rest accumulate sampled
+    separations outward, so the params reproduce tau along the line.
     """
-    order = sorted(members, key=lambda x: (th[x], x))
-    a = min(range(len(order)), key=lambda i: (abs(th[order[i]]), i))
-    par = [0.0] * len(order)
-    for i in range(a + 1, len(order)):
-        step = float(X.tau[order[i - 1], order[i]])
-        if step <= 0.0:
-            raise ConvergenceError(
-                f"selected points {order[i - 1]} and {order[i]} are not chained"
-            )
-        par[i] = par[i - 1] + step
-    for i in range(a - 1, -1, -1):
-        step = float(X.tau[order[i], order[i + 1]])
-        if step <= 0.0:
-            raise ConvergenceError(
-                f"selected points {order[i]} and {order[i + 1]} are not chained"
-            )
-        par[i] = par[i + 1] - step
-    base = float(th[order[a]])
-    params = tuple(base + q for q in par)
-    span = params[-1] - params[0]
+    idx = np.array(members)
+    steps = X.tau[idx[:-1], idx[1:]]
+    a = min(range(len(members)), key=lambda i: (abs(th[members[i]]), i))
+    par = np.zeros(len(members))
+    par[a + 1:] = np.cumsum(steps[a:])
+    par[:a] = -np.cumsum(steps[:a][::-1])[::-1]
+    params = th[members[a]] + par
+    span = float(params[-1] - params[0])
     if not span < math.pi:
         raise ConvergenceError(f"selected points span {span!r}, at least pi")
-    return LineSample(tuple(order), params)
+    return LineSample(members, params)
 
 
 def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edge_cos):
@@ -499,9 +489,7 @@ def extract_slice(
     lev, ok = _member_levels(g_par, th, in_dom)
 
     # asymptotes through many points share one member tuple, which is
-    # also the indices of its line, so each tuple is chained once
-    lines = {}
-    counts = {}
+    # also the indices of its line
     points = np.nonzero(in_dom)[0]
     point_keys = _member_sets(X, th, lev, ok, points)
     for p, members in zip(points.tolist(), point_keys):
@@ -509,10 +497,8 @@ def extract_slice(
             raise ConvergenceError(
                 f"asymptote through point {p} keeps only {len(members)} stable members"
             )
-        if members not in lines:
-            lines[members] = _chain_into_line(X, members, th)
-        counts[members] = counts.get(members, 0) + 1
-    keys = sorted(lines, key=lambda k: (min(k), k))
+    counts = Counter(point_keys)
+    keys = sorted(counts, key=lambda k: (min(k), k))
 
     # asymptotes through a shared point coincide in the limit, so key
     # variants sharing a majority of members are the same fiber read
@@ -527,7 +513,7 @@ def extract_slice(
     # to contain the smallest index
     families = _components(len(keys), variants)
     heads = [min(ks, key=lambda a: (-counts[keys[a]], keys[a])) for ks in families]
-    head_lines = [lines[keys[h]] for h in heads]
+    head_lines = [_chain_into_line(X, keys[h], th) for h in heads]
 
     m = len(heads)
     dist = np.zeros((m, m))
@@ -569,10 +555,7 @@ def extract_slice(
     k = len(reps)
     if not k:
         raise ExtractionError("no point lies in the line's timelike domain")
-    d_s = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            d_s[a, b] = d_s[b, a] = dist[reps[a], reps[b]]
+    d_s = dist[np.ix_(reps, reps)]
     repaired = _floyd_warshall(d_s)
     slack = float(np.max(d_s - repaired))
     if diagnostics is not None:
@@ -623,10 +606,10 @@ def _audit(X: cs.FiniteCausalSpace, dist, xidx, bidx, svals, collar: float):
         pairs = (at[None, :] > at[:len(s), None]) & (xr[:, None] != xc[None, :])
         later = t[None, :] > s[:, None]
         earlier = t[None, :] < s[:, None]
-        # the model pair runs from the earlier sample to the later one
+        # either orientation of the model pair reads d: the slice metric, a
+        # Floyd-Warshall closure of a symmetric matrix, is exactly symmetric
         d = dist[np.ix_(br, bc)]
-        dx = np.where(earlier, dist[np.ix_(bc, br)].T, d)
-        leq_w, timelike_w, w = ms.ads_separation(s, t, dx, later | earlier)
+        leq_w, timelike_w, w = ms.ads_separation(s, t, d, later | earlier)
         cls_w = np.where(timelike_w, 2, leq_w.astype(np.int8))
         fwd = X.tau[np.ix_(xr, xc)]
         bwd = X.tau[np.ix_(xc, xr)].T

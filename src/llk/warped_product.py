@@ -213,13 +213,19 @@ def null_offset(f: WarpingSpec, t0: float, t1: float) -> float:
 
 
 def _table_reach(pieces) -> float:
-    """Null offset across the linear pieces (w, f0, f1) of a table."""
+    """Null offset across the linear pieces (w, f0, f1) of a table.
+
+    A piece rising from a value so small that u = (f1 - f0)/f0
+    overflows takes its w log(f1/f0)/(f1 - f0) from the two logs, where
+    log1p(u)/u would be inf/inf.  Past the float range the reach is inf.
+    """
     w, f0, f1 = pieces
-    u = (f1 - f0) / f0
-    flat = u == 0.0
-    ratio = np.where(flat, 1.0, np.log1p(u) / np.where(flat, 1.0, u))
-    with np.errstate(over="ignore"):  # past the float range the reach is inf
-        return float(np.sum(w / f0 * ratio))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = (f1 - f0) / f0
+        reach = w / f0 * np.where(u == 0.0, 1.0, np.log1p(u) / u)
+        steep = u == math.inf
+        reach[steep] = (w * (np.log(f1) - np.log(f0)) / (f1 - f0))[steep]
+        return float(np.sum(reach))
 
 
 def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarray:
@@ -261,10 +267,14 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
     reach by up to 2e-10, the conditioning of the problem there, where
     both solvers sit equally far from a 50-digit solve.
 
-    A reach past the float range, about 1.8e308 or more, leaves every
-    displacement short of 1e300 so small a share of it that tau rounds
-    to elapsed, as a finite reach of 1e308 already gives; tau is elapsed
-    there without a solve, whose scaled widths would overflow.
+    A lane whose start p0 squares to 0 takes tau = elapsed without a
+    solve: at dx = 0, past an infinite reach, and where tiny values make
+    the reach dwarf dx, so that the radii of the knots whose f^2
+    underflows would be 0.  The displacement is at least
+    p reach / (max f + p), so the root is at most max(f) rho / (1 - rho);
+    and elapsed - tau < p dx, as 1 - f/r = p f / (r + f) is below p times
+    p / (f r).  In scaled units, with p0^2 below 2^-1074, that is below
+    half an ulp of elapsed wherever fbar is above 2^-340.
 
     Every displacement is one lane of (lanes, pieces) arrays with its
     own bracket, and leaves the active set once its own stopping rule
@@ -272,18 +282,22 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
     result does not depend on which other lanes share the solve.
     """
     tau = np.full(len(dx), elapsed)
-    lanes = np.flatnonzero(dx != 0.0)
-    if not lanes.size or reach == math.inf:
+    if not tau.size:  # no lane, and perhaps a zero reach
         return tau
     w, f0, f1 = pieces
     # capped so that a table of subnormal values still has a finite scale
     scale = math.ldexp(1.0, min(-math.frexp(max(f0.max(), f1.max()))[1], 1022))
+    fbar = elapsed * scale / reach
+    rho = dx / reach
+    start = fbar * rho / np.sqrt((1.0 - rho) * (1.0 + rho))
+    lanes = np.flatnonzero(start * start > 0.0)
+    if not lanes.size:
+        return tau
     w, f0, f1 = w * scale, f0 * scale, f1 * scale
     prod, rise, total = f0 * f1, f1 - f0, f0 + f1
     span = w * total
     ends = np.append(f0, f1[-1])
     squares = ends * ends
-    fbar = elapsed * scale / reach
     block = max(1, _SOLVE_CELLS // len(w))
     rows = min(block, lanes.size)
     knot_buf = np.empty((rows, len(ends)))
@@ -302,8 +316,7 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
     for first in range(0, lanes.size, block):
         idx = lanes[first:first + block]
         target = dx[idx]
-        rho = target / reach
-        p = fbar * rho / np.sqrt((1.0 - rho) * (1.0 + rho))
+        p = start[idx]
         p_lo = np.zeros(idx.size)
         p_hi = np.full(idx.size, math.inf)
         for _ in range(_MAX_STEPS):

@@ -857,6 +857,29 @@ def test_warm_chains_work_in_place():
     assert kept <= 1.5 * n * n * 8
 
 
+def test_reductions_over_a_space_read_tau_in_place():
+    # 972 points, as at --grid 81: building a space keeps its copies of tau
+    # and leq, 9 n^2 bytes, and checks them without an n x n temporary;
+    # myers_check and the default --tol-disc form no n x n float64 matrix
+    X = seeded_net_space(3, "cos", n_times=81)
+    n = X.size
+    tau, leq = np.array(X.tau), np.array(X.leq)
+    options = cli._build_parser().parse_args(["curvature", "--in", "x"])
+    runs = (
+        (lambda: cs.FiniteCausalSpace(X.labels, tau, leq, X.coords), 9 * n * n + 64 * 1024),
+        (lambda: cs.myers_check(X), 3 * n * n),
+        (lambda: cli._effective_tol_disc(options, X), 3 * n * n),
+    )
+    for run, bound in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 def test_split_drops_the_chain_index():
     X = suspension_space()
     options = cli._build_parser().parse_args(["split", "--in", "x"])

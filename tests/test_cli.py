@@ -431,14 +431,28 @@ def test_suspend_to_stdout_matches_the_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
-@pytest.mark.parametrize("value", [1e-300, 1e-305, 1e-307, 1e-308, 3e-309, 1e-310])
-def test_suspend_takes_a_table_whose_reach_overflows(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "knots, values, t_grid, elapsed",
+    [
+        pytest.param([0, 1, 2], [v, 2 * v, v], [0.5, 1.5], 1.0, id=f"{v}")
+        for v in (1e-300, 1e-305, 1e-307, 1e-308, 3e-309, 1e-310)
+    ] + [
+        pytest.param([0, 1, 2, 3], [v, v, 1, 1], [0.5, 2.5], 2.0, id=f"rise-{v}")
+        for v in (1e-310, 1e-300)
+    ] + [pytest.param([0, 1, 2], [1e-160, 1e-160, 1], [0.5, 1.5], 1.0, id="rise-1e-160")],
+)
+def test_suspend_takes_a_table_whose_reach_overflows(
+    tmp_path, capsys, knots, values, t_grid, elapsed
+):
     # from 3e-309 down the reach, the integral of 1/f, is past the float
-    # range; at every value each pair across the two levels is timelike
-    # with tau the elapsed time
+    # range; a piece rising from 1e-310 to 1 overflows u = (f1 - f0)/f0,
+    # and from 1e-300 its reach so dwarfs every displacement that the
+    # solver's start p underflows; from 1e-160 its square does, as do the
+    # squares of the small values.  Each pair across the two levels is
+    # timelike with tau the elapsed time
     doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
-    doc["warping"] = {"kind": "table", "knots": [0, 1, 2], "values": [value, 2 * value, value]}
-    doc["t_grid"] = [0.5, 1.5]
+    doc["warping"] = {"kind": "table", "knots": knots, "values": values}
+    doc["t_grid"] = t_grid
     infile, out = tmp_path / "tiny.json", tmp_path / "space.json"
     infile.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
@@ -447,7 +461,7 @@ def test_suspend_takes_a_table_whose_reach_overflows(tmp_path, capsys, value):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err == ""
     space = json.loads(out.read_text())
-    assert all(v == 1.0 for row in space["tau"][:12] for v in row[12:])
+    assert all(v == elapsed for row in space["tau"][:12] for v in row[12:])
 
 
 @pytest.mark.parametrize("command", ["validate", "suspend"])

@@ -810,6 +810,40 @@ def test_find_line_takes_the_first_maximum_without_copying_tau():
     assert peak < X.size**2 + 64 * 1024
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+def test_slice_metric_is_exactly_symmetric(seed):
+    # _audit reads each model pair's fiber distance in one orientation;
+    # None is the circle fixture's suspension, a seed a bench-like net at
+    # --grid 21
+    if seed is None:
+        _, _, X = suspension()
+    else:
+        grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, 21)
+        X = wp.sample_warped_product(wp.cos_warping(), jittered_net(seed), tuple(grid))
+    S, _, _ = rg.extract_slice(X, rg.find_line(X))
+    assert np.array_equal(S.dist, S.dist.T)
+
+
+def test_extract_slice_chains_one_line_per_family(monkeypatch):
+    # the noise splits the twelve fibers into hundreds of key variants;
+    # only the head of each family becomes a line
+    X = noisy_suspension(0)
+    calls = []
+    chain = rg._chain_into_line
+
+    def spy(X, members, th):
+        calls.append(members)
+        return chain(X, members, th)
+
+    monkeypatch.setattr(rg, "_chain_into_line", spy)
+    diagnostics = {}
+    _, lines, _ = rg.extract_slice(X, rg.find_line(X), diagnostics=diagnostics)
+    families = diagnostics["asymptote_keys"] - diagnostics["merged_variants"]
+    assert diagnostics["merged_variants"] > 0
+    assert len(calls) == len(set(calls)) == families
+    assert {line.indices for line in lines} <= set(calls)
+
+
 def test_extract_slice_rejects_unrepairable_metrics():
     X = noisy_suspension(1)
     with pytest.raises(ExtractionError):
