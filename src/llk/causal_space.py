@@ -200,12 +200,14 @@ class FiniteCausalSpace:
 
         W is tau in rank order, -inf off leq and on the diagonal, so
         every row's successors lie to its right.  Every point order fills
-        it the same way, in row blocks of about _INDEX_CELLS cells whose
-        rows are gathered and columns permuted into rank order, so the
-        index peaks at one n-by-n float64 matrix; the same pass reads each
-        row's first successor.  heads holds, for each place, the first
-        place of its antichain run of the whole order.  The runs are found
-        walking down from the top: a run grows while its next row has no
+        it the same way, in row blocks of about _INDEX_CELLS cells: the
+        block's rows of tau are gathered, their columns permuted into
+        rank order straight into W (mode="clip" takes without a buffer;
+        byrank is in range) and masked there, so the build holds W and
+        one gathered float block; the same pass reads each row's first
+        successor.  heads holds, for each place, the first place of its
+        antichain run of the whole order.  The runs are found walking
+        down from the top: a run grows while its next row has no
         successor inside it, so no row of a run depends on another.
 
         ends caches the dynamic program of longest_chain: for an end
@@ -237,7 +239,8 @@ class FiniteCausalSpace:
         for lo in range(0, n, step):
             rows = byrank[lo:lo + step]
             block = W[lo:lo + step]
-            np.take(np.where(self.leq[rows], self.tau[rows], -np.inf), byrank, axis=1, out=block)
+            np.take(self.tau[rows], byrank, axis=1, out=block, mode="clip")
+            np.copyto(block, -np.inf, where=~self.leq[rows][:, byrank])
             np.fill_diagonal(block[:, lo:], -np.inf)
             related = block > -np.inf
             first[lo:lo + step] = np.where(related.any(axis=1), related.argmax(axis=1), n)
@@ -925,14 +928,15 @@ def check_subdivision(
         else:
             bwd, fwd = _segment_angles(q_t, p_t)
         u_p = ms.geodesic_tangent(g, la + s_p * scale)
-        angle_tp_x = ms.hyperbolic_angle(p_t, (-u_p[0], -u_p[1]), fwd)
-        angle_tp_e = ms.hyperbolic_angle(p_t, u_p, fwd)
+        # the same angle toward x and toward e: the tangent toward x is
+        # -u_p, negation is exact, and the angle takes |<u, v>|
+        angle_tp = ms.hyperbolic_angle(p_t, u_p, fwd)
         angle_tq_x, angle_tq_e = (
             ms.hyperbolic_angle(q_t, _side_tangent(whole, *side), bwd) for side in q_sides
         )
         tilde = (
-            {"x": whole_angles["x"], "p": angle_tp_x, q_name: angle_tq_x},
-            {"p": angle_tp_e, q_name: angle_tq_e, e_name: whole_angles[e_name]},
+            {"x": whole_angles["x"], "p": angle_tp, q_name: angle_tq_x},
+            {"p": angle_tp, q_name: angle_tq_e, e_name: whole_angles[e_name]},
         )
 
     # When q lies below p, time reversal exchanges the outer vertices, so

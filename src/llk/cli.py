@@ -50,16 +50,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-COMMANDS = (
-    "validate",
-    "curvature",
-    "myers",
-    "subdivide",
-    "split",
-    "suspend",
-    "geodesics",
-)
-
 DRAW_TRIES = 64
 
 # geodesics builds its table in memory, at about 150 bytes a row
@@ -676,10 +666,7 @@ def emit_geodesic_table(curves, step: float) -> bytes:
     if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
         raise ParameterError(f"step must be a positive number, got {step!r}")
     # clamped, so that a tiny step cannot overflow the integer conversion
-    lasts = [
-        int(min(math.asin(min(1.0, 1.0 / math.cosh(g.omega))) / step, MAX_TABLE_ROWS))
-        for g in curves
-    ]
+    lasts = [int(min(g.domain[1] / step, MAX_TABLE_ROWS)) for g in curves]
     if sum(2 * last + 1 for last in lasts) > MAX_TABLE_ROWS:
         raise ParameterError(f"step {step!r} would give more than {MAX_TABLE_ROWS} table rows")
     lines = ["curve_id,lambda,t,x"]
@@ -705,6 +692,8 @@ _CHECK_COMMANDS = {
     "subdivide": _cmd_subdivide,
     "split": _cmd_split,
 }
+
+COMMANDS = (*_CHECK_COMMANDS, "suspend", "geodesics")
 
 
 def _run_chunks(command: str, raw: bytes, options) -> tuple:

@@ -48,9 +48,8 @@ MIN_VALUE = 2.0
 _AUDIT_CELLS = 1 << 16
 
 # Asymptote membership works on at most this many (point, point) cells
-# at a time, which bounds each of its temporaries to 256 KB; at 1 MB the
-# blocks of a 252-point split raised its peak memory above the old
-# per-point loop's.
+# at a time, which bounds each of its temporaries to 256 KB; blocks of
+# 1 MB raise the peak memory of a 252-point split.
 _MEMBER_CELLS = 1 << 15
 
 

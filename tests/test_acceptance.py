@@ -10,6 +10,7 @@ a verbose run reads as the acceptance checklist.
 """
 
 import functools
+import json
 import math
 import time
 from pathlib import Path
@@ -350,22 +351,15 @@ def test_criterion_08_c_functions_separate_parallel_from_tilted():
 
 
 def test_criterion_10_reports_deterministic_across_workers():
-    runs = (
-        ("validate", "ads_diamond_81", [], cli.EXIT_PASS),
-        ("curvature", "ads_diamond_81", ["--samples", "50"], cli.EXIT_PASS),
-        ("curvature", "suspension_circle12", ["--samples", "50"], cli.EXIT_PASS),
-        ("split", "suspension_circle12", [], cli.EXIT_PASS),
-        ("myers", "flat_strip", [], cli.EXIT_FAIL),
-    )
-    for command, stem, extra, expected in runs:
-        raw = (FIXTURES / f"{stem}.json").read_bytes()
+    for run in json.loads((GOLDEN / "runs.json").read_text()):
+        raw = (FIXTURES / run["fixture"]).read_bytes()
         outputs = []
         for jobs in ("1", "8"):
             options = cli._build_parser().parse_args(
-                [command, "--in", "x", "--jobs", jobs, *extra]
+                [run["command"], "--in", "x", "--jobs", jobs, *run["extra"]]
             )
-            payload, code = cli.run_command(command, raw, options)
-            assert code == expected
+            payload, code = cli.run_command(run["command"], raw, options)
+            assert code == run["exit"]
             outputs.append(payload)
         assert outputs[0] == outputs[1]
-        assert outputs[0] == (GOLDEN / f"{stem}.{command}.json").read_bytes()
+        assert outputs[0] == (GOLDEN / run["golden"]).read_bytes()

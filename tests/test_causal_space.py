@@ -808,6 +808,22 @@ def test_chain_index_ranks_a_shuffled_space():
     assert np.array_equal(run_starts(W, heads), np.arange(0, X.size, 12))
 
 
+@pytest.mark.parametrize("space", [lambda: seeded_net_space(3, "cos"), shuffled_cos_space])
+def test_chain_index_builds_beside_one_float_block(space):
+    # at 252 points one row block is all of W; beyond W and that block
+    # the build holds only index-sized arrays, well under 32 KB
+    X = space()
+    n = X.size
+    assert cs._INDEX_CELLS // n >= n
+    tracemalloc.start()
+    try:
+        X._chain_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8 + 32 * 1024
+
+
 def test_longest_chain_extends_the_cache_of_its_end_point():
     X = seeded_net_space(3, "cos")
     rank, _, _, _, ends = X._chain_index

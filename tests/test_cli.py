@@ -30,34 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
-GOLDEN_RUNS = (
-    ("ads_diamond_81.validate.json", "validate", "ads_diamond_81.json", (), 0),
-    (
-        "ads_diamond_81.curvature.json",
-        "curvature",
-        "ads_diamond_81.json",
-        ("--samples", "50", "--seed", "0"),
-        0,
-    ),
-    (
-        "suspension_circle12.curvature.json",
-        "curvature",
-        "suspension_circle12.json",
-        ("--samples", "50", "--seed", "0"),
-        0,
-    ),
-    ("suspension_circle12.split.json", "split", "suspension_circle12.json", (), 0),
-    ("flat_strip.myers.json", "myers", "flat_strip.json", (), 1),
-    # the one golden with violation records: 37 triangle and 4
-    # monotonicity violations, 14 unrealizable triangles
-    (
-        "flat_strip.curvature.json",
-        "curvature",
-        "flat_strip.json",
-        ("--samples", "100", "--seed", "0"),
-        1,
-    ),
-)
+GOLDEN_RUNS = json.loads((GOLDEN / "runs.json").read_text())
 
 
 def run_cli(command, infile, out, *extra):
@@ -514,13 +487,21 @@ def test_suspend_output_is_pinned(tmp_path, extra, digest, size):
 
 
 def test_golden_reports_replay_byte_identical(tmp_path):
-    for (golden, command, fixture, extra, expected), jobs in itertools.product(
-        GOLDEN_RUNS, ("1", "8")
-    ):
-        out = tmp_path / golden
-        code = run_cli(command, FIXTURES / fixture, out, *extra, "--jobs", jobs)
-        assert code == expected, (command, fixture, jobs)
-        assert out.read_bytes() == (GOLDEN / golden).read_bytes(), (golden, jobs)
+    for run, jobs in itertools.product(GOLDEN_RUNS, ("1", "8")):
+        out = tmp_path / run["golden"]
+        infile = FIXTURES / run["fixture"]
+        code = run_cli(run["command"], infile, out, *run["extra"], "--jobs", jobs)
+        assert code == run["exit"], (run, jobs)
+        assert out.read_bytes() == (GOLDEN / run["golden"]).read_bytes(), (run, jobs)
+
+
+def test_the_golden_runs_name_every_golden_and_its_verdict():
+    named = sorted(run["golden"] for run in GOLDEN_RUNS)
+    on_disk = sorted(p.name for p in GOLDEN.glob("*.json") if p.name != "runs.json")
+    assert named == on_disk
+    for run in GOLDEN_RUNS:
+        verdict = json.loads((GOLDEN / run["golden"]).read_text())["verdict"]
+        assert (verdict, run["exit"]) in ((True, 0), (False, 1)), run
 
 
 @pytest.mark.parametrize("fixture, extra, points", [
@@ -928,6 +909,21 @@ def test_geodesic_table_groups_curves_in_order(tmp_path):
         cid, _, _, x = row.split(",")
         if cid == "0":
             assert float(x) == 0.0
+
+
+def test_geodesics_output_is_pinned(tmp_path):
+    # the curves of the console-script check, one vertical and one tilted
+    request = tmp_path / "curves.json"
+    request.write_bytes(
+        doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}, {"omega": 1.0, "c": 2.0}]})
+    )
+    out = tmp_path / "geo.csv"
+    assert run_cli("geodesics", request, out, "--step", "0.02") == 0
+    raw = out.read_bytes()
+    assert len(raw) == 6_689
+    assert hashlib.sha256(raw).hexdigest() == (
+        "581e47996a3c2cf72c223b50a98b00dc7c52ee0f3cb42dfb41251343c6958d93"
+    )
 
 
 def test_geodesic_rows_climb_toward_the_strip_edge():

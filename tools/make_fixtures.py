@@ -7,8 +7,9 @@ Run from the repository root:
 Fixtures are small by design: a 9x9 null-coordinate diamond sample of
 the model strip, a cos-suspension request over a 12-point circle net,
 and a constant-warping (flat) strip request of height 4 over the same
-net.  Golden reports freeze representative commands per fixture; the
-determinism test replays them with 1 and 8 workers and compares bytes.
+net.  Golden reports freeze representative commands per fixture, one
+entry each in fixtures/golden/runs.json, which the tests and CI replay
+with 1 and 8 workers and compare byte for byte.
 """
 
 import json
@@ -74,17 +75,7 @@ def write_bytes(path, raw):
     print(f"wrote {path.relative_to(ROOT)}")
 
 
-def write_golden(name, command, fixture, extra=()):
-    out = GOLDEN / name
-    argv = [command, "--in", str(fixture), "--out", str(out), *extra]
-    code = cli.main(argv)
-    print(f"wrote {out.relative_to(ROOT)} (exit {code})")
-
-
 def main():
-    FIXTURES.mkdir(exist_ok=True)
-    GOLDEN.mkdir(exist_ok=True)
-
     diamond = FIXTURES / "ads_diamond_81.json"
     write_bytes(diamond, cli.render_space(diamond_space()))
     suspension = FIXTURES / "suspension_circle12.json"
@@ -92,21 +83,11 @@ def main():
     strip = FIXTURES / "flat_strip.json"
     write_bytes(strip, cli._render_json(flat_strip_request()))
 
-    write_golden("ads_diamond_81.validate.json", "validate", diamond)
-    write_golden(
-        "ads_diamond_81.curvature.json", "curvature", diamond,
-        ("--samples", "50", "--seed", "0"),
-    )
-    write_golden(
-        "suspension_circle12.curvature.json", "curvature", suspension,
-        ("--samples", "50", "--seed", "0"),
-    )
-    write_golden("suspension_circle12.split.json", "split", suspension)
-    write_golden("flat_strip.myers.json", "myers", strip)
-    write_golden(
-        "flat_strip.curvature.json", "curvature", strip,
-        ("--samples", "100", "--seed", "0"),
-    )
+    for run in json.loads((GOLDEN / "runs.json").read_text()):
+        out = GOLDEN / run["golden"]
+        argv = [run["command"], "--in", str(FIXTURES / run["fixture"]), "--out", str(out)]
+        code = cli.main([*argv, *run["extra"]])
+        print(f"wrote {out.relative_to(ROOT)} (exit {code})")
 
 
 if __name__ == "__main__":
