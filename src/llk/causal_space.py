@@ -537,23 +537,37 @@ def make_chain(X: FiniteCausalSpace, indices) -> Chain:
     return Chain(tuple(idx), tuple(params))
 
 
-def _realize_clamped(a12: float, a23: float, a13: float, budget: float):
-    """Realize sides, clamping a13 up to a12 + a23 when within budget.
+def _clamp(a12: float, a23: float, a13: float, budget: float):
+    """(a13, note): a13 clamped up to a12 + a23 when within budget.
 
     Chain values can undershoot the reverse triangle inequality by the
     discretization budget eps plus the drift of the chains (_drift); the
     clamp restores feasibility and is reported via the returned note.
     """
-    note = ""
-    if a13 < a12 + a23:
-        if a13 + budget < a12 + a23:
-            raise ChainError(
-                f"side {a13!r} undershoots {a12 + a23!r} beyond the budget {budget!r}"
-            )
-        note = f"long side clamped from {a13!r} to {a12 + a23!r}"
-        a13 = a12 + a23
-    tri = ms.realize_triangle(ms.TriangleSides(a12, a23, a13, 1))
-    return tri, a13, note
+    if not a13 < a12 + a23:
+        return a13, ""
+    if a13 + budget < a12 + a23:
+        raise ChainError(
+            f"side {a13!r} undershoots {a12 + a23!r} beyond the budget {budget!r}"
+        )
+    return a12 + a23, f"long side clamped from {a13!r} to {a12 + a23!r}"
+
+
+def _realize_clamped(a12: float, a23: float, a13: float, budget: float):
+    """(triangle, a13, note): the sides realized after _clamp."""
+    a13, note = _clamp(a12, a23, a13, budget)
+    return ms.realize_triangle(ms.TriangleSides(a12, a23, a13, 1)), a13, note
+
+
+def _angles(names: str, a12: float, a23: float, a13: float) -> dict:
+    """Hyperbolic angles, keyed by vertex name, of the model triangle
+    names[0] << names[1] << names[2] with sides a12, a23 and a13, from
+    the timelike law of cosines: sigma is -1 at the two time endpoints
+    and +1 at the middle vertex.  The middle angle is taken first, so
+    that a bad side raises as in realize_triangle."""
+    middle = ms.loc_angle(a12, a23, a13, 1)
+    ends = ms.loc_angle(a12, a13, a23, -1), ms.loc_angle(a23, a13, a12, -1)
+    return dict(zip(names, (ends[0], middle, ends[1])))
 
 
 def _check_triangle_inputs(X, verts, chains):
@@ -801,38 +815,6 @@ def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> ComparisonRe
     return books.report(skipped=int(np.count_nonzero(~defined)))
 
 
-def _realized_angles(tri) -> dict:
-    """Unsigned hyperbolic angles of a realized triangle at its vertices."""
-    spec = {
-        1: (tri.x1, ("12", True), ("13", True)),
-        2: (tri.x2, ("12", False), ("23", True)),
-        3: (tri.x3, ("23", False), ("13", False)),
-    }
-    out = {}
-    for vertex, (p, (sa, fa), (sb, fb)) in spec.items():
-        out[vertex] = ms.hyperbolic_angle(
-            p, _side_tangent(tri, sa, fa), _side_tangent(tri, sb, fb)
-        )
-    return out
-
-
-def _side_tangent(tri, side: str, at_start: bool):
-    g, la, lb = tri.sides[side]
-    if at_start:
-        return ms.geodesic_tangent(g, la)
-    dt, dx = ms.geodesic_tangent(g, lb)
-    return (-dt, -dx)
-
-
-def _segment_angles(p: "ms.AdsPrimePoint", q: "ms.AdsPrimePoint"):
-    """Directed tangents of the geodesic segment p -> q at both ends,
-    oriented away from each endpoint; requires a timelike forward pair."""
-    g, la, lb = ms.geodesic_through(p, q)
-    u_p = ms.geodesic_tangent(g, la)
-    dt, dx = ms.geodesic_tangent(g, lb)
-    return u_p, (-dt, -dx)
-
-
 def check_subdivision(
     X: FiniteCausalSpace, verts, chains, p: int, which: str, tol: float,
     eps: float = None,
@@ -849,6 +831,13 @@ def check_subdivision(
 
     which = "future": p lies on the first side and is connected to the
     last vertex, with the inequality pattern of the future version.
+
+    Every angle comes from the timelike law of cosines on side lengths
+    (_angles): those of the whole comparison triangle, of the two
+    sub-triangles whose sides are chain values, and of the two pieces
+    that the comparison segment from p to q cuts from the whole
+    comparison triangle.  Only that segment's separation is read from
+    the realized whole triangle.
     """
     if which not in ("across", "future"):
         raise ParameterError(f'which must be "across" or "future", got {which!r}')
@@ -867,12 +856,11 @@ def check_subdivision(
 
     whole, a13w, clamp_note = _realize_clamped(c12.value, c23.value, c13.value, eps + _drift(c13))
     notes = [clamp_note] if clamp_note else []
-    whole_angles = dict(zip("xyz", _realized_angles(whole).values()))
 
     # Set-up: q is the vertex p connects to, the host side runs from x to
     # its end vertex e, and up says p lies below q.  The two
-    # sub-triangles are named by their vertices in order and realized
-    # from their sides; flips reverse a sub-triangle's angle inequality.
+    # sub-triangles are named by their vertices in causal order, and
+    # flips reverse a sub-triangle's angle inequality.
     if which == "across":
         q, q_name, e_name = j, "y", "z"
         up = X.tau[p, j] > 0.0
@@ -881,14 +869,8 @@ def check_subdivision(
                 f"p = {p} and the middle vertex {j} are not timelike related"
             )
         pq = longest_chain(X, p, j) if up else longest_chain(X, j, p)
-        c_pq = pq.value
-        a_xp, a_pz = s_p, c13.value - s_p
-        if up:
-            subs = (("xpy", (a_xp, c_pq, c12.value)), ("pyz", (c_pq, c23.value, a_pz)))
-        else:
-            subs = (("xyp", (c12.value, c_pq, a_xp)), ("ypz", (c_pq, a_pz, c23.value)))
-        host_side, scale, q_t = "13", a13w / c13.value, whole.x2
-        q_sides = (("12", False), ("23", True))
+        subs = ("xpy", "pyz") if up else ("xyp", "ypz")
+        host_side, whole_host, scale, q_t = "13", a13w, a13w / c13.value, whole.x2
         flips, vertex_ge = (False, False), True
     else:
         q, q_name, e_name, up = k, "z", "y", True
@@ -897,47 +879,42 @@ def check_subdivision(
                 f"p = {p} is not timelike below the opposite vertex {k}"
             )
         pq = longest_chain(X, p, k)
-        c_pq = pq.value
-        subs = (("xpz", (s_p, c_pq, c13.value)), ("pyz", (c12.value - s_p, c23.value, c_pq)))
-        host_side, scale, q_t = "12", 1.0, whole.x3
-        q_sides = (("13", False), ("23", False))
+        subs = ("xpz", "pyz")
+        host_side, whole_host, scale, q_t = "12", c12.value, 1.0, whole.x3
         flips, vertex_ge = (False, True), False
+    pq_name = "p" + q_name if up else q_name + "p"
+
+    def sides(names, xp, pe, pq_len, xz):
+        """(a12, a23, a13) of the sub-triangle names, each side named by
+        its vertices in causal order: the host side is cut at p into xp
+        and pe, pq joins p to q, and the others are sides of the whole."""
+        length = {"xy": c12.value, "yz": c23.value, "xz": xz, "xp": xp,
+                  "p" + e_name: pe, pq_name: pq_len}
+        a, b, c = names
+        return length[a + b], length[b + c], length[a + c]
 
     # each long side is one of the four chains or a part of c13
     budget = eps + max(_drift(c) for c in (c12, c23, c13, pq))
-    realized = [_realize_clamped(*sides, budget) for _, sides in subs]
-    notes += [note for _, _, note in realized if note]
-    bar = [
-        dict(zip(names, _realized_angles(tri).values()))
-        for (names, _), (tri, _, _) in zip(subs, realized)
-    ]
+    bar = []
+    for names in subs:
+        a12, a23, a13 = sides(names, s_p, host.value - s_p, pq.value, c13.value)
+        a13, note = _clamp(a12, a23, a13, budget)
+        notes += [note] if note else []
+        bar.append(_angles(names, a12, a23, a13))
+    whole_q = _angles("xyz", c12.value, c23.value, a13w)[q_name]
 
     g, la, _ = whole.sides[host_side]
-    p_t = ms.geodesic_point(g, la + s_p * scale)
+    u = s_p * scale
+    p_t = ms.geodesic_point(g, la + u)
     res = ms.ads_interval(p_t, q_t) if up else ms.ads_interval(q_t, p_t)
     tau_pq = float(X.tau[p, q] if up else X.tau[q, p])
     skipped = 0
+    tilde = None
     if res.relation != ms.TIMELIKE:
         notes.append(f"comparison segment p-{q_name} is degenerate; angle audit skipped")
         skipped = 1
-        tilde = None
     else:
-        # fwd points away from p_t, bwd away from q_t
-        if up:
-            fwd, bwd = _segment_angles(p_t, q_t)
-        else:
-            bwd, fwd = _segment_angles(q_t, p_t)
-        u_p = ms.geodesic_tangent(g, la + s_p * scale)
-        # the same angle toward x and toward e: the tangent toward x is
-        # -u_p, negation is exact, and the angle takes |<u, v>|
-        angle_tp = ms.hyperbolic_angle(p_t, u_p, fwd)
-        angle_tq_x, angle_tq_e = (
-            ms.hyperbolic_angle(q_t, _side_tangent(whole, *side), bwd) for side in q_sides
-        )
-        tilde = (
-            {"x": whole_angles["x"], "p": angle_tp, q_name: angle_tq_x},
-            {"p": angle_tp, q_name: angle_tq_e, e_name: whole_angles[e_name]},
-        )
+        tilde = [_angles(names, *sides(names, u, whole_host - u, res.tau, a13w)) for names in subs]
 
     # When q lies below p, time reversal exchanges the outer vertices, so
     # the angle ordering that certifies convexity flips.
@@ -965,9 +942,7 @@ def check_subdivision(
             for name, angles, tilde_angles, flip in zip(("sub1", "sub2"), bar, tilde, flips):
                 for label, angle in angles.items():
                     checks.append(((tag, name, label), angle, tilde_angles[label], base != flip))
-    checks.append(
-        (("vertex", q_name), bar[0][q_name] + bar[1][q_name], whole_angles[q_name], vertex_ge)
-    )
+    checks.append((("vertex", q_name), bar[0][q_name] + bar[1][q_name], whole_q, vertex_ge))
     labels, lhs, rhs, ges = zip(*checks)
     books.sweep(
         labels, lhs, rhs, [r - l if ge else l - r for _, l, r, ge in checks],

@@ -64,6 +64,10 @@ _AUDIT_CELLS = 1 << 16
 # RSS in a fresh interpreter, cos suspension over a 12-point net)
 MAX_SPACE_POINTS = 4096
 
+# the largest tau entry of a finite_causal file: half the float range, so
+# that every sum of two separations, and twice their median, stays finite
+MAX_TAU = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class SpaceFile:
@@ -171,6 +175,9 @@ def _parse_finite_causal(doc) -> SpaceFile:
             _fail(f"tau[{i}][{j}]", "null (+inf) entry on a related pair")
         _fail(f"tau[{i}][{j}]", "positive entry on an unrelated pair")
     tau[null] = 0.0
+    if tau.max() > MAX_TAU:
+        i, j = divmod(int(np.argmax(tau > MAX_TAU)), n)
+        _fail(f"tau[{i}][{j}]", f"entry above {MAX_TAU!r}, half the float range")
     coords = None
     if doc.get("coords") is not None:
         rows = doc["coords"]

@@ -403,8 +403,15 @@ def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
         reach = np.where(order, dt, 0.0) / f.value
         leq = order & (dists <= reach + NULL_BAND)
         timelike = order & (dists < reach - NULL_BAND)
-        rad = np.maximum(dt * dt - (f.value * dists) ** 2, 0.0)
-        return leq, np.where(timelike, np.sqrt(rad), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = np.maximum(dt * dt - (f.value * dists) ** 2, 0.0)
+        tau = np.where(timelike, np.sqrt(rad), 0.0)
+        if not np.isfinite(tau).all():
+            raise ParameterError(
+                f"time separations from t = {grid[a]!r} overflow: the squared "
+                "elapsed time is beyond the float range"
+            )
+        return leq, tau
     leq = np.zeros((len(g), len(dists)), dtype=bool)
     tau = np.zeros((len(g), len(dists)))
     for b in range(a, len(g)):

@@ -437,6 +437,62 @@ def test_suspend_takes_a_table_whose_reach_overflows(
     assert all(v == elapsed for row in space["tau"][:12] for v in row[12:])
 
 
+@pytest.mark.parametrize("command", ["suspend", "validate"])
+def test_a_constant_warping_whose_separations_overflow_is_refused(tmp_path, capsys, command):
+    # past an elapsed time of about 1.34e154 its square overflows, and
+    # with it every timelike tau across the two levels
+    doc = {
+        "kind": "suspension_request",
+        "warping": {"kind": "constant", "value": 1.0, "interval": [0.0, 3e154]},
+        "base": {"labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]},
+        "t_grid": [0.5, 2e154],
+    }
+    infile, out = tmp_path / "long.json", tmp_path / "out.json"
+    infile.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, infile, out) == 2
+    assert not caught
+    assert capsys.readouterr().err == (
+        "error [llk.errors.ParameterError] time separations from t = 0.5 overflow: "
+        "the squared elapsed time is beyond the float range\n"
+    )
+    # short of it, the separations are the elapsed time less a rounding
+    doc["t_grid"] = [0.5, 1e154]
+    infile.write_text(json.dumps(doc))
+    assert run_cli(command, infile, out) == 0
+    if command == "suspend":
+        assert json.loads(out.read_text())["tau"][0][2:] == [1e154, 1e154]
+
+
+def chain_of_three(tau):
+    """A finite_causal document: three points in a chain, each forward
+    tau the given value."""
+    return {
+        "kind": "finite_causal",
+        "labels": ["a", "b", "c"],
+        "tau": [[tau if j > i else (0 if j == i else None) for j in range(3)] for i in range(3)],
+        "leq": [[int(j >= i) for j in range(3)] for i in range(3)],
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "curvature", "subdivide"])
+def test_tau_entries_beyond_half_the_float_range_are_refused(tmp_path, capsys, command):
+    # above cli.MAX_TAU the reverse triangle sums and the doubled median
+    # of the curvature tolerance overflow, and the report could not be written
+    infile, out = tmp_path / "chain.json", tmp_path / "out.json"
+    infile.write_text(json.dumps(chain_of_three(1e308)))
+    assert run_cli(command, infile, out) == 2
+    assert capsys.readouterr().err == (
+        f"error [llk.errors.StructuralError] tau[0][1]: entry above {cli.MAX_TAU!r}, "
+        "half the float range\n"
+    )
+    # at the bound every sum stays finite, and the reports are written
+    infile.write_text(json.dumps(chain_of_three(cli.MAX_TAU)))
+    assert run_cli(command, infile, out) == (1 if command == "validate" else 0)
+    assert json.loads(out.read_text())["command"] == command
+
+
 @pytest.mark.parametrize("command", ["validate", "suspend"])
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, command):
     out = tmp_path / "absent" / "x.json"
@@ -553,6 +609,35 @@ def test_subdivide_reports_its_triangles(tmp_path, fixture, code, across, future
     assert (first["triangles"], second["triangles"]) == (across, future)
     assert (first["unrealizable"], first["undrawn"]) == (unrealizable, 0)
     assert report["timings"]["work_units"] == first["checked"] + second["checked"]
+
+
+@pytest.mark.parametrize("fixture, seed, code, pinned", [
+    ("ads_diamond_81.json", 1, 2, "p = 48 and the middle vertex 22"),
+    ("ads_diamond_81.json", 2, 2, "p = 40 and the middle vertex 48"),
+    ("ads_diamond_81.json", 3, 2, "p = 12 and the middle vertex 20"),
+    ("suspension_circle12.json", 1, 0, ((1, 0, 0), (4, 0, 0), 0)),
+    ("suspension_circle12.json", 2, 2, "p = 121 and the middle vertex 95"),
+    ("suspension_circle12.json", 3, 0, ((2, 0, 0), (3, 0, 0), 0)),
+    ("flat_strip.json", 1, 2, "p = 100 and the middle vertex 73"),
+    ("flat_strip.json", 2, 1, ((2, 4, 0), (2, 0, 0), 1)),
+    ("flat_strip.json", 3, 0, ((2, 0, 1), (0, 0, 0), 3)),
+])
+def test_subdivide_samples_are_pinned(tmp_path, capsys, fixture, seed, code, pinned):
+    # exit code and stderr, or (triangles, violations, skipped) of the
+    # across and future checks and the unrealizable count
+    out = tmp_path / "subdivide.json"
+    extra = ("--samples", "5", "--seed", str(seed))
+    assert run_cli("subdivide", FIXTURES / fixture, out, *extra) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == f"error [llk.errors.ParameterError] {pinned} are not timelike related\n"
+        assert not out.exists()
+        return
+    assert err == ""
+    checks = json.loads(out.read_text())["checks"]
+    *counts, unrealizable = pinned
+    assert [(c["triangles"], c["violation_count"], c["skipped"]) for c in checks] == counts
+    assert checks[0]["unrealizable"] == unrealizable
 
 
 def test_curvature_without_coords_matches_the_golden_checks(tmp_path):
