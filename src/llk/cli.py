@@ -37,7 +37,6 @@ from . import model_space as ms
 from . import rigidity as rg
 from . import warped_product as wp
 from .errors import (
-    ConvergenceError,
     ExtractionError,
     GeometryError,
     InfeasibleError,
@@ -633,10 +632,10 @@ def _cmd_split(X, options):
         # n x n matrix, need not outlive it
         vars(X).pop("_chain_index", None)
         result = rg.build_splitting(X, gamma, tol=options.tol_disc)
-    except (InfeasibleError, ConvergenceError, ExtractionError) as exc:
-        # no usable line, one at least pi long, asymptotes that do not
-        # converge along it, or fibers that cannot be metrized: the
-        # geometry failing, not bad input
+    except (InfeasibleError, ExtractionError) as exc:
+        # no usable line, one at least pi long, or fibers, taken by the
+        # closed-form fiber distance, that cannot be metrized or that put
+        # two points on one sample: the geometry failing, not bad input
         return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
     S = result.slice_space
     check = {

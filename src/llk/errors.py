@@ -52,5 +52,7 @@ class ConvergenceError(GeometryError):
 
 
 class ExtractionError(GeometryError):
-    """Slice extraction cannot metrize the fibers: two asymptotes share
-    no timelike pair, or their distances violate the metric axioms."""
+    """Slice extraction cannot metrize the fibers, taken by the closed-form
+    fiber distance: two fibers share no timelike pair, their distances
+    violate the metric axioms, or two points share one time on one
+    fiber."""

@@ -400,7 +400,9 @@ def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
     if f.kind == CONSTANT:
         dt = (g - g[a])[:, None]
         order = dt >= 0.0
-        reach = np.where(order, dt, 0.0) / f.value
+        # a tiny value overflows the reach to +inf, which every distance is within
+        with np.errstate(over="ignore"):
+            reach = np.where(order, dt, 0.0) / f.value
         leq = order & (dists <= reach + NULL_BAND)
         timelike = order & (dists < reach - NULL_BAND)
         with np.errstate(over="ignore", invalid="ignore"):

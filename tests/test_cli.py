@@ -465,6 +465,27 @@ def test_a_constant_warping_whose_separations_overflow_is_refused(tmp_path, caps
         assert json.loads(out.read_text())["tau"][0][2:] == [1e154, 1e154]
 
 
+def test_a_constant_warping_whose_reach_overflows_is_sampled_quietly(tmp_path, capsys):
+    # the reach, elapsed time over 1e-300, is past the float range: it
+    # reads +inf, every pair across the levels is timelike, and tau is
+    # the elapsed time
+    doc = {
+        "kind": "suspension_request",
+        "warping": {"kind": "constant", "value": 1e-300, "interval": [0.0, 3e10]},
+        "base": {"labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]},
+        "t_grid": [0.5, 2e10],
+    }
+    infile, out = tmp_path / "tiny.json", tmp_path / "space.json"
+    infile.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("suspend", infile, out) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
+    tau = json.loads(out.read_text())["tau"]
+    assert [row[2:] for row in tau[:2]] == [[2e10 - 0.5] * 2] * 2
+
+
 def chain_of_three(tau):
     """A finite_causal document: three points in a chain, each forward
     tau the given value."""
@@ -695,11 +716,7 @@ def test_split_reports_residual_and_passes(tmp_path):
 def test_split_diagnostics_stay_out_of_the_report(tmp_path):
     X = fixture_suspension()
     diagnostics = rg.build_splitting(X, rg.find_line(X)).diagnostics
-    assert sorted(diagnostics) == [
-        "asymptote_keys", "merged_variants", "metric_slack", "slack", "worst_dev",
-    ]
-    assert diagnostics["asymptote_keys"] == 12
-    assert diagnostics["merged_variants"] == 0
+    assert sorted(diagnostics) == ["metric_slack", "slack", "worst_dev"]
     assert diagnostics["slack"] == 0.0
     # on the exact suspension every timelike pair reads its fibers'
     # distance up to rounding, so the repair slack is the line's, twice
@@ -768,7 +785,9 @@ def uniform_time_product(seed, per_fiber=41):
 
 
 def test_split_without_converging_asymptotes_fails_the_check(tmp_path):
-    # a valid space whose asymptotes keep too few members off a grid
+    # a valid space off a grid whose longest chain has two points: the
+    # times fitted against it are off by up to 0.04, so the fibers break
+    # into pieces, some of which share no timelike pair
     infile = tmp_path / "uniform.json"
     infile.write_bytes(cli.render_space(uniform_time_product(0)))
     assert run_cli("validate", infile, tmp_path / "validate.json") == 0
@@ -778,23 +797,45 @@ def test_split_without_converging_asymptotes_fails_the_check(tmp_path):
     assert doc["verdict"] is False
     check = doc["checks"][0]
     assert check["verdict"] is False
-    assert "stable members" in check["reason"]
+    assert check["reason"] == "the lines share no timelike related parameter pairs"
 
 
 def test_split_audits_every_point_of_the_line_domain(tmp_path):
-    # an exact cos product whose asymptote keys all merge into one
-    # family: the family's own line covers 39 points, the domain 443
+    # an exact cos product off any grid, whose line is one whole fiber:
+    # the fibers come out whole, and all 443 points of the line's domain
+    # are audited
     X = uniform_time_product(5)
     infile = tmp_path / "uniform.json"
     infile.write_bytes(cli.render_space(X))
     assert run_cli("validate", infile, tmp_path / "validate.json") == 0
     out = tmp_path / "split.json"
+    assert run_cli("split", infile, out) == 0
+    check = json.loads(out.read_text())["checks"][0]
+    assert check["verdict"] is True
+    assert len(check["slice"]["labels"]) == 12
+    assert check["samples"] == 443
+    assert check["mismatches"] == 0
+    assert check["residual"] <= check["tol"]
+
+
+def test_split_refuses_a_map_that_is_not_one_to_one(tmp_path):
+    # an exact twin of c03@10: the same tau and leq to every other point,
+    # and unrelated to c03@10, so both would sit at one sample
+    X = fixture_suspension()
+    k, n = X.labels.index("c03@10"), X.size
+    rows = list(range(n)) + [k]
+    tau = X.tau[np.ix_(rows, rows)]
+    leq = X.leq[np.ix_(rows, rows)]
+    leq[k, n] = leq[n, k] = False
+    twin = cs.FiniteCausalSpace(X.labels + ("c03@10+",), tau, leq, X.coords[rows])
+    infile = tmp_path / "twin.json"
+    infile.write_bytes(cli.render_space(twin))
+    assert run_cli("validate", infile, tmp_path / "validate.json") == 0
+    out = tmp_path / "split.json"
     assert run_cli("split", infile, out) == 1
     check = json.loads(out.read_text())["checks"][0]
     assert check["verdict"] is False
-    assert len(check["slice"]["labels"]) == 1
-    assert check["samples"] == 443
-    assert check["residual"] > 1.0 > check["tol"]
+    assert "'c03@10'" in check["reason"] and "'c03@10+'" in check["reason"]
 
 
 def coarse_table_request(tmp_path):
@@ -829,13 +870,31 @@ def test_chain_audits_run_at_zero_tol_disc(tmp_path, capsys, fixture):
 
 
 def test_split_fails_the_check_when_the_slice_cannot_be_metrized(tmp_path):
-    infile = coarse_table_request(tmp_path)
-    assert run_cli("validate", infile, tmp_path / "validate.json", "--grid", "7") == 0
+    # b and c sit 6.8 apart, so their fibers share no timelike pair
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    doc["base"] = {
+        "labels": ["a", "b", "c"],
+        "dist": [[0.0, 3.4, 3.4], [3.4, 0.0, 6.8], [3.4, 6.8, 0.0]],
+    }
+    infile = tmp_path / "apart.json"
+    infile.write_bytes(doc_bytes(doc))
+    assert run_cli("validate", infile, tmp_path / "validate.json") == 0
     out = tmp_path / "split.json"
-    assert run_cli("split", infile, out, "--grid", "7") == 1
+    assert run_cli("split", infile, out) == 1
     check = json.loads(out.read_text())["checks"][0]
     assert check["verdict"] is False
     assert check["reason"] == "the lines share no timelike related parameter pairs"
+
+
+def test_split_metrizes_the_coarse_table_at_seven_levels(tmp_path):
+    # every fiber pair of the 33-knot table shares a timelike pair once
+    # the fibers hold all their points
+    infile = coarse_table_request(tmp_path)
+    out = tmp_path / "split.json"
+    assert run_cli("split", infile, out, "--grid", "7") == 0
+    check = json.loads(out.read_text())["checks"][0]
+    assert len(check["slice"]["labels"]) == 12
+    assert check["residual"] < 1e-5
 
 
 def test_grid_flag_refines_the_time_grid(tmp_path):

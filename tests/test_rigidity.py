@@ -141,49 +141,6 @@ def test_line_sample_validates_span():
             rg.LineSample((0, 1), params)
 
 
-# ---------------------------------------------------------------- asymptotes
-
-
-def asymptote_through(X, gamma, p):
-    """Members of the asymptote through p, as split selects them."""
-    th, lev, ok, points = membership_inputs(X, gamma)
-    assert p in points
-    (members,) = rg._member_sets(X, th, lev, ok, np.array([p]))
-    return members
-
-
-def test_asymptote_collects_a_single_fiber():
-    _, _, X = suspension()
-    p = fiber(10, 3)
-    members = asymptote_through(X, suspension_line(), p)
-    assert p in members
-    assert {X.labels[i].split("@")[0] for i in members} == {"c03"}
-    assert len(members) == N_TIMES - 2
-
-
-def test_asymptote_through_line_point_is_the_line_interior():
-    _, _, X = suspension()
-    gamma = suspension_line()
-    members = asymptote_through(X, gamma, int(gamma.indices[10]))
-    assert members == tuple(gamma.indices[1:-1])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=N_TIMES - 3),
-    st.integers(min_value=0, max_value=N_FIBERS - 1),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_asymptote_idempotent_over_its_members(level, k, pick):
-    _, _, X = suspension()
-    gamma = suspension_line()
-    # distant fibers lose line reach near the strip edges
-    assume(fiber(level, k) in membership_inputs(X, gamma)[3])
-    first = asymptote_through(X, gamma, fiber(level, k))
-    member = first[pick % len(first)]
-    assert asymptote_through(X, gamma, member) == first
-
-
 # ---------------------------------------------------------------- parallelism
 
 
@@ -268,9 +225,9 @@ def test_c_functions_need_cross_relations():
 # ---------------------------------------------------------------- references
 #
 # Loop versions of the array code in rigidity: the scalar c-function
-# tables over every timelike pair of two lines, and the per-point membership
-# defect and per-level member selection with its pairwise chain DP.  The
-# array code must agree with them exactly, not within a tolerance,
+# tables over every timelike pair of two lines, and the fibers as the
+# components of a scalar union-find over every pair of the line's domain.
+# The array code must agree with them exactly, not within a tolerance,
 # because their values reach the split report.
 
 
@@ -326,64 +283,26 @@ def assert_c_matches_reference(X, alpha, beta, entries=None):
     return summary
 
 
-def reference_chained_through(X, picked, p):
-    order = [x for x, _ in picked]
-    defect = {x: v for x, v in picked}
-    ip = order.index(p)
+def reference_fibers(X, th, points):
+    """Fibers as sorted point lists: every timelike pair of points whose
+    scalar fiber distance is at most FIBER_H joins its two points."""
+    parent = {p: p for p in points}
 
-    def side(indices, linked):
-        best = {}
-        for pos, x in enumerate(indices):
-            best[x] = (1, defect[x], None)
-            for y in indices[:pos]:
-                if linked(y, x):
-                    cand = (best[y][0] + 1, best[y][1] + defect[x], y)
-                    if (-cand[0], cand[1]) < (-best[x][0], best[x][1]):
-                        best[x] = cand
-        out = []
-        x = indices[-1] if indices else None
-        while x is not None:
-            out.append(x)
-            x = best[x][2]
-        return out[::-1]
+    def root(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
 
-    left = side(order[: ip + 1], lambda y, x: X.tau[y, x] > 0.0)
-    right = side(order[ip:][::-1], lambda y, x: X.tau[x, y] > 0.0)
-    return left[:-1] + right[::-1]
-
-
-def reference_membership_defect(X, th, p):
-    fwd = X.tau[p] > 0.0
-    rev = X.tau[:, p] > 0.0
-    tau_px = np.where(fwd, X.tau[p], X.tau[:, p])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h = np.arccosh(ms.ads_fiber_cosh(tau_px, th[p], th))
-    return np.where(fwd | rev, h, np.inf)
-
-
-def reference_picked(X, th, lev, ok, p):
-    h = reference_membership_defect(X, th, p)
-    best = {}
-    for x in np.nonzero(ok)[0]:
-        x = int(x)
-        if x == p or not math.isfinite(h[x]):
-            continue
-        key = int(lev[x])
-        cand = (float(h[x]), x)
-        if key not in best or cand < best[key]:
-            best[key] = cand
-    best[int(lev[p])] = (0.0, p)
-    defects = sorted(v for v, _ in best.values())
-    cutoff = max(3.0 * defects[len(defects) // 2], rg.MEMBER_FLOOR)
-    return sorted(
-        ((x, v) for v, x in best.values() if v <= cutoff),
-        key=lambda rec: (th[rec[0]], rec[0]),
-    )
-
-
-def fully_linked(X, picked):
-    order = [x for x, _ in picked]
-    return all(X.tau[x, y] > 0.0 for k, x in enumerate(order) for y in order[k + 1 :])
+    for p in points:
+        for x in points:
+            tau = X.tau[p, x] if X.tau[p, x] > 0.0 else X.tau[x, p]
+            if 0.0 < tau < math.inf and reference_c_value(tau, th[p], th[x]) <= rg.FIBER_H:
+                a, b = sorted((root(p), root(x)))
+                parent[b] = a
+    groups = {}
+    for p in points:
+        groups.setdefault(root(p), []).append(p)
+    return sorted(groups.values())
 
 
 def shuffled(X, seed):
@@ -409,26 +328,15 @@ def unlinked_suspension(seed, drop=0.03):
     return cs.FiniteCausalSpace(X.labels, tau, X.leq)
 
 
-def membership_inputs(X, gamma):
+def fibers_match_reference(X, gamma):
+    """The fibers of the array code equal the loop version's; returns them."""
     g_idx, g_par = np.array(gamma.indices), np.array(gamma.params)
     th, in_dom = rg._model_times(X, g_idx, g_par)
-    lev, ok = rg._member_levels(g_par, th, in_dom)
-    return th, lev, ok, np.nonzero(in_dom)[0]
-
-
-def selections_match_reference(X, gamma):
-    """Every in-domain selection equals the loop version; counts DP runs."""
-    th, lev, ok, points = membership_inputs(X, gamma)
-    batched = rg._member_sets(X, th, lev, ok, points)
-    assert len(batched) == len(points)
-    dp_runs = 0
-    for p, members in zip(points.tolist(), batched):
-        picked = reference_picked(X, th, lev, ok, p)
-        expect = reference_chained_through(X, picked, p)
-        assert rg._chained_through(X, picked, p) == expect
-        assert list(members) == expect
-        dp_runs += not fully_linked(X, picked)
-    return dp_runs
+    points = np.nonzero(in_dom)[0]
+    roots = rg._fiber_roots(X, th, points)
+    fibers = [points[roots == r].tolist() for r in np.unique(roots)]
+    assert fibers == reference_fibers(X, th, points.tolist())
+    return fibers
 
 
 def jittered_suspension(seed, jitter=0.3):
@@ -438,23 +346,6 @@ def jittered_suspension(seed, jitter=0.3):
     grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, N_TIMES)
     grid[1:-1] += rng.uniform(-jitter, jitter, N_TIMES - 2) * STEP
     return wp.sample_suspension(S, grid)
-
-
-def block_rows(monkeypatch, X, rows):
-    """Set the membership block to the given number of rows; spy on it.
-
-    Returns the list that collects the row count of every block.
-    """
-    monkeypatch.setattr(rg, "_MEMBER_CELLS", rows * X.size)
-    seen = []
-    defect = rg._membership_defect
-
-    def spy(X, th, points):
-        seen.append(len(points))
-        return defect(X, th, points)
-
-    monkeypatch.setattr(rg, "_membership_defect", spy)
-    return seen
 
 
 def test_c_functions_match_reference_on_fiber_pairs():
@@ -488,27 +379,14 @@ def test_array_pipeline_matches_reference_on_shuffled_orders(seed):
         lines[k] = rg.line_from_chain(Y, cs.make_chain(Y, column))
     for a, b in ((0, 1), (1, 6), (5, 0), (6, 6)):
         assert_c_matches_reference(Y, lines[a], lines[b])
-    assert selections_match_reference(Y, rg.find_line(Y)) == 0
+    assert len(fibers_match_reference(Y, rg.find_line(Y))) == N_FIBERS
 
 
-def test_selection_matches_reference_when_selections_break_chains():
+def test_fibers_match_reference_on_unlinked_pairs():
+    # some timelike relations dropped: the fibers need not be chains
     X = unlinked_suspension(0)
-    assert selections_match_reference(X, rg.find_line(X)) > 0
-
-
-def test_selection_ties_match_reference():
-    # With fiber 0 reduced to one point p, its two neighbours sit at the
-    # same base distance, so their defects against p tie exactly on
-    # several levels and the smaller index must win.
-    _, _, X = suspension()
-    p = fiber(10, 0)
-    keep = [x for x in range(X.size) if x % N_FIBERS != 0 or x == p]
-    Y = cs.FiniteCausalSpace(
-        tuple(X.labels[x] for x in keep),
-        X.tau[np.ix_(keep, keep)],
-        X.leq[np.ix_(keep, keep)],
-    )
-    selections_match_reference(Y, rg.find_line(Y))
+    fibers = fibers_match_reference(X, rg.find_line(X))
+    assert any((X.tau[np.ix_(f, f)] <= 0.0)[np.triu_indices(len(f), 1)].any() for f in fibers)
 
 
 def test_extract_slice_tables_match_reference(monkeypatch):
@@ -531,40 +409,39 @@ def test_extract_slice_tables_match_reference(monkeypatch):
         assert_c_matches_reference(X, alpha, beta, entries)
 
 
-@pytest.mark.parametrize("space", ["suspension", "unlinked"])
-def test_batched_defects_are_bit_identical_to_rows(space):
-    X = suspension()[2] if space == "suspension" else unlinked_suspension(0)
-    th, _, _, points = membership_inputs(X, rg.find_line(X))
-    block = rg._membership_defect(X, th, points)
-    for r, p in enumerate(points.tolist()):
-        assert np.array_equal(
-            block[r], reference_membership_defect(X, th, p), equal_nan=True
-        )
-
-
 @pytest.mark.parametrize("seed", range(3))
-def test_selection_matches_reference_on_jittered_levels(seed):
+def test_fibers_match_reference_on_jittered_levels(seed):
     X = jittered_suspension(seed)
     gamma = rg.find_line(X)
     assert len(set(np.round(np.diff(gamma.params), 12))) > 1
-    assert selections_match_reference(X, gamma) == 0
+    assert len(fibers_match_reference(X, gamma)) == N_FIBERS
 
 
 @pytest.mark.parametrize("rows", ["one", "all but one"])
-def test_selection_blocks_match_reference(monkeypatch, rows):
+def test_fiber_blocks_match_reference(monkeypatch, rows):
     X = unlinked_suspension(1)
     gamma = rg.find_line(X)
-    n_dom = len(membership_inputs(X, gamma)[3])
+    n_dom = int(rg._model_times(X, np.array(gamma.indices), np.array(gamma.params))[1].sum())
     size = 1 if rows == "one" else n_dom - 1
-    seen = block_rows(monkeypatch, X, size)
-    assert selections_match_reference(X, gamma) > 0
-    assert seen[0] == size
-    assert sum(seen) == n_dom
+    monkeypatch.setattr(rg, "_BLOCK_CELLS", size * n_dom)
+    seen = []
+    join = rg._join
+
+    def spy(parent, a, b):
+        seen.append(a)
+        join(parent, a, b)
+
+    monkeypatch.setattr(rg, "_join", spy)
+    fibers_match_reference(X, gamma)
+    # each block joins pairs from at most size rows, and the blocks cover
+    # the domain once
+    assert len(seen) == (n_dom + size - 1) // size
+    assert all(np.ptp(a) < size for a in seen if len(a))
 
 
-def test_selection_matches_reference_with_infinite_separations():
-    # cos(inf) is NaN, so these pairs' defects are NaN and must lose
-    # their level to the finite candidates, as the loop version skips them
+def test_fibers_match_reference_with_infinite_separations():
+    # cos(inf) is NaN, so these pairs never join two points, as the loop
+    # version skips them
     X = unlinked_suspension(3)
     gamma = rg.find_line(X)
     rng = np.random.default_rng(5)
@@ -572,21 +449,19 @@ def test_selection_matches_reference_with_infinite_separations():
     far[list(gamma.indices)] = False
     far[:, list(gamma.indices)] = False
     Y = cs.FiniteCausalSpace(X.labels, np.where(far, np.inf, X.tau), X.leq)
-    th, _, ok, points = membership_inputs(Y, gamma)
-    assert np.isnan(rg._membership_defect(Y, th, points)[:, ok]).any()
-    assert selections_match_reference(Y, gamma) > 0
+    fibers_match_reference(Y, gamma)
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.permutations(range(N_TIMES * N_FIBERS)))
-def test_selection_matches_reference_on_permuted_points(perm):
+def test_fibers_match_reference_on_permuted_points(perm):
     X = unlinked_suspension(2)
     Y = cs.FiniteCausalSpace(
         tuple(X.labels[k] for k in perm),
         X.tau[np.ix_(perm, perm)],
         X.leq[np.ix_(perm, perm)],
     )
-    selections_match_reference(Y, rg.find_line(Y))
+    fibers_match_reference(Y, rg.find_line(Y))
 
 
 # ---------------------------------------------------------------- slices
@@ -594,8 +469,8 @@ def test_selection_matches_reference_on_permuted_points(perm):
 
 def test_extract_slice_recovers_the_base_metric():
     S, _, X = suspension()
-    recovered, rep_lines, _ = rg.extract_slice(X, suspension_line())
-    assert len(rep_lines) == S.size
+    recovered, fibers = rg.extract_slice(X, suspension_line())
+    assert len(fibers) == S.size
     assert recovered.size == S.size
     fibers = [int(label.split("@")[0][1:]) for label in recovered.labels]
     assert sorted(fibers) == list(range(N_FIBERS))
@@ -605,14 +480,15 @@ def test_extract_slice_recovers_the_base_metric():
 
 def test_extract_slice_places_every_domain_point_on_its_fiber():
     S, grid, X = suspension()
-    recovered, _, fibers = rg.extract_slice(X, suspension_line())
-    points = [p for _, p, _ in fibers]
-    assert points == sorted(set(points)) and len(points) > X.size // 2
-    for b, p, t in fibers:
-        assert recovered.labels[b].split("@")[0] == X.labels[p].split("@")[0]
-        assert abs(t - grid[p // S.size]) <= GRID_TOL
-    # on a grid every domain point lies on its fiber's line, and is
-    # audited once
+    recovered, fibers = rg.extract_slice(X, suspension_line())
+    points = sorted(p for f in fibers for p in f.indices)
+    assert len(points) == len(set(points)) > X.size // 2
+    for label, f in zip(recovered.labels, fibers):
+        assert list(f.params) == sorted(f.params)
+        for p, t in zip(f.indices, f.params):
+            assert label.split("@")[0] == X.labels[p].split("@")[0]
+            assert abs(t - grid[p // S.size]) <= GRID_TOL
+    # every domain point is audited once, at its time on its fiber
     assert sorted(idx for _, _, idx in splitting().samples) == points
 
 
@@ -746,19 +622,35 @@ def reference_audit(X, result):
     )
 
 
-def near_miss_table(seed, a=1.25):
-    """cos(a t) as a 257-knot table over a jittered net, at 11 levels: its
+def near_miss_table(seed, a, levels):
+    """cos(a t) as a 257-knot table over a jittered net: for a > 1 its
     lines are pi / a long, so it is not the cos product and split fails."""
     half = ms.HALF_PI / a
     knots = np.linspace(-half + 1e-9, half - 1e-9, 257)
     warping = wp.table_warping(knots.tolist(), np.cos(a * knots).tolist())
-    grid = np.linspace(-half + DELTA / a, half - DELTA / a, 11)
+    grid = np.linspace(-half + DELTA / a, half - DELTA / a, levels)
     return wp.sample_warped_product(warping, jittered_net(seed), tuple(grid))
+
+
+@pytest.mark.parametrize("levels", [7, 11, 21])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_near_miss_tables_fail_where_cos_tables_pass(seed, levels):
+    # the cos table certifies; the near misses close up their fibers
+    # across the net, so the extraction refuses them or the audit fails
+    X = near_miss_table(seed, 1.0, levels)
+    assert rg.build_splitting(X, rg.find_line(X)).verdict
+    for a in (1.05, 1.1):
+        X = near_miss_table(seed, a, levels)
+        try:
+            verdict = rg.build_splitting(X, rg.find_line(X)).verdict
+        except ExtractionError:
+            verdict = False
+        assert not verdict, a
 
 
 @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "one", "seven"])
 def test_row_blocked_audit_matches_whole_matrix_reference(monkeypatch, rows):
-    spaces = [noisy_suspension(0), unlinked_suspension(1), near_miss_table(1), near_miss_table(2)]
+    spaces = [noisy_suspension(k) for k in (0, 2)] + [unlinked_suspension(k) for k in (1, 2)]
     expected = []
     for X in spaces:
         result = rg.build_splitting(X, rg.find_line(X))
@@ -766,7 +658,7 @@ def test_row_blocked_audit_matches_whole_matrix_reference(monkeypatch, rows):
         assert len(result.samples) % 7 != 0
         expected.append(reference_audit(X, result))
         if rows is not None:
-            monkeypatch.setattr(rg, "_AUDIT_CELLS", rows * len(result.samples))
+            monkeypatch.setattr(rg, "_BLOCK_CELLS", rows * len(result.samples))
             result = rg.build_splitting(X, rg.find_line(X))
             monkeypatch.undo()
         assert (result.residual, result.mismatches, result.forgiven) == expected[-1]
@@ -820,34 +712,18 @@ def test_slice_metric_is_exactly_symmetric(seed):
     else:
         grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, 21)
         X = wp.sample_warped_product(wp.cos_warping(), jittered_net(seed), tuple(grid))
-    S, _, _ = rg.extract_slice(X, rg.find_line(X))
+    S, _ = rg.extract_slice(X, rg.find_line(X))
     assert np.array_equal(S.dist, S.dist.T)
 
 
-def test_extract_slice_chains_one_line_per_family(monkeypatch):
-    # the noise splits the twelve fibers into hundreds of key variants;
-    # only the head of each family becomes a line
-    X = noisy_suspension(0)
-    calls = []
-    chain = rg._chain_into_line
-
-    def spy(X, members, th):
-        calls.append(members)
-        return chain(X, members, th)
-
-    monkeypatch.setattr(rg, "_chain_into_line", spy)
-    diagnostics = {}
-    _, lines, _ = rg.extract_slice(X, rg.find_line(X), diagnostics=diagnostics)
-    families = diagnostics["asymptote_keys"] - diagnostics["merged_variants"]
-    assert diagnostics["merged_variants"] > 0
-    assert len(calls) == len(set(calls)) == families
-    assert {line.indices for line in lines} <= set(calls)
-
-
 def test_extract_slice_rejects_unrepairable_metrics():
-    X = noisy_suspension(1)
-    with pytest.raises(ExtractionError):
-        rg.extract_slice(X, rg.find_line(X), metric_slack=1e-12)
+    # the dropped relations leave more than one fiber, so there are
+    # distances to repair
+    X = unlinked_suspension(1)
+    diagnostics = {}
+    with pytest.raises(ExtractionError, match="triangle inequality"):
+        rg.extract_slice(X, rg.find_line(X), metric_slack=1e-12, diagnostics=diagnostics)
+    assert diagnostics["slack"] > 1e-12
 
 
 # ---------------------------------------------------------------- curvature
