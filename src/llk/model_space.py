@@ -12,11 +12,11 @@ separation and causal classification, the timelike law of cosines with its
 configuration sign, comparison-triangle realization, and unit-speed
 geodesics together with their conformal-time bookkeeping.
 
-Array kernels: ads_separation classifies blocks of pairs as ads_interval
-does, and ads_fiber_cosh inverts its closed form for the fiber distance;
-ads_forward_taus and comparison_angles give ads_interval's tau and
-comparison_angle's signed angle over arrays, bit for bit, for the
-curvature audits.
+Array kernels: ads_separation, the one array form of ads_interval, takes
+broadcast pairs and a trig set, NUMPY_TRIG or MATH_TRIG (math entry by
+entry, for ads_interval's bits in the curvature audits); ads_fiber_cosh
+inverts it for the fiber distance, and comparison_angles gives
+comparison_angle's signed angle over arrays, bit for bit.
 
 Curvature is normalized to K = -1 throughout; callers rescale.
 Inverse-trig arguments are clamped into their legal domain when within
@@ -25,6 +25,7 @@ ARG_SLACK of it and rejected otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,48 +185,37 @@ def ads_interval(p: AdsPrimePoint, q: AdsPrimePoint) -> IntervalResult:
     return _classify(_tau_argument(p, q), p.t <= q.t)
 
 
-def ads_separation(s, t, dx, order):
-    """(leq, timelike, tau) of the pairs (s[i], t[j]) at fiber distance dx[i, j].
-
-    order[i, j] says whether the pair may be future directed; the cone
-    band and tau = arccos(arg), 0 off timelike pairs, are as in _classify.
-    """
-    arg = np.cosh(dx)
-    arg *= np.cos(s)[:, None] * np.cos(t)[None, :]
-    arg += np.sin(s)[:, None] * np.sin(t)[None, :]
-    leq = order & (arg <= 1.0 + ARG_SLACK)
-    timelike = leq & (arg < 1.0 - ARG_SLACK)
-    tau = np.arccos(np.clip(arg, -1.0, 1.0, out=arg), out=arg)
-    tau[~timelike] = 0.0
-    return leq, timelike, tau
-
-
-def _mapped(f, values: np.ndarray) -> np.ndarray:
+def _mapped(f, values) -> np.ndarray:
     """f of math over an array, one call per entry: numpy's cosh, arccos
     and trigonometry differ from math's in the last place on some inputs,
     and the array kernels must give the scalar functions' bits."""
-    return np.array(list(map(f, values.tolist())), dtype=float)
+    values = np.asarray(values, dtype=float)
+    return np.fromiter(map(f, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
-def ads_forward_taus(t, x, first, second):
-    """Forward tau of the point pairs (first[k], second[k]) of points (t, x).
+# (sin, cos, cosh, arccos) for ads_separation: numpy's ufuncs, or math's
+# functions entry by entry, which give ads_interval's tau bit for bit
+NUMPY_TRIG = (np.sin, np.cos, np.cosh, np.arccos)
+MATH_TRIG = tuple(functools.partial(_mapped, f) for f in (math.sin, math.cos, math.cosh, math.acos))
 
-    Where p = (t, x)[first[k]] runs no later than q = (t, x)[second[k]],
-    the entry is ads_interval(p, q).tau bit for bit, the cone band and a
-    NaN argument included; where p runs later it is 0.  The sines and
-    cosines are taken once per point and cosh and arccos once per
-    forward pair, all with math.
+
+def ads_separation(s, t, dx, order, trig=NUMPY_TRIG):
+    """(leq, timelike, tau) of the pairs (s, t) at fiber distance dx.
+
+    The inputs broadcast: pass s[:, None] for the outer product of two
+    time vectors.  order says whether the pair may be future directed;
+    the cone band and tau = arccos(arg), 0 off timelike pairs, are as in
+    _classify, except that a NaN argument is unrelated.  With MATH_TRIG
+    the classes and tau are ads_interval's bit for bit; with NUMPY_TRIG
+    tau can differ from it in the last places (by up to about 3e-14).
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    tau = np.zeros(len(first))
-    fwd = np.flatnonzero(t[first] <= t[second])
-    p, q = first[fwd], second[fwd]
-    sin, cos = _mapped(math.sin, t), _mapped(math.cos, t)
-    arg = sin[p] * sin[q] + cos[p] * cos[q] * _mapped(math.cosh, x[q] - x[p])
-    timelike = ~(arg >= 1.0 - ARG_SLACK)
-    tau[fwd[timelike]] = _mapped(math.acos, np.clip(arg[timelike], -1.0, 1.0))
-    return tau
+    sin, cos, cosh, arccos = trig
+    arg = cosh(dx) * (cos(s) * cos(t)) + sin(s) * sin(t)
+    leq = order & (arg <= 1.0 + ARG_SLACK)
+    timelike = leq & (arg < 1.0 - ARG_SLACK)
+    tau = arccos(np.clip(arg, -1.0, 1.0, out=arg))
+    tau[~timelike] = 0.0
+    return leq, timelike, tau
 
 
 def ads_fiber_cosh(tau, s, t):

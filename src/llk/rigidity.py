@@ -224,8 +224,7 @@ def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edg
     t = np.array(beta.params)[j]
     # math.acosh, not np.arccosh: the two can differ in the last place,
     # and these values reach the reports
-    args = ms.ads_fiber_cosh(pair_tau[i, j, table], s, t).tolist()
-    value = np.fromiter(map(math.acosh, args), float, len(args))
+    value = ms._mapped(math.acosh, ms.ads_fiber_cosh(pair_tau[i, j, table], s, t))
     edge = np.minimum(np.cos(s), np.cos(t)) < edge_cos
     return s, t, table, value, edge
 
@@ -427,7 +426,7 @@ def _audit(X: cs.FiniteCausalSpace, dist, xidx, bidx, svals, collar: float):
         # either orientation of the model pair reads d: the slice metric, a
         # Floyd-Warshall closure of a symmetric matrix, is exactly symmetric
         d = dist[np.ix_(br, bc)]
-        leq_w, timelike_w, w = ms.ads_separation(s, t, d, later | earlier)
+        leq_w, timelike_w, w = ms.ads_separation(s[:, None], t, d, later | earlier)
         cls_w = np.where(timelike_w, 2, leq_w.astype(np.int8))
         fwd = X.tau[np.ix_(xr, xc)]
         bwd = X.tau[np.ix_(xc, xr)].T

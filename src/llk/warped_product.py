@@ -393,9 +393,7 @@ def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
     if f.kind == COS:
         # the cos strip is symmetric in the two times: only the order
         # mask directs the pair from level a to level b
-        leq, _, tau = ms.ads_separation(
-            g, g[a:a + 1], np.broadcast_to(dists, (len(g), len(dists))), (g[a] <= g)[:, None]
-        )
+        leq, _, tau = ms.ads_separation(g[:, None], g[a:a + 1], dists, (g[a] <= g)[:, None])
         return leq, tau
     if f.kind == CONSTANT:
         dt = (g - g[a])[:, None]

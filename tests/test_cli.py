@@ -778,7 +778,7 @@ def uniform_time_product(seed, per_fiber=41):
     fiber = np.repeat(np.arange(m), per_fiber)
     t = rng.uniform(-ms.HALF_PI + 0.05, ms.HALF_PI - 0.05, m * per_fiber)
     leq, _, tau = ms.ads_separation(
-        t, t, base.dist[np.ix_(fiber, fiber)], t[:, None] <= t[None, :]
+        t[:, None], t, base.dist[np.ix_(fiber, fiber)], t[:, None] <= t[None, :]
     )
     labels = [f"{base.labels[b]}.{k:02d}" for b in range(m) for k in range(per_fiber)]
     return cs.FiniteCausalSpace(labels, tau, leq, t[:, None])

@@ -491,7 +491,7 @@ def test_separation_matches_inline_reference_on_suspension():
     D = S.dist[np.ix_(base, base)]
     order = t[:, None] <= t[None, :]
     want = reference_separation(t, t, D, order)
-    assert_same_separation(ms.ads_separation(t, t, D, order), want)
+    assert_same_separation(ms.ads_separation(t[:, None], t, D, order), want)
     assert np.array_equal(X.leq, want[0])
     assert X.tau.tobytes() == want[2].tobytes()
 
@@ -509,7 +509,7 @@ def test_separation_matches_inline_reference_on_shuffled_model_points():
     dx = x[None, :] - x[:, None]
     order = t[:, None] <= t[None, :]
     want = reference_separation(t, t, dx, order)
-    assert_same_separation(ms.ads_separation(t, t, dx, order), want)
+    assert_same_separation(ms.ads_separation(t[:, None], t, dx, order), want)
     assert np.array_equal(X.leq, want[0])
     assert X.tau.tobytes() == want[2].tobytes()
     assert np.count_nonzero(want[0] & ~want[1]) > X.size  # off-diagonal null pairs
@@ -524,7 +524,7 @@ def test_separation_matches_inline_reference_on_reconstruction():
     dmat = result.slice_space.dist[np.ix_(bidx, bidx)]
     future = svals[None, :] > svals[:, None]
     want = reference_separation(svals, svals, dmat, future)
-    assert_same_separation(ms.ads_separation(svals, svals, dmat, future), want)
+    assert_same_separation(ms.ads_separation(svals[:, None], svals, dmat, future), want)
     tau_x = X.tau[np.ix_(xidx, xidx)]
     distinct = xidx[:, None] != xidx[None, :]
     gap = (tau_x - tau_x.T) - (want[2] - want[2].T)
@@ -544,27 +544,32 @@ def least_float(f, target, lo, hi):
     return hi
 
 
+TRIG_SETS = pytest.mark.parametrize("trig", [ms.NUMPY_TRIG, ms.MATH_TRIG], ids=["numpy", "math"])
+
+
+@TRIG_SETS
 @pytest.mark.parametrize("bound", [1.0 + ms.ARG_SLACK, 1.0 - ms.ARG_SLACK])
-def test_separation_classes_at_the_cone_band_match_classify(bound):
-    # arg = cosh(dx) at s = t = 0, and arg = cos(t) at s = dx = 0
+def test_separation_classes_at_the_cone_band_match_classify(bound, trig):
+    # arg = cosh(dx) at s = t = 0, and arg = cos(t) at s = dx = 0, each
+    # taken with the trig set under test
+    _, cos, cosh, _ = trig
     if bound > 1.0:
-        f, target = np.cosh, bound
+        f, target = (lambda v: float(cosh(np.array(v)))), bound
     else:
-        f, target = (lambda v: -np.cos(v)), -bound
+        f, target = (lambda v: -float(cos(np.array(v)))), -bound
     at = least_float(f, target, 0.0, 1e-4)
     above = least_float(f, np.nextafter(target, np.inf), 0.0, 1e-4)
     points = (np.nextafter(at, 0.0), at, above)
     if bound > 1.0:
         cases = [(0.0, d) for d in points]
-        args = [float(np.cosh(d)) for d in points]
     else:
         cases = [(v, 0.0) for v in points]
-        args = [float(np.cos(v)) for v in points]
+    args = [abs(f(v)) for v in points]
     assert args[1] == bound
     assert len(set(args)) == 3
     for (t, d), arg in zip(cases, args):
         leq, timelike, tau = ms.ads_separation(
-            np.array([0.0]), np.array([t]), np.array([[d]]), np.array([[True]])
+            np.array([0.0]), np.array([t]), np.array([[d]]), np.array([[True]]), trig
         )
         want = ms._classify(arg, True)
         assert bool(leq[0, 0]) == (want.relation != ms.UNRELATED)
@@ -577,10 +582,151 @@ def test_fiber_cosh_inverts_separation_away_from_the_cone():
     s = rng.uniform(-1.3, 1.3, 60)
     t = rng.uniform(-1.3, 1.3, 60)
     dx = np.abs(rng.uniform(-2.0, 2.0, (60, 60)))
-    _, timelike, tau = ms.ads_separation(s, t, dx, s[:, None] <= t[None, :])
+    _, timelike, tau = ms.ads_separation(s[:, None], t, dx, s[:, None] <= t[None, :])
     away = timelike & (tau > 0.05)
     assert np.count_nonzero(away) > 200
     i, j = np.nonzero(away)
     c = ms.ads_fiber_cosh(tau[i, j], s[i], t[j])
     recovered = np.array([math.acosh(v) for v in c.tolist()])
     assert np.max(np.abs(recovered - dx[i, j])) < 1e-9
+
+
+def interval_oracle(s, xs, t, xt):
+    """(leq, timelike, tau) of ads_interval on the pairs ((s, xs)[k],
+    (t, xt)[k]), with the kernel's convention: a pair running back in
+    time is neither leq nor timelike and has tau 0."""
+    rel, tau = [], []
+    for a, b, c, d in zip(s.tolist(), xs.tolist(), t.tolist(), xt.tolist()):
+        r = ms.ads_interval(ms.AdsPrimePoint(a, b), ms.AdsPrimePoint(c, d))
+        rel.append(r.relation)
+        tau.append(r.tau if r.relation == ms.TIMELIKE else 0.0)
+    rel = np.array(rel)
+    return (rel == ms.TIMELIKE) | (rel == ms.NULL), rel == ms.TIMELIKE, np.array(tau)
+
+
+def test_math_trig_separation_is_ads_interval_bit_for_bit():
+    rng = np.random.default_rng(17)
+    s, t = rng.uniform(-1.55, 1.55, (2, 2000))
+    xs, xt = rng.uniform(-2.0, 2.0, (2, 2000))
+    cone = inverse_conformal_time(ms.conformal_time(0.2) + 0.7)
+    special = np.array([
+        # vertical, coincident, on the cone, far apart, and backward
+        (-0.5, 0.3, 0.5, 0.3),
+        (0.5, -1.0, 0.5, -1.0),
+        (0.2, 0.1, cone, 0.8),
+        (0.0, 0.0, 0.1, 3.0),
+        (0.9, 0.0, -0.4, 0.2),
+        (0.9, 0.0, -0.9, 0.0),
+    ])
+    s, xs, t, xt = (np.append(v, w) for v, w in zip((s, xs, t, xt), special.T))
+    leq, timelike, tau = ms.ads_separation(s, t, xt - xs, s <= t, ms.MATH_TRIG)
+    want = interval_oracle(s, xs, t, xt)
+    assert np.array_equal(leq, want[0])
+    assert np.array_equal(timelike, want[1])
+    assert tau.tobytes() == want[2].tobytes()
+    got = [(bool(a), bool(b), float(c)) for a, b, c in zip(leq[-6:], timelike[-6:], tau[-6:])]
+    assert [g[:2] for g in got] == [
+        (True, True), (True, False), (True, False), (False, False), (False, False),
+        (False, False),
+    ]
+    assert abs(got[0][2] - 1.0) < EXACT and got[1][2] == got[2][2] == 0.0
+    # the outer product broadcasts to the same entries
+    outer = ms.ads_separation(s[:50, None], t[:50], xt[:50] - xs[:50, None],
+                              s[:50, None] <= t[:50], ms.MATH_TRIG)
+    for k in range(50):
+        assert outer[2][k, k].tobytes() == tau[k].tobytes()
+    assert np.count_nonzero(want[1]) > 500 and np.count_nonzero(want[0] & ~want[1]) >= 2
+
+
+@TRIG_SETS
+def test_separation_of_a_nan_fiber_distance_is_unrelated(trig):
+    leq, timelike, tau = ms.ads_separation(
+        np.array([0.1]), np.array([0.5]), np.array([math.nan]), True, trig
+    )
+    assert (bool(leq[0]), bool(timelike[0]), float(tau[0])) == (False, False, 0.0)
+    assert math.copysign(1.0, tau[0]) == 1.0
+
+
+def scalar_comparison_angles(taus):
+    """comparison_angle row by row: (angle, defined) with sigma * omega,
+    or NaN where it raises."""
+    angle, defined = [], []
+    for row in taus.tolist():
+        try:
+            omega, sigma = ms.comparison_angle(*row)
+        except (UndefinedAngleError, InfeasibleError):
+            angle.append(math.nan)
+            defined.append(False)
+        else:
+            angle.append(sigma * omega)
+            defined.append(True)
+    return np.array(angle), np.array(defined)
+
+
+def directed(a12, a23, a13, sigma, flip):
+    """Directed taus (12, 21, 23, 32, 13, 31) of sides in configuration
+    sigma: x1 << x2 << x3 for +1, x2 the past endpoint for -1, and the
+    time-reversed triangle when flip."""
+    if sigma == 1:
+        row = [a12, 0.0, a23, 0.0, a13, 0.0]
+    else:
+        row = [0.0, a12, a23, 0.0, a13, 0.0]
+    if flip:
+        row = [row[k ^ 1] for k in range(6)]
+    return row
+
+
+def test_comparison_angles_match_comparison_angle():
+    rng = np.random.default_rng(23)
+    rows = []
+    # drawn triangles of the model, in every configuration and direction
+    while len(rows) < 400:
+        a12, a23 = rng.uniform(0.01, 1.5, 2).tolist()
+        sigma = int(rng.choice([1, -1]))
+        try:
+            a13 = ms.loc_side(a12, a23, float(rng.uniform(0.0, 2.0)), sigma)
+        except InfeasibleError:
+            continue
+        rows.append(directed(a12, a23, a13, sigma, bool(rng.integers(2))))
+    # random directed taus, most of them no triangle at all
+    for _ in range(400):
+        row = rng.uniform(0.0, 3.3, 6)
+        row[rng.random(6) < 0.5] = 0.0
+        rows.append(row.tolist())
+    # sides at the size bound
+    below = float(np.nextafter(ms.MAX_SIDE, 0.0))
+    for big in (ms.MAX_SIDE, below, float(np.nextafter(ms.MAX_SIDE, 4.0))):
+        rows.append(directed(0.3, big - 0.3, big, 1, False))
+        rows.append(directed(big, 0.2, big - 0.3, -1, False))
+        rows.append(directed(0.2, big, big - 0.3, -1, True))
+    # the reverse triangle inequality at +-ARG_SLACK, where cosh(omega)
+    # stays within its slack of 1
+    a12, a23 = 1.4, 1.6
+    for edge, sigma in ((a12 + a23 - ms.ARG_SLACK, 1), (abs(a12 - a23) + ms.ARG_SLACK, -1)):
+        for step in range(-3, 4):
+            a13 = edge
+            for _ in range(abs(step)):
+                a13 = float(np.nextafter(a13, math.copysign(4.0, step)))
+            rows.append(directed(a12, a23, a13, sigma, False))
+    # cosh(omega) just below 1 - ARG_SLACK, with the sides still within
+    # the reverse triangle slack
+    a12 = a23 = 0.3
+
+    def cosh_omega(a13):
+        return (math.cos(a12) * math.cos(a23) - math.cos(a13)) / (math.sin(a12) * math.sin(a23))
+
+    at = least_float(cosh_omega, 1.0 - ms.ARG_SLACK, a12 + a23 - ms.ARG_SLACK, a12 + a23)
+    assert at + ms.ARG_SLACK >= a12 + a23
+    a13 = float(np.nextafter(at, 0.0))
+    for _ in range(5):
+        rows.append(directed(a12, a23, a13, 1, False))
+        rows.append(directed(a12, a23, a13, 1, True))
+        a13 = float(np.nextafter(a13, 4.0))
+    taus = np.array(rows)
+    angle, defined = ms.comparison_angles(*taus.T)
+    want_angle, want_defined = scalar_comparison_angles(taus)
+    assert np.array_equal(defined, want_defined)
+    assert angle[defined].tobytes() == want_angle[want_defined].tobytes()
+    assert np.all(np.isnan(angle[~defined]))
+    assert 400 < np.count_nonzero(defined) < len(rows) - 300
+    assert cosh_omega(at) >= 1.0 - ms.ARG_SLACK > cosh_omega(float(np.nextafter(at, 0.0)))

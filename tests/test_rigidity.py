@@ -604,7 +604,7 @@ def reference_audit(X, result):
     leq_x = X.leq[np.ix_(xidx, xidx)]
     dmat = S.dist[np.ix_(bidx, bidx)]
     future = svals[None, :] > svals[:, None]
-    leq_w, timelike_w, wtau = ms.ads_separation(svals, svals, dmat, future)
+    leq_w, timelike_w, wtau = ms.ads_separation(svals[:, None], svals, dmat, future)
     distinct = xidx[:, None] != xidx[None, :]
     gap = np.abs((tau_x - tau_x.T) - (wtau - wtau.T))
     gap[~distinct] = 0.0

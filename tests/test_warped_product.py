@@ -146,7 +146,7 @@ def reference_closed_form_sample(f, S, grid):
     base = np.tile(np.arange(nb), len(grid))
     D = S.dist[np.ix_(base, base)]
     if f.kind == wp.COS:
-        leq, _, tau = ms.ads_separation(t, t, D, t[:, None] <= t[None, :])
+        leq, _, tau = ms.ads_separation(t[:, None], t, D, t[:, None] <= t[None, :])
         return leq, tau
     dt = t[None, :] - t[:, None]
     order = dt >= 0.0
