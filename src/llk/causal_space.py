@@ -557,7 +557,7 @@ def _clamp(a12: float, a23: float, a13: float, budget: float):
 def _realize_clamped(a12: float, a23: float, a13: float, budget: float):
     """(triangle, a13, note): the sides realized after _clamp."""
     a13, note = _clamp(a12, a23, a13, budget)
-    return ms.realize_triangle(ms.TriangleSides(a12, a23, a13, 1)), a13, note
+    return ms.realize_triangle(a12, a23, a13), a13, note
 
 
 def _angles(names: str, a12: float, a23: float, a13: float) -> dict:
@@ -691,13 +691,13 @@ def check_triangle_comparisons(X: FiniteCausalSpace, triangles, tol: float) -> t
     it is 0 for a pair running back in time and for a forward pair that
     is not timelike.  The notes are those of the triangles, in order.
     """
-    sizes = np.array([len(a.keys) for a in triangles])
+    sizes = np.array([len(a.keys) for a in triangles], dtype=int)
     keys = list(itertools.chain.from_iterable(a.keys for a in triangles))
     first, second, owner = _ordered_pairs(sizes)
-    index = np.array(keys)
+    index = np.array(keys, dtype=int)
     lhs = X.tau[index[first], index[second]]
-    t = np.concatenate([a.t for a in triangles])
-    x = np.concatenate([a.x for a in triangles])
+    t = np.fromiter(itertools.chain.from_iterable(a.t for a in triangles), float)
+    x = np.fromiter(itertools.chain.from_iterable(a.x for a in triangles), float)
     fwd = np.flatnonzero(t[first] <= t[second])
     p, q = first[fwd], second[fwd]
     rhs = np.zeros(len(first))
@@ -771,8 +771,8 @@ def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> ComparisonRe
     sweep: an angle that falls by more than tol is a violation recorded
     as ("row", row, col0, col1) or ("col", col, row0, row1).
     """
-    rows = np.array([len(f.alpha) for f in fans])
-    cols = np.array([len(f.beta) for f in fans])
+    rows = np.array([len(f.alpha) for f in fans], dtype=int)
+    cols = np.array([len(f.beta) for f in fans], dtype=int)
     owner = np.repeat(np.arange(len(fans)), rows * cols)
     cell = np.arange(len(owner)) - np.repeat(np.cumsum(rows * cols) - rows * cols, rows * cols)
     ia, ib = cell // cols[owner], cell % cols[owner]
@@ -781,7 +781,7 @@ def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> ComparisonRe
     col = (np.cumsum(cols) - cols)[owner] + ib
     a = np.array(list(itertools.chain.from_iterable(f.alpha for f in fans)), dtype=int)[row]
     b = np.array(list(itertools.chain.from_iterable(f.beta for f in fans)), dtype=int)[col]
-    x = np.array([f.vertex for f in fans])[owner]
+    x = np.array([f.vertex for f in fans], dtype=int)[owner]
     tau = X.tau
     angle, defined = ms.comparison_angles(
         tau[a, x], tau[x, a], tau[x, b], tau[b, x], tau[a, b], tau[b, a]

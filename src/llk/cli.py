@@ -37,6 +37,7 @@ from . import model_space as ms
 from . import rigidity as rg
 from . import warped_product as wp
 from .errors import (
+    ChainError,
     ExtractionError,
     GeometryError,
     InfeasibleError,
@@ -92,19 +93,19 @@ def _reject_constant(token):
     )
 
 
-def _load_json(raw: bytes, path: str = "<input>"):
+def _load_json(raw: bytes):
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        _fail(path, f"not UTF-8: {exc}")
+        _fail("<input>", f"not UTF-8: {exc}")
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        _fail(path, f"not JSON: {exc}")
+        _fail("<input>", f"not JSON: {exc}")
     except StructuralError:
         raise
     except ValueError as exc:  # an integer with more digits than int() reads
-        _fail(path, f"unreadable number: {exc}")
+        _fail("<input>", f"unreadable number: {exc}")
 
 
 def _number(value, path: str):
@@ -632,10 +633,11 @@ def _cmd_split(X, options):
         # n x n matrix, need not outlive it
         vars(X).pop("_chain_index", None)
         result = rg.build_splitting(X, gamma, tol=options.tol_disc)
-    except (InfeasibleError, ExtractionError) as exc:
-        # no usable line, one at least pi long, or fibers, taken by the
-        # closed-form fiber distance, that cannot be metrized or that put
-        # two points on one sample: the geometry failing, not bad input
+    except (InfeasibleError, ChainError, ExtractionError) as exc:
+        # no usable line, one at least pi long or with a null step, or
+        # fibers, taken by the closed-form fiber distance, that cannot be
+        # metrized or that put two points on one sample: the geometry
+        # failing, not bad input
         return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
     S = result.slice_space
     check = {

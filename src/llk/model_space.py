@@ -104,18 +104,6 @@ class IntervalResult:
 
 
 @dataclass(frozen=True)
-class TriangleSides:
-    """Side data (a12, a23, a13) of a timelike triangle with its
-    configuration sign: sigma = +1 when x2 is causally between x1 and x3,
-    -1 when x2 is a time endpoint."""
-
-    a12: float
-    a23: float
-    a13: float
-    sigma: int
-
-
-@dataclass(frozen=True)
 class GeodesicParams:
     """Unit-speed timelike geodesic through (0, c) with rapidity omega.
 
@@ -467,34 +455,28 @@ def geodesic_through(
     return g, lam_p, lam_p + tau
 
 
-def realize_triangle(sides: TriangleSides) -> TriangleRealization:
-    """Realize a causally ordered timelike triangle in the model strip.
+def realize_triangle(a12: float, a23: float, a13: float) -> TriangleRealization:
+    """Realize the timelike triangle x1 << x2 << x3 with sides a12, a23
+    and a13 in the model strip.
 
-    The configuration must be sigma = +1 (x1 << x2 << x3); reorder the
-    vertices causally before calling.  The long side is placed vertically,
-    x1 = (-a13/2, 0) and x3 = (a13/2, 0), and x2 at x >= 0 so that the
-    pairwise time separations reproduce the given sides.
+    The long side is placed vertically, x1 = (-a13/2, 0) and
+    x3 = (a13/2, 0), and x2 at x >= 0 so that the pairwise time
+    separations reproduce the given sides.
     """
-    _check_sigma(sides.sigma)
-    if sides.sigma != 1:
-        raise InfeasibleError(
-            "only the causally ordered configuration (sigma = +1) is realized; "
-            "reorder the vertices so x2 is between x1 and x3"
-        )
-    _check_side("a12", sides.a12)
-    _check_side("a23", sides.a23)
-    _check_side("a13", sides.a13)
-    _check_rti(sides.a12, sides.a23, sides.a13, sides.sigma)
-    h = sides.a13 / 2.0
+    _check_side("a12", a12)
+    _check_side("a23", a23)
+    _check_side("a13", a13)
+    _check_rti(a12, a23, a13, 1)
+    h = a13 / 2.0
     x1 = AdsPrimePoint(-h, 0.0)
     x3 = AdsPrimePoint(h, 0.0)
     # Solving the two embedding equations for x2 = (t, x):
     #   -<X1, X2> = cos a12 and -<X2, X3> = cos a23.
-    sin_t = (math.cos(sides.a23) - math.cos(sides.a12)) / (2.0 * math.sin(h))
+    sin_t = (math.cos(a23) - math.cos(a12)) / (2.0 * math.sin(h))
     if abs(sin_t) > 1.0 + ARG_SLACK:
         raise InfeasibleError("sides do not close up to a triangle in the model")
     t2 = math.asin(_clamp_unit(sin_t))
-    cosh_x = (math.cos(sides.a12) + math.cos(sides.a23)) / (
+    cosh_x = (math.cos(a12) + math.cos(a23)) / (
         2.0 * math.cos(h) * math.cos(t2)
     )
     if cosh_x < 1.0 - ARG_SLACK:

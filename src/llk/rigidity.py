@@ -201,14 +201,14 @@ def _model_times(X: cs.FiniteCausalSpace, g_idx: np.ndarray, g_par: np.ndarray):
     return th, in_dom
 
 
-def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edge_cos):
+def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample):
     """Every c-function entry of a pair of lines or fibers, as arrays.
 
     In the cos warped product two points at times s and t on fibers c
     apart satisfy cos tau = sin s sin t + cos s cos t cosh c whenever
     they are strictly timelike related, so every such pair of the two
     lines, in either direction, reads c itself.  Returns s, t, table
-    (0 ab, 1 ba), value and edge, the entries within edge_cos of the
+    (0 ab, 1 ba), value and edge, the entries within EDGE_COS of the
     strip edge, which _c_constant leaves out.  Entries run over the pairs
     row-major in (s, t), each ab entry before its ba entry.
     extract_slice reads only value and edge.
@@ -225,7 +225,7 @@ def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample, edg
     # math.acosh, not np.arccosh: the two can differ in the last place,
     # and these values reach the reports
     value = ms._mapped(math.acosh, ms.ads_fiber_cosh(pair_tau[i, j, table], s, t))
-    edge = np.minimum(np.cos(s), np.cos(t)) < edge_cos
+    edge = np.minimum(np.cos(s), np.cos(t)) < EDGE_COS
     return s, t, table, value, edge
 
 
@@ -304,12 +304,7 @@ def _fiber_roots(X: cs.FiniteCausalSpace, th: np.ndarray, points: np.ndarray) ->
     return _roots(parent)
 
 
-def extract_slice(
-    X: cs.FiniteCausalSpace,
-    gamma: LineSample,
-    metric_slack: float = None,
-    diagnostics: dict = None,
-):
+def extract_slice(X: cs.FiniteCausalSpace, gamma: LineSample, diagnostics: dict = None):
     """The slice of fibers over gamma and its parallel-distance metric.
 
     Fits every point's time against gamma and takes the fibers of the
@@ -321,11 +316,11 @@ def extract_slice(
     fibers is metrized by the median of its c-function entries over
     both fibers at those times, and the fibers run by their smallest
     point.  Triangle violations are repaired by shortest paths up to
-    metric_slack, which defaults to twice the median line step or twice
-    the worst c-table deviation observed, whichever is larger: distances
-    are only as trustworthy as the tables they came from.  Larger
-    violations fail the extraction, and so do two points at one time on
-    one fiber, which the splitting map cannot tell apart.
+    metric_slack, twice the median line step or twice the worst c-table
+    deviation observed, whichever is larger: distances are only as
+    trustworthy as the tables they came from.  Larger violations fail
+    the extraction, and so do two points at one time on one fiber, which
+    the splitting map cannot tell apart.
 
     A diagnostics dict, when given, receives what the extraction saw,
     also when the metric fails: worst_dev, the largest c-table
@@ -366,13 +361,12 @@ def extract_slice(
     worst_dev = 0.0
     for a in range(m):
         for b in range(a + 1, m):
-            entries = _c_entries(X, fibers[a], fibers[b], EDGE_COS)
+            entries = _c_entries(X, fibers[a], fibers[b])
             constant, deviation = _c_constant(*entries[3:])
             dist[a, b] = dist[b, a] = constant
             if math.isfinite(deviation):
                 worst_dev = max(worst_dev, deviation)
-    if metric_slack is None:
-        metric_slack = max(2.0 * _median_step(gamma), 2.0 * worst_dev)
+    metric_slack = max(2.0 * _median_step(gamma), 2.0 * worst_dev)
     if diagnostics is not None:
         diagnostics.update(worst_dev=worst_dev, metric_slack=float(metric_slack))
 
@@ -396,9 +390,8 @@ def _audit(X: cs.FiniteCausalSpace, dist, xidx, bidx, svals, collar: float):
 
     Sample k is space point xidx[k] on slice point bidx[k] at time
     svals[k], and dist is the slice metric.  Each pair of samples k < l
-    at distinct space points is audited once, from both of its
-    orientations: the residual is the largest
-    |(tau(k, l) - tau(l, k)) - (w(k, l) - w(l, k))| with w the model
+    is audited once, from both of its orientations: the residual is the
+    largest |(tau(k, l) - tau(l, k)) - (w(k, l) - w(l, k))| with w the model
     separation, and the pair is a mismatch when the causal class of
     either orientation differs between space and model, forgiven when
     the model pair sits within collar of its null cone.
@@ -420,7 +413,7 @@ def _audit(X: cs.FiniteCausalSpace, dist, xidx, bidx, svals, collar: float):
         xr, xc = xidx[rows], xidx[cols]
         br, bc = bidx[rows], bidx[cols]
         at = np.arange(m - lo)
-        pairs = (at[None, :] > at[:len(s), None]) & (xr[:, None] != xc[None, :])
+        pairs = at[None, :] > at[:len(s), None]
         later = t[None, :] > s[:, None]
         earlier = t[None, :] < s[:, None]
         # either orientation of the model pair reads d: the slice metric, a

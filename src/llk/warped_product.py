@@ -118,11 +118,9 @@ def constant_warping(value: float, interval) -> WarpingSpec:
     return WarpingSpec(CONSTANT, tuple(interval), value=float(value))
 
 
-def table_warping(knots, values, interval=None) -> WarpingSpec:
+def table_warping(knots, values) -> WarpingSpec:
     knots = tuple(float(v) for v in knots)
-    if interval is None:
-        interval = (knots[0], knots[-1])
-    return WarpingSpec(TABLE, tuple(interval), knots=knots, values=tuple(values))
+    return WarpingSpec(TABLE, (knots[0], knots[-1]), knots=knots, values=tuple(values))
 
 
 @dataclass(frozen=True, eq=False)

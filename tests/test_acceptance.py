@@ -318,7 +318,7 @@ def c_functions(X, alpha, beta):
     The constant and deviation come from the kernels split runs; the bound
     is twice the median parameter step of the two lines.
     """
-    value, edge = rg._c_entries(X, alpha, beta, rg.EDGE_COS)[3:]
+    value, edge = rg._c_entries(X, alpha, beta)[3:]
     steps = np.concatenate([np.diff(alpha.params), np.diff(beta.params)])
     return (*rg._c_constant(value, edge), 2.0 * float(np.median(steps)))
 

@@ -2050,7 +2050,7 @@ def tangent_piece_angles(X, verts, chains, p, which):
 )
 def test_law_of_cosines_angles_match_the_tangent_oracle(a12, a23, extra):
     sides = (a12, a23, a12 + a23 + extra)
-    assert_angles_match_tangents(sides, ms.realize_triangle(ms.TriangleSides(*sides, 1)))
+    assert_angles_match_tangents(sides, ms.realize_triangle(*sides))
 
 
 def near_diameter_space():
@@ -2137,6 +2137,15 @@ def test_batched_audits_match_one_item_calls():
             )
             if all(isinstance(e[1], cs.ComparisonReport) for e in expected):
                 assert cs.check_monotonicities(X, fans, tol) == merged(e[1] for e in expected)
+
+
+def test_batched_audits_accept_an_empty_block():
+    X = AUDIT_SPACES["cos21"]()
+    report, violated = cs.check_triangle_comparisons(X, [], GRID_TOL)
+    for report in (report, cs.check_monotonicities(X, [], GRID_TOL)):
+        assert report.verdict is True
+        assert report.checked == report.violation_count == report.skipped == 0
+    assert violated == 0
 
 
 def test_batched_monotonicity_raises_for_its_first_empty_grid():

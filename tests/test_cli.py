@@ -756,10 +756,25 @@ def two_spacelike_points(tmp_path):
     return path
 
 
+def null_step_chain(tmp_path):
+    """a << c with b on a null step from a: valid input whose longest
+    chain a, b, c is no line sample."""
+    path = tmp_path / "null_step.json"
+    path.write_bytes(doc_bytes({
+        "kind": "finite_causal",
+        "labels": ["a", "b", "c"],
+        "tau": [[0, 0, 2.5], [None, 0, 2.5], [None, None, 0]],
+        "leq": [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+        "coords": [[0.0], [0.5], [2.5]],
+    }))
+    return path
+
+
 @pytest.mark.parametrize("make_input, reason", [
     pytest.param(lambda tmp_path: FIXTURES / "ads_diamond_81.json", "below min_value",
                  id="diamond"),
     pytest.param(two_spacelike_points, "no timelike related pair", id="spacelike"),
+    pytest.param(null_step_chain, "chain contains a null step", id="null-step"),
 ])
 def test_split_without_a_usable_line_fails_the_check(tmp_path, make_input, reason):
     infile = make_input(tmp_path)

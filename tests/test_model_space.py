@@ -268,7 +268,7 @@ def test_comparison_angle_rejects_non_timelike_pair():
 
 
 def test_realize_degenerate_triangle_puts_x2_on_axis():
-    tri = ms.realize_triangle(ms.TriangleSides(math.pi / 4, math.pi / 4, math.pi / 2, 1))
+    tri = ms.realize_triangle(math.pi / 4, math.pi / 4, math.pi / 2)
     assert abs(tri.x1.t + math.pi / 4) < EXACT
     assert abs(tri.x3.t - math.pi / 4) < EXACT
     assert abs(tri.x2.t) < EXACT
@@ -283,7 +283,7 @@ def test_realized_sides_reproduce_inputs():
         if room <= 0.01:
             continue
         a13 = a12 + a23 + rng.uniform(0.0, 1.0) * room
-        tri = ms.realize_triangle(ms.TriangleSides(float(a12), float(a23), float(a13), 1))
+        tri = ms.realize_triangle(float(a12), float(a23), float(a13))
         assert tri.x2.x >= 0.0
         assert abs(ms.ads_interval(tri.x1, tri.x2).tau - a12) < ROUND_TRIP
         assert abs(ms.ads_interval(tri.x2, tri.x3).tau - a23) < ROUND_TRIP
@@ -292,22 +292,20 @@ def test_realized_sides_reproduce_inputs():
 
 def test_realize_rejects_bad_side_data():
     with pytest.raises(SizeBoundError):
-        ms.realize_triangle(ms.TriangleSides(1.0, 1.0, 4.0, 1))
+        ms.realize_triangle(1.0, 1.0, 4.0)
     with pytest.raises(ReverseTriangleError):
-        ms.realize_triangle(ms.TriangleSides(1.0, 1.0, 1.5, 1))
+        ms.realize_triangle(1.0, 1.0, 1.5)
     with pytest.raises(InfeasibleError):
-        ms.realize_triangle(ms.TriangleSides(0.5, 0.5, 1.2, -1))
-    with pytest.raises(InfeasibleError):
-        ms.realize_triangle(ms.TriangleSides(0.0, 0.5, 0.8, 1))
+        ms.realize_triangle(0.0, 0.5, 0.8)
 
 
 def test_comparison_point_hits_vertices_and_interpolates():
-    sides = ms.TriangleSides(0.6, 0.9, 1.8, 1)
-    tri = ms.realize_triangle(sides)
+    a12, a23, a13 = 0.6, 0.9, 1.8
+    tri = ms.realize_triangle(a12, a23, a13)
     for name, a, b, length in (
-        ("12", tri.x1, tri.x2, sides.a12),
-        ("23", tri.x2, tri.x3, sides.a23),
-        ("13", tri.x1, tri.x3, sides.a13),
+        ("12", tri.x1, tri.x2, a12),
+        ("23", tri.x2, tri.x3, a23),
+        ("13", tri.x1, tri.x3, a13),
     ):
         p0 = ms.comparison_point(tri, name, 0.0)
         p1 = ms.comparison_point(tri, name, length)
@@ -318,7 +316,7 @@ def test_comparison_point_hits_vertices_and_interpolates():
 
 
 def test_comparison_point_rejects_out_of_range():
-    tri = ms.realize_triangle(ms.TriangleSides(0.6, 0.9, 1.8, 1))
+    tri = ms.realize_triangle(0.6, 0.9, 1.8)
     with pytest.raises(ParameterError):
         ms.comparison_point(tri, "12", 0.7)
     with pytest.raises(ParameterError):

@@ -146,7 +146,7 @@ def test_line_sample_validates_span():
 
 def c_constant(X, alpha, beta):
     """Constant and deviation of a line pair's c-functions, as split reads them."""
-    value, edge = rg._c_entries(X, alpha, beta, rg.EDGE_COS)[3:]
+    value, edge = rg._c_entries(X, alpha, beta)[3:]
     return rg._c_constant(value, edge)
 
 
@@ -206,7 +206,7 @@ def test_tilted_geodesic_is_not_parallel_to_vertical():
 def test_extreme_levels_are_excluded_not_judged():
     _, _, X = suspension()
     alpha, beta = fiber_line(0), fiber_line(1)
-    s, t, _, value, edge = rg._c_entries(X, alpha, beta, rg.EDGE_COS)
+    s, t, _, value, edge = rg._c_entries(X, alpha, beta)
     assert rg._c_constant(value, edge)[1] <= c_tol(alpha, beta)
     assert edge.any()
     assert (np.minimum(np.cos(s[edge]), np.cos(t[edge])) < rg.EDGE_COS).all()
@@ -219,7 +219,7 @@ def test_c_functions_need_cross_relations():
     alpha = rg.line_from_chain(X, cs.make_chain(X, [0, 1]))
     beta = rg.line_from_chain(X, cs.make_chain(X, [2, 3]))
     with pytest.raises(ExtractionError, match="share no timelike related parameter pairs"):
-        rg._c_entries(X, alpha, beta, rg.EDGE_COS)
+        rg._c_entries(X, alpha, beta)
 
 
 # ---------------------------------------------------------------- references
@@ -239,7 +239,7 @@ def reference_c_value(tau, s, t):
 C_TABLES = ("ab", "ba")
 
 
-def reference_c_functions(X, alpha, beta, edge_cos=rg.EDGE_COS):
+def reference_c_functions(X, alpha, beta):
     """Tables by name, excluded entries, and (constant, deviation)."""
     a_idx, a_par = np.array(alpha.indices), np.array(alpha.params)
     b_idx, b_par = np.array(beta.indices), np.array(beta.params)
@@ -249,7 +249,7 @@ def reference_c_functions(X, alpha, beta, edge_cos=rg.EDGE_COS):
 
     def record(table, s, t, value):
         tables[table].append((float(s), float(t), float(value)))
-        if min(math.cos(s), math.cos(t)) < edge_cos:
+        if min(math.cos(s), math.cos(t)) < rg.EDGE_COS:
             excluded.append((table, float(s), float(t), float(value)))
         else:
             kept.append(float(value))
@@ -272,7 +272,7 @@ def reference_c_functions(X, alpha, beta, edge_cos=rg.EDGE_COS):
 def assert_c_matches_reference(X, alpha, beta, entries=None):
     """The kernels' entries, table by table, equal the loop version's."""
     if entries is None:
-        entries = rg._c_entries(X, alpha, beta, rg.EDGE_COS)
+        entries = rg._c_entries(X, alpha, beta)
     s, t, table, value, edge = (a.tolist() for a in entries)
     rows = list(zip(table, s, t, value))
     tables, excluded, summary = reference_c_functions(X, alpha, beta)
@@ -396,8 +396,8 @@ def test_extract_slice_tables_match_reference(monkeypatch):
     c_entries = rg._c_entries
     calls = []
 
-    def recorded(X, alpha, beta, edge_cos):
-        entries = c_entries(X, alpha, beta, edge_cos)
+    def recorded(X, alpha, beta):
+        entries = c_entries(X, alpha, beta)
         calls.append((alpha, beta, entries))
         return entries
 
@@ -717,13 +717,22 @@ def test_slice_metric_is_exactly_symmetric(seed):
 
 
 def test_extract_slice_rejects_unrepairable_metrics():
-    # the dropped relations leave more than one fiber, so there are
-    # distances to repair
-    X = unlinked_suspension(1)
+    # an exact cos product over a base that is no metric: d(a, c) = 2.0
+    # exceeds d(a, b) + d(b, c) = 1.0 by far more than the repair allows
+    dist = np.array([[0.0, 0.5, 2.0], [0.5, 0.0, 0.5], [2.0, 0.5, 0.0]])
+    grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, N_TIMES)
+    fiber = np.repeat(np.arange(3), N_TIMES)
+    t = np.tile(grid, 3)
+    leq, _, tau = ms.ads_separation(
+        t[:, None], t, dist[np.ix_(fiber, fiber)], t[:, None] <= t[None, :]
+    )
+    labels = [f"{name}@{k:02d}" for name in "abc" for k in range(N_TIMES)]
+    X = cs.FiniteCausalSpace(labels, tau, leq, t[:, None])
     diagnostics = {}
     with pytest.raises(ExtractionError, match="triangle inequality"):
-        rg.extract_slice(X, rg.find_line(X), metric_slack=1e-12, diagnostics=diagnostics)
-    assert diagnostics["slack"] > 1e-12
+        rg.extract_slice(X, rg.find_line(X), diagnostics=diagnostics)
+    assert diagnostics["slack"] == pytest.approx(1.0, abs=LOOSE)
+    assert diagnostics["metric_slack"] == pytest.approx(GRID_TOL, abs=LOOSE)
 
 
 # ---------------------------------------------------------------- curvature

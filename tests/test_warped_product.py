@@ -202,8 +202,8 @@ def test_table_profile_rejects_nonpositive_values():
 
 
 def test_table_profile_rejects_interval_beyond_knots():
-    with pytest.raises(StructuralError):
-        wp.table_warping([0.0, 1.0], [1.0, 1.0], interval=(-0.5, 1.0))
+    with pytest.raises(StructuralError, match="span the interval"):
+        wp.WarpingSpec(wp.TABLE, (-0.5, 1.0), knots=(0.0, 1.0), values=(1.0, 1.0))
 
 
 def test_table_interpolates_linearly_between_knots():
