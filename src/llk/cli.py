@@ -201,32 +201,35 @@ def _parse_warping(doc):
     if not isinstance(doc, dict):
         _fail("warping", "expected an object")
     kind = doc.get("kind")
+    if kind == "cos":
+        make, args = wp.cos_warping, ()
+    elif kind == "constant":
+        interval = doc.get("interval")
+        if not isinstance(interval, list) or len(interval) != 2:
+            _fail("warping.interval", "expected [a, b]")
+        make, args = wp.constant_warping, (
+            _number(doc.get("value"), "warping.value"),
+            (
+                _number(interval[0], "warping.interval[0]"),
+                _number(interval[1], "warping.interval[1]"),
+            ),
+        )
+    elif kind == "table":
+        knots = doc.get("knots")
+        values = doc.get("values")
+        if not isinstance(knots, list) or not isinstance(values, list):
+            _fail("warping", "table warping needs knots and values lists")
+        make, args = wp.table_warping, (
+            _entries(knots, "warping.knots", _number),
+            _entries(values, "warping.values", _number),
+        )
+    else:
+        _fail("warping.kind", f"unknown warping kind {kind!r}")
+    # the constructors' own errors name no path
     try:
-        if kind == "cos":
-            return wp.cos_warping()
-        if kind == "constant":
-            interval = doc.get("interval")
-            if not isinstance(interval, list) or len(interval) != 2:
-                _fail("warping.interval", "expected [a, b]")
-            return wp.constant_warping(
-                _number(doc.get("value"), "warping.value"),
-                (
-                    _number(interval[0], "warping.interval[0]"),
-                    _number(interval[1], "warping.interval[1]"),
-                ),
-            )
-        if kind == "table":
-            knots = doc.get("knots")
-            values = doc.get("values")
-            if not isinstance(knots, list) or not isinstance(values, list):
-                _fail("warping", "table warping needs knots and values lists")
-            return wp.table_warping(
-                _entries(knots, "warping.knots", _number),
-                _entries(values, "warping.values", _number),
-            )
+        return make(*args)
     except StructuralError as exc:
         _fail("warping", str(exc))
-    _fail("warping.kind", f"unknown warping kind {kind!r}")
 
 
 def _parse_suspension_request(doc) -> SpaceFile:
@@ -649,7 +652,7 @@ def _cmd_split(X, options):
         "mismatches": int(result.mismatches),
         "forgiven": int(result.forgiven),
         "line": {
-            "size": gamma.size,
+            "size": len(gamma.indices),
             "value": float(gamma.value),
             "labels": [X.labels[i] for i in gamma.indices],
         },

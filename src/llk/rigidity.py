@@ -50,41 +50,12 @@ MIN_VALUE = 2.0
 _BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class LineSample:
-    """Sampled timelike line of near-maximal length.
-
-    indices lists the sample points in time order; params holds their
-    time coordinates, strictly increasing with increments equal to the
-    pairwise time separations, all inside (-pi/2, pi/2).
-    """
+class Fiber(NamedTuple):
+    """Points in time order at their strip times: a fiber, or the line
+    (see line_from_chain); _c_entries reads indices and params."""
 
     indices: tuple
     params: tuple
-
-    def __post_init__(self):
-        indices = tuple(int(k) for k in self.indices)
-        params = tuple(float(q) for q in self.params)
-        if len(indices) != len(params):
-            raise ParameterError("indices and params must have equal length")
-        if len(indices) < 2:
-            raise ParameterError("a line sample needs at least two points")
-        if len(set(indices)) != len(indices):
-            raise ParameterError("line sample points must be distinct")
-        if any(b <= a for a, b in zip(params, params[1:])):
-            raise ParameterError("line params must be strictly increasing")
-        if not (-ms.HALF_PI < params[0] and params[-1] < ms.HALF_PI):
-            raise ParameterError("line params must lie inside (-pi/2, pi/2)")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "params", params)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def value(self) -> float:
-        return self.params[-1] - self.params[0]
 
 
 @dataclass(frozen=True)
@@ -112,25 +83,39 @@ class SplittingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def line_from_chain(X: cs.FiniteCausalSpace, chain: cs.Chain) -> LineSample:
-    """Line sample from a timelike chain, centered so params are symmetric.
+def line_from_chain(X: cs.FiniteCausalSpace, chain: cs.Chain) -> Fiber:
+    """The line a timelike chain gives, placed in the strip.
 
-    The params run from -value / 2 to value / 2; a chain at least pi
-    long cannot fit inside the strip.
+    This is the one check of a line: at least two points, indices in
+    range, a value below pi (a longer chain cannot fit inside the
+    strip), no null step, and steps that reproduce the sampled time
+    separations within LINE_TOL.  The params are centered, running
+    from -value / 2 to value / 2.
     """
+    n = X.size
+    if len(chain.indices) < 2:
+        raise ParameterError("a line sample needs at least two points")
+    for k in chain.indices:
+        if not 0 <= k < n:
+            raise ParameterError(f"chain index {k} out of range for {n} points")
     value = chain.value
     if not value < math.pi:
         raise SizeBoundError(f"chain value {value!r} reaches the size bound pi")
-    if any(b - a <= 0.0 for a, b in zip(chain.params, chain.params[1:])):
-        raise ChainError("chain contains a null step and cannot be a line sample")
     half = value / 2.0
-    line = LineSample(chain.indices, tuple(q - half for q in chain.params))
-    _require_line(X, line, "chain")
+    line = Fiber(tuple(int(k) for k in chain.indices), tuple(q - half for q in chain.params))
+    steps = list(zip(line.indices, line.indices[1:], line.params, line.params[1:]))
+    if any(qb - qa <= 0.0 for _, _, qa, qb in steps):
+        raise ChainError("chain contains a null step and cannot be a line sample")
+    for a, b, qa, qb in steps:
+        if abs(float(X.tau[a, b]) - (qb - qa)) > LINE_TOL:
+            raise ParameterError(
+                f"chain params do not match the sampled time separations at pair ({a}, {b})"
+            )
     return line
 
 
-def find_line(X: cs.FiniteCausalSpace) -> LineSample:
-    """Longest chain in the space, as a line sample.
+def find_line(X: cs.FiniteCausalSpace) -> cs.Chain:
+    """Longest chain in the space, the line split starts from.
 
     Starts from the pair maximizing tau (first flat index on ties, so
     the result is deterministic) and walks the longest chain between
@@ -147,25 +132,10 @@ def find_line(X: cs.FiniteCausalSpace) -> LineSample:
         raise InfeasibleError(
             f"longest chain value {chain.value!r} is below min_value {MIN_VALUE!r}"
         )
-    return line_from_chain(X, chain)
+    return chain
 
 
-def _require_line(X: cs.FiniteCausalSpace, line: LineSample, name: str) -> None:
-    n = X.size
-    for k in line.indices:
-        if not 0 <= k < n:
-            raise ParameterError(f"{name} index {k} out of range for {n} points")
-    for (a, b), (qa, qb) in zip(
-        zip(line.indices, line.indices[1:]), zip(line.params, line.params[1:])
-    ):
-        if abs(float(X.tau[a, b]) - (qb - qa)) > LINE_TOL:
-            raise ParameterError(
-                f"{name} params do not match the sampled time separations "
-                f"at pair ({a}, {b})"
-            )
-
-
-def _median_step(line: LineSample) -> float:
+def _median_step(line: Fiber) -> float:
     return float(np.median(np.diff(line.params)))
 
 
@@ -201,7 +171,7 @@ def _model_times(X: cs.FiniteCausalSpace, g_idx: np.ndarray, g_par: np.ndarray):
     return th, in_dom
 
 
-def _c_entries(X: cs.FiniteCausalSpace, alpha: LineSample, beta: LineSample):
+def _c_entries(X: cs.FiniteCausalSpace, alpha: Fiber, beta: Fiber):
     """Every c-function entry of a pair of lines or fibers, as arrays.
 
     In the cos warped product two points at times s and t on fibers c
@@ -243,14 +213,6 @@ def _floyd_warshall(dist: np.ndarray) -> np.ndarray:
     for k in range(closed.shape[0]):
         closed = np.minimum(closed, closed[:, k][:, None] + closed[k, :][None, :])
     return closed
-
-
-class Fiber(NamedTuple):
-    """The points of one fiber in time order, at their times on it; like
-    a LineSample, it gives _c_entries indices and params."""
-
-    indices: tuple
-    params: tuple
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -304,10 +266,13 @@ def _fiber_roots(X: cs.FiniteCausalSpace, th: np.ndarray, points: np.ndarray) ->
     return _roots(parent)
 
 
-def extract_slice(X: cs.FiniteCausalSpace, gamma: LineSample, diagnostics: dict = None):
-    """The slice of fibers over gamma and its parallel-distance metric.
+def extract_slice(X: cs.FiniteCausalSpace, gamma, diagnostics: dict = None):
+    """The slice of fibers over the line gamma and its parallel-distance metric.
 
-    Fits every point's time against gamma and takes the fibers of the
+    gamma is the line's chain, which line_from_chain checks and places
+    in the strip, or the Fiber line_from_chain made of it, which
+    build_splitting passes so that a split converts its chain once.
+    Fits every point's time against the line and takes the fibers of the
     line's timelike domain by the closed-form fiber distance (see
     _fiber_roots).  Along a fiber tau is the elapsed time, so each fiber
     keeps the fitted time of its point nearest time zero, which labels
@@ -330,8 +295,8 @@ def extract_slice(X: cs.FiniteCausalSpace, gamma: LineSample, diagnostics: dict 
     Returns the slice and one Fiber per slice point, together holding
     every point of the line's timelike domain once.
     """
-    _require_line(X, gamma, "gamma")
-    g_idx, g_par = np.array(gamma.indices, dtype=int), np.array(gamma.params, dtype=float)
+    line = gamma if isinstance(gamma, Fiber) else line_from_chain(X, gamma)
+    g_idx, g_par = np.array(line.indices, dtype=int), np.array(line.params, dtype=float)
     th, in_dom = _model_times(X, g_idx, g_par)
     points = np.nonzero(in_dom)[0]
     if not len(points):
@@ -366,7 +331,7 @@ def extract_slice(X: cs.FiniteCausalSpace, gamma: LineSample, diagnostics: dict 
             dist[a, b] = dist[b, a] = constant
             if math.isfinite(deviation):
                 worst_dev = max(worst_dev, deviation)
-    metric_slack = max(2.0 * _median_step(gamma), 2.0 * worst_dev)
+    metric_slack = max(2.0 * _median_step(line), 2.0 * worst_dev)
     if diagnostics is not None:
         diagnostics.update(worst_dev=worst_dev, metric_slack=float(metric_slack))
 
@@ -444,10 +409,10 @@ def _audit(X: cs.FiniteCausalSpace, dist, xidx, bidx, svals, collar: float):
 
 def build_splitting(
     X: cs.FiniteCausalSpace,
-    gamma: LineSample,
+    gamma: cs.Chain,
     tol: float = None,
 ) -> SplittingResult:
-    """Reconstruct the warped product over the slice and audit it.
+    """Reconstruct the warped product over the line gamma and audit it.
 
     Every point of the line's timelike domain is a sample of the map
     (time param, slice point) -> space point, at its time on its fiber
@@ -456,14 +421,16 @@ def build_splitting(
     product over the recovered metric; causal-class disagreements are
     mismatches unless the pair sits within collar of the reconstructed
     null cone, where grid quantization decides the class, not geometry.
-    The collar, and tol by default, are twice the median line step.
+    The collar, and tol by default, are twice the median line step,
+    read at the strip times line_from_chain gives the chain.
     """
-    step = _median_step(gamma)
+    line = line_from_chain(X, gamma)
+    step = _median_step(line)
     if tol is None:
         tol = 2.0 * step
     collar = 2.0 * step
     diagnostics = {}
-    slice_space, fibers = extract_slice(X, gamma, diagnostics=diagnostics)
+    slice_space, fibers = extract_slice(X, line, diagnostics=diagnostics)
     samples = sorted(
         (label, q, idx)
         for label, fiber in zip(slice_space.labels, fibers)

@@ -120,6 +120,9 @@ def constant_warping(value: float, interval) -> WarpingSpec:
 
 def table_warping(knots, values) -> WarpingSpec:
     knots = tuple(float(v) for v in knots)
+    # the interval is read off the end knots
+    if len(knots) < 2 or len(knots) != len(values):
+        raise StructuralError("table needs equally many knots and values, at least two")
     return WarpingSpec(TABLE, (knots[0], knots[-1]), knots=knots, values=tuple(values))
 
 

@@ -224,8 +224,8 @@ def bad_grid_doc():
 @pytest.mark.parametrize(
     "raw, message",
     [
-        (bad_knot_doc(), "warping: warping.knots[3]: expected a number, got 'x'"),
-        (bad_value_doc(), "warping: warping.values[2]: expected a number, got True"),
+        (bad_knot_doc(), "warping.knots[3]: expected a number, got 'x'"),
+        (bad_value_doc(), "warping.values[2]: expected a number, got True"),
         (bad_grid_doc(), "t_grid[4]: non-finite number outside the null (+inf) encoding"),
     ],
 )
@@ -722,8 +722,8 @@ def test_split_diagnostics_stay_out_of_the_report(tmp_path):
     # distance up to rounding, so the repair slack is the line's, twice
     # its median step
     assert diagnostics["worst_dev"] < 1e-12
-    gamma = rg.find_line(X)
-    assert diagnostics["metric_slack"] == 2.0 * float(np.median(np.diff(gamma.params)))
+    line = rg.line_from_chain(X, rg.find_line(X))
+    assert diagnostics["metric_slack"] == 2.0 * float(np.median(np.diff(line.params)))
     out = tmp_path / "split.json"
     assert run_cli("split", FIXTURES / "suspension_circle12.json", out) == 0
     assert "diagnostics" not in out.read_text()
@@ -1047,6 +1047,90 @@ def test_oversized_integers_are_usage_errors(tmp_path, capsys, entry, message):
     assert run_cli("validate", infile, out) == 2
     assert not out.exists()
     assert f"error [llk.errors.StructuralError] {message}" in capsys.readouterr().err
+
+
+def space_with(**fields):
+    """A two-point finite_causal document with some fields replaced."""
+    return doc_bytes({**square_doc(2), **fields})
+
+
+def request_with(**fields):
+    """The fixture's suspension request with some fields replaced."""
+    doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
+    return doc_bytes({**doc, **fields})
+
+
+PARSER_REFUSALS = [
+    (
+        "validate",
+        b"\xff",
+        "<input>: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    ),
+    (
+        "validate",
+        b"{",
+        "<input>: not JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    ("validate", b"[]", "<input>: expected a JSON object"),
+    ("validate", space_with(labels=[]), "labels: expected a nonempty list of labels"),
+    ("validate", space_with(labels=["a", 1]), "labels[1]: expected a string, got 1"),
+    ("validate", space_with(tau=[[0, 0]]), "tau: expected 2 rows"),
+    ("validate", space_with(coords=[[0.0]]), "coords: expected 2 rows"),
+    (
+        "validate",
+        space_with(coords=[[], [0.0]]),
+        "coords[0]: expected a nonempty row of numbers",
+    ),
+    ("validate", space_with(coords=[[0.0], [0.0, 1.0]]), "coords[1]: expected 1 entries, got 2"),
+    ("suspend", request_with(warping=1), "warping: expected an object"),
+    ("suspend", request_with(warping={"kind": "sin"}), "warping.kind: unknown warping kind 'sin'"),
+    # each warping error names its path once
+    (
+        "suspend",
+        request_with(warping={"kind": "constant", "value": 1.0, "interval": [0.0]}),
+        "warping.interval: expected [a, b]",
+    ),
+    (
+        "suspend",
+        request_with(warping={"kind": "table", "knots": [0.0, 1.0]}),
+        "warping: table warping needs knots and values lists",
+    ),
+    (
+        "suspend",
+        request_with(warping={"kind": "table", "knots": [], "values": []}),
+        "warping: table needs equally many knots and values, at least two",
+    ),
+    (
+        "suspend",
+        request_with(warping={"kind": "table", "knots": [0], "values": [1]}),
+        "warping: table needs equally many knots and values, at least two",
+    ),
+    ("suspend", request_with(base=[]), "base: expected an object with labels and dist"),
+    (
+        "suspend",
+        request_with(
+            base={"labels": ["a", "b", "c"], "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
+        ),
+        "base: triangle inequality fails: d(0,2) > d(0,1) + d(1,2)",
+    ),
+    ("suspend", request_with(t_grid=[]), "t_grid: expected a nonempty list of times"),
+    ("geodesics", doc_bytes({"curves": 1}), "curves: expected a list of {omega, c} objects"),
+    ("geodesics", doc_bytes({"curves": [1]}), "curves[0]: expected an object"),
+    ("geodesics", doc_bytes({"curves": []}), "curves: expected at least one curve"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, raw, message", PARSER_REFUSALS, ids=[case[2] for case in PARSER_REFUSALS]
+)
+def test_parser_refusals_are_usage_errors(tmp_path, capsys, command, raw, message):
+    infile, out = tmp_path / "in.json", tmp_path / "out"
+    infile.write_bytes(raw)
+    assert run_cli(command, infile, out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error [llk.errors.StructuralError] {message}\n"
 
 
 # ---------------------------------------------------------------- geodesics

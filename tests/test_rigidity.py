@@ -98,9 +98,10 @@ def fiber(level, k):
 
 def test_find_line_recovers_a_maximal_fiber():
     _, grid, X = suspension()
-    line = suspension_line()
-    assert line.size == N_TIMES
-    assert abs(line.value - (math.pi - 2 * DELTA)) < EXACT
+    chain = suspension_line()
+    line = rg.line_from_chain(X, chain)
+    assert len(line.indices) == N_TIMES
+    assert abs(chain.value - (math.pi - 2 * DELTA)) < EXACT
     assert all(X.labels[i].startswith("c00@") for i in line.indices)
     assert np.max(np.abs(np.array(line.params) - grid)) < EXACT
 
@@ -117,8 +118,11 @@ def test_find_line_needs_a_long_chain():
 def test_line_from_chain_centers_params():
     S, grid, X = suspension()
     column = [level * S.size + 3 for level in range(N_TIMES)]
-    line = rg.line_from_chain(X, cs.make_chain(X, column))
-    assert abs(line.value - (math.pi - 2 * DELTA)) < EXACT
+    chain = cs.make_chain(X, column)
+    line = rg.line_from_chain(X, chain)
+    assert line.indices == chain.indices
+    assert abs(chain.value - (math.pi - 2 * DELTA)) < EXACT
+    assert line.params[0] == -chain.value / 2 and line.params[-1] == chain.value / 2
     assert np.max(np.abs(np.array(line.params) - grid)) < LOOSE
 
 
@@ -134,11 +138,23 @@ def test_line_from_chain_rejects_null_steps():
         rg.line_from_chain(X, cs.make_chain(X, [0, 1]))
 
 
-def test_line_sample_validates_span():
-    rg.LineSample((0, 1), (-0.5, 0.5))
-    for params in ((-0.5, ms.HALF_PI), (-ms.HALF_PI, 0.5), (0.5, 0.5), (0.5, -0.5)):
-        with pytest.raises(ParameterError):
-            rg.LineSample((0, 1), params)
+def test_line_from_chain_rejects_one_point():
+    X = tiny_space([[0.0, 1.0], [0.0, 0.0]], [[1, 1], [0, 1]])
+    with pytest.raises(ParameterError, match="at least two points"):
+        rg.line_from_chain(X, cs.make_chain(X, [0]))
+
+
+@pytest.mark.parametrize(
+    "chain, message",
+    [
+        (cs.Chain((0, 2), (0.0, 1.0)), "chain index 2 out of range for 2 points"),
+        (cs.Chain((0, 1), (0.0, 0.5)), "do not match the sampled time separations"),
+    ],
+)
+def test_line_from_chain_rejects_chains_off_the_space(chain, message):
+    X = tiny_space([[0.0, 1.0], [0.0, 0.0]], [[1, 1], [0, 1]])
+    with pytest.raises(ParameterError, match=message):
+        rg.line_from_chain(X, chain)
 
 
 # ---------------------------------------------------------------- parallelism
@@ -328,6 +344,11 @@ def unlinked_suspension(seed, drop=0.03):
     return cs.FiniteCausalSpace(X.labels, tau, X.leq)
 
 
+def strip_line(X):
+    """find_line's chain at its strip times."""
+    return rg.line_from_chain(X, rg.find_line(X))
+
+
 def fibers_match_reference(X, gamma):
     """The fibers of the array code equal the loop version's; returns them."""
     g_idx, g_par = np.array(gamma.indices), np.array(gamma.params)
@@ -379,13 +400,13 @@ def test_array_pipeline_matches_reference_on_shuffled_orders(seed):
         lines[k] = rg.line_from_chain(Y, cs.make_chain(Y, column))
     for a, b in ((0, 1), (1, 6), (5, 0), (6, 6)):
         assert_c_matches_reference(Y, lines[a], lines[b])
-    assert len(fibers_match_reference(Y, rg.find_line(Y))) == N_FIBERS
+    assert len(fibers_match_reference(Y, strip_line(Y))) == N_FIBERS
 
 
 def test_fibers_match_reference_on_unlinked_pairs():
     # some timelike relations dropped: the fibers need not be chains
     X = unlinked_suspension(0)
-    fibers = fibers_match_reference(X, rg.find_line(X))
+    fibers = fibers_match_reference(X, strip_line(X))
     assert any((X.tau[np.ix_(f, f)] <= 0.0)[np.triu_indices(len(f), 1)].any() for f in fibers)
 
 
@@ -412,7 +433,7 @@ def test_extract_slice_tables_match_reference(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_fibers_match_reference_on_jittered_levels(seed):
     X = jittered_suspension(seed)
-    gamma = rg.find_line(X)
+    gamma = strip_line(X)
     assert len(set(np.round(np.diff(gamma.params), 12))) > 1
     assert len(fibers_match_reference(X, gamma)) == N_FIBERS
 
@@ -420,7 +441,7 @@ def test_fibers_match_reference_on_jittered_levels(seed):
 @pytest.mark.parametrize("rows", ["one", "all but one"])
 def test_fiber_blocks_match_reference(monkeypatch, rows):
     X = unlinked_suspension(1)
-    gamma = rg.find_line(X)
+    gamma = strip_line(X)
     n_dom = int(rg._model_times(X, np.array(gamma.indices), np.array(gamma.params))[1].sum())
     size = 1 if rows == "one" else n_dom - 1
     monkeypatch.setattr(rg, "_BLOCK_CELLS", size * n_dom)
@@ -443,7 +464,7 @@ def test_fibers_match_reference_with_infinite_separations():
     # cos(inf) is NaN, so these pairs never join two points, as the loop
     # version skips them
     X = unlinked_suspension(3)
-    gamma = rg.find_line(X)
+    gamma = strip_line(X)
     rng = np.random.default_rng(5)
     far = (X.tau > 0.0) & (rng.random(X.tau.shape) < 0.02)
     far[list(gamma.indices)] = False
@@ -461,7 +482,7 @@ def test_fibers_match_reference_on_permuted_points(perm):
         X.tau[np.ix_(perm, perm)],
         X.leq[np.ix_(perm, perm)],
     )
-    fibers_match_reference(Y, rg.find_line(Y))
+    fibers_match_reference(Y, strip_line(Y))
 
 
 # ---------------------------------------------------------------- slices
