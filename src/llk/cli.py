@@ -9,8 +9,7 @@ tool version, the input digest, the effective tolerances, per-check
 verdicts with violation lists, and deterministic work counters in the
 timings slot, so a report is byte-identical for a fixed input, command,
 seed, and tolerance set regardless of worker count.  suspend answers
-with the materialized finite_causal SpaceFile and geodesics with a CSV
-table; both are equally deterministic.
+with the materialized finite_causal SpaceFile, equally deterministic.
 
 Randomized sweeps draw each sample from its own counter-based stream
 keyed by (seed, sample index) and run the samples in order in one
@@ -33,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from . import causal_space as cs
-from . import model_space as ms
 from . import rigidity as rg
 from . import warped_product as wp
 from .errors import (
@@ -51,9 +49,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DRAW_TRIES = 64
-
-# geodesics builds its table in memory, at about 150 bytes a row
-MAX_TABLE_ROWS = 10**6
 
 # curvature audits its drawn triangles in blocks of about this many
 # comparison pairs and angle grid cells
@@ -339,26 +334,6 @@ def render_space(X: cs.FiniteCausalSpace) -> bytes:
     return b"".join(_space_chunks(X))
 
 
-def parse_geodesic_file(raw: bytes):
-    """Parse a geodesic request: {"curves": [{"omega": w, "c": c}, ...]}."""
-    doc = _load_json(raw)
-    if not isinstance(doc, dict) or not isinstance(doc.get("curves"), list):
-        _fail("curves", "expected a list of {omega, c} objects")
-    curves = []
-    for k, entry in enumerate(doc["curves"]):
-        if not isinstance(entry, dict):
-            _fail(f"curves[{k}]", "expected an object")
-        omega = _number(entry.get("omega"), f"curves[{k}].omega")
-        c = _number(entry.get("c"), f"curves[{k}].c")
-        try:
-            curves.append(ms.GeodesicParams(omega, c))
-        except ParameterError as exc:
-            _fail(f"curves[{k}].omega", str(exc))
-    if not curves:
-        _fail("curves", "expected at least one curve")
-    return curves
-
-
 # ---------------------------------------------------------------- reports
 
 
@@ -402,7 +377,6 @@ def report_payload(command, options, kind, points, checks, work_units, digest) -
             "samples": options.samples,
             "seed": options.seed,
             "grid": options.grid,
-            "step": options.step,
         },
         "checks": checks,
         "verdict": verdict,
@@ -665,34 +639,6 @@ def _cmd_split(X, options):
     return [check], len(result.samples) ** 2
 
 
-# ---------------------------------------------------------------- geodesics
-
-
-def emit_geodesic_table(curves, step: float) -> bytes:
-    """CSV table of geodesic points sampled at the given lambda step.
-
-    A step that would give more than MAX_TABLE_ROWS rows is rejected
-    before any row is built.
-    """
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
-        raise ParameterError(f"step must be a positive number, got {step!r}")
-    # clamped, so that a tiny step cannot overflow the integer conversion
-    lasts = [int(min(g.domain[1] / step, MAX_TABLE_ROWS)) for g in curves]
-    if sum(2 * last + 1 for last in lasts) > MAX_TABLE_ROWS:
-        raise ParameterError(f"step {step!r} would give more than {MAX_TABLE_ROWS} table rows")
-    lines = ["curve_id,lambda,t,x"]
-    for cid, (g, last) in enumerate(zip(curves, lasts)):
-        # sin(lam) cosh(omega) rounds to 1 up to about 1e-8 inside the
-        # reach, so the table ends at the last lam whose point is defined
-        while last > 0 and not abs(math.sin(last * step) * math.cosh(g.omega)) < 1.0:
-            last -= 1
-        for k in range(-last, last + 1):
-            lam = k * step
-            p = ms.geodesic_point(g, lam)
-            lines.append(f"{cid},{lam!r},{p.t!r},{p.x!r}")
-    return ("\n".join(lines) + "\n").encode()
-
-
 # ---------------------------------------------------------------- driver
 
 
@@ -704,7 +650,7 @@ _CHECK_COMMANDS = {
     "split": _cmd_split,
 }
 
-COMMANDS = (*_CHECK_COMMANDS, "suspend", "geodesics")
+COMMANDS = (*_CHECK_COMMANDS, "suspend")
 
 
 def _run_chunks(command: str, raw: bytes, options) -> tuple:
@@ -719,8 +665,6 @@ def _run_chunks(command: str, raw: bytes, options) -> tuple:
     for flag, value in (("--tol-exact", options.tol_exact), ("--tol-disc", options.tol_disc)):
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ParameterError(f"{flag} must be a finite number >= 0, got {value}")
-    if command == "geodesics":
-        return [emit_geodesic_table(parse_geodesic_file(raw), options.step)], EXIT_PASS
     parsed = parse_space_file(raw)
     if command == "suspend" and parsed.kind != "suspension_request":
         raise ParameterError("suspend needs a suspension_request input")
@@ -738,7 +682,7 @@ def run_command(command: str, raw: bytes, options) -> tuple:
     """Dispatch one command over raw input bytes.
 
     Returns (output bytes, exit code): a ReportFile for check commands,
-    a SpaceFile for suspend, a CSV table for geodesics.
+    a SpaceFile for suspend.
     """
     chunks, code = _run_chunks(command, raw, options)
     return b"".join(chunks), code
@@ -778,7 +722,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--step", type=float, default=0.05)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Tests for the batch front door: parsing, dispatch, reports, tables.
+"""Tests for the batch front door: parsing, dispatch, reports, the space writer.
 
 Fixture files under fixtures/ are the integration oracle: each parses,
 runs its representative command, and must reproduce its committed golden
@@ -228,6 +228,7 @@ def bad_grid_doc():
         (bad_value_doc(), "warping.values[2]: expected a number, got True"),
         (bad_grid_doc(), "t_grid[4]: non-finite number outside the null (+inf) encoding"),
     ],
+    ids=["bad-knot", "bad-value", "bad-grid"],
 )
 def test_request_entry_errors_name_the_first_bad_entry(raw, message):
     with pytest.raises(StructuralError) as err:
@@ -1027,6 +1028,21 @@ def test_missing_input_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["geodesics"], ["validate", "--step", "0.05"]],
+    ids=["geodesics-command", "step-option"],
+)
+def test_removed_command_and_option_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    infile = FIXTURES / "ads_diamond_81.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--in", str(infile), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "usage: llk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         ("1" + "0" * 400, "tau[0][0]: integer beyond the float range"),
@@ -1116,9 +1132,6 @@ PARSER_REFUSALS = [
         "base: triangle inequality fails: d(0,2) > d(0,1) + d(1,2)",
     ),
     ("suspend", request_with(t_grid=[]), "t_grid: expected a nonempty list of times"),
-    ("geodesics", doc_bytes({"curves": 1}), "curves: expected a list of {omega, c} objects"),
-    ("geodesics", doc_bytes({"curves": [1]}), "curves[0]: expected an object"),
-    ("geodesics", doc_bytes({"curves": []}), "curves: expected at least one curve"),
 ]
 
 
@@ -1131,95 +1144,3 @@ def test_parser_refusals_are_usage_errors(tmp_path, capsys, command, raw, messag
     assert run_cli(command, infile, out) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"error [llk.errors.StructuralError] {message}\n"
-
-
-# ---------------------------------------------------------------- geodesics
-
-
-def test_geodesic_table_groups_curves_in_order(tmp_path):
-    request = tmp_path / "curves.json"
-    request.write_bytes(
-        doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}, {"omega": 1.0, "c": 2.0}]})
-    )
-    out = tmp_path / "geo.csv"
-    assert run_cli("geodesics", request, out, "--step", "0.1") == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "curve_id,lambda,t,x"
-    ids = [row.split(",")[0] for row in lines[1:]]
-    assert ids == sorted(ids)
-    assert set(ids) == {"0", "1"}
-    for row in lines[1:]:
-        cid, _, _, x = row.split(",")
-        if cid == "0":
-            assert float(x) == 0.0
-
-
-def test_geodesics_output_is_pinned(tmp_path):
-    # the curves of the console-script check, one vertical and one tilted
-    request = tmp_path / "curves.json"
-    request.write_bytes(
-        doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}, {"omega": 1.0, "c": 2.0}]})
-    )
-    out = tmp_path / "geo.csv"
-    assert run_cli("geodesics", request, out, "--step", "0.02") == 0
-    raw = out.read_bytes()
-    assert len(raw) == 6_689
-    assert hashlib.sha256(raw).hexdigest() == (
-        "581e47996a3c2cf72c223b50a98b00dc7c52ee0f3cb42dfb41251343c6958d93"
-    )
-
-
-def test_geodesic_rows_climb_toward_the_strip_edge():
-    table = cli.emit_geodesic_table([ms.GeodesicParams(1.3169578969248166, 0.0)], 0.02)
-    rows = table.decode().splitlines()[1:]
-    t_vals = [float(r.split(",")[2]) for r in rows]
-    x_vals = [float(r.split(",")[3]) for r in rows]
-    assert t_vals[-1] > 1.4
-    assert x_vals[-1] > x_vals[len(x_vals) // 2]
-
-
-def test_geodesic_step_must_be_positive():
-    with pytest.raises(ParameterError):
-        cli.emit_geodesic_table([ms.GeodesicParams(0.0, 0.0)], 0.0)
-
-
-def test_geodesic_step_too_small_for_the_row_bound(tmp_path, monkeypatch, capsys):
-    def no_rows(g, lam):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(ms, "geodesic_point", no_rows)
-    with pytest.raises(ParameterError, match="more than 1000000 table rows"):
-        cli.emit_geodesic_table([ms.GeodesicParams(0.0, 0.0)], 1e-9)
-    request = tmp_path / "curves.json"
-    request.write_bytes(doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}]}))
-    out = tmp_path / "geo.csv"
-    assert run_cli("geodesics", request, out, "--step", "1e-9") == 2
-    assert not out.exists()
-    assert "error [llk.errors.ParameterError] step 1e-09" in capsys.readouterr().err
-
-
-def test_geodesic_table_ends_at_the_last_defined_point(tmp_path):
-    # ten steps fall 5e-9 short of pi/2, where sin(lam) already rounds to 1
-    step = 0.15707963217948966
-    request = tmp_path / "curves.json"
-    request.write_bytes(doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}]}))
-    out = tmp_path / "geo.csv"
-    assert run_cli("geodesics", request, out, "--step", repr(step)) == 0
-    lams = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
-    assert lams == [k * step for k in range(-9, 10)]
-
-
-def test_geodesic_rapidity_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
-    request = tmp_path / "curves.json"
-    out = tmp_path / "geo.csv"
-    request.write_bytes(doc_bytes({"curves": [{"omega": 710.0, "c": 0.0}]}))
-    assert run_cli("geodesics", request, out) == 0
-    assert out.read_text().splitlines()[1:] == ["0,0.0,0.0,0.0"]
-    request.write_bytes(
-        doc_bytes({"curves": [{"omega": 0.0, "c": 0.0}, {"omega": 1000.0, "c": 0.0}]})
-    )
-    out.unlink()
-    assert run_cli("geodesics", request, out) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "error [llk.errors.StructuralError] curves[1].omega: " in err

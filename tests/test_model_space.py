@@ -342,6 +342,11 @@ def test_geodesic_domain_shrinks_with_rapidity():
     assert abs(lo + math.pi / 6) < EXACT
     with pytest.raises(DomainError):
         ms.geodesic_point(g, math.pi / 6 + 1e-3)
+    # up to the last 0.02 step inside its domain, the curve climbs past
+    # t = 1.4 toward the strip edge while x keeps growing
+    points = [ms.geodesic_point(g, 0.02 * k) for k in range(27)]
+    assert points[-1].t > 1.4
+    assert all(a.x < b.x for a, b in zip(points, points[1:]))
 
 
 def test_geodesic_rapidity_must_have_a_finite_cosh():
