@@ -5,11 +5,11 @@ Input files are UTF-8 JSON describing either a sampled causal space
 tau entry encodes the +inf of an unrelated pair) or a request to build
 one ("suspension_request": warping spec, base metric space, time grid).
 Check commands answer with a ReportFile: a JSON document carrying the
-tool version, the input digest, the effective tolerances, per-check
-verdicts with violation lists, and deterministic work counters in the
-timings slot, so a report is byte-identical for a fixed input, command,
-seed, and tolerance set regardless of worker count.  suspend answers
-with the materialized finite_causal SpaceFile, equally deterministic.
+tool version, the input digest, the effective tolerances and per-check
+verdicts with violation lists, so a report is byte-identical for a
+fixed input, command, seed, and tolerance set regardless of worker
+count.  suspend answers with the materialized finite_causal SpaceFile,
+equally deterministic.
 
 Randomized sweeps draw each sample from its own counter-based stream
 keyed by (seed, sample index) and run the samples in order in one
@@ -364,7 +364,7 @@ def _check_dict(name: str, rep: cs.ComparisonReport, **extra) -> dict:
     return out
 
 
-def report_payload(command, options, kind, points, checks, work_units, digest) -> dict:
+def report_payload(command, options, kind, points, checks, digest) -> dict:
     """ReportFile of one check command; points counts the space it ran on."""
     verdict = all(c["verdict"] for c in checks)
     return {
@@ -380,7 +380,6 @@ def report_payload(command, options, kind, points, checks, work_units, digest) -
         },
         "checks": checks,
         "verdict": verdict,
-        "timings": {"work_units": int(work_units)},
     }
 
 
@@ -392,28 +391,10 @@ def _render_json(doc) -> bytes:
 
 
 def _sample_streams(seed: int, samples: int):
-    """The random stream of each sample index k in turn, in one generator.
-
-    Before it is yielded for k, the generator is reset to the state of
-    Generator(Philox(key=[seed & (2**63 - 1), k])): counter 0, that key
-    and an empty buffer.  Setting the state is several times cheaper than
-    building a Philox from a key, which draws a SeedSequence from OS
-    entropy on every call, and gives the same streams.  A caller must be
-    done with the stream of k before it asks for the next one.
-    """
-    bits = np.random.Philox(key=0)
-    rng = np.random.Generator(bits)
-    empty = np.zeros(4, dtype=np.uint64)
+    """The random stream of each sample index k in turn, keyed by (seed, k)."""
     for k in range(samples):
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": empty, "key": np.array([seed & (2**63 - 1), k], dtype=np.uint64)},
-            "buffer": empty,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+        key = np.array([seed & (2**63 - 1), k], dtype=np.uint64)
+        yield np.random.Generator(np.random.Philox(key=key))
 
 
 def _draw_triangle(X: cs.FiniteCausalSpace, rng, min_sep: float):
@@ -561,21 +542,19 @@ def _materialize(parsed: SpaceFile, options) -> cs.FiniteCausalSpace:
 
 def _cmd_validate(X, options):
     rep = cs.validate_space(X, tol=options.tol_exact)
-    checks = [_check_dict("causal_axioms", rep, tol=options.tol_exact)]
-    return checks, rep.checked
+    return [_check_dict("causal_axioms", rep, tol=options.tol_exact)]
 
 
 def _cmd_myers(X, options):
     rep = cs.myers_check(X, tol=options.tol_exact)
-    checks = [_check_dict("diameter_bound", rep, tol=options.tol_exact)]
-    return checks, rep.checked
+    return [_check_dict("diameter_bound", rep, tol=options.tol_exact)]
 
 
 def _cmd_curvature(X, options):
     tol, results, counts = _sweep(X, options, _curvature_sample, _curvature_audits)
     triangle = cs.merge_reports([r[1] for r in results])
     monotone = cs.merge_reports([r[3] for r in results])
-    checks = [
+    return [
         _check_dict(
             "triangle_comparison",
             triangle,
@@ -586,7 +565,6 @@ def _cmd_curvature(X, options):
         ),
         _check_dict("monotonicity", monotone, tol=tol),
     ]
-    return checks, triangle.checked + monotone.checked
 
 
 def _cmd_subdivide(X, options):
@@ -600,7 +578,7 @@ def _cmd_subdivide(X, options):
             )
         )
     checks[0].update(counts)
-    return checks, sum(c["checked"] for c in checks)
+    return checks
 
 
 def _cmd_split(X, options):
@@ -615,7 +593,7 @@ def _cmd_split(X, options):
         # fibers, taken by the closed-form fiber distance, that cannot be
         # metrized or that put two points on one sample: the geometry
         # failing, not bad input
-        return [{"name": "splitting", "verdict": False, "reason": str(exc)}], 0
+        return [{"name": "splitting", "verdict": False, "reason": str(exc)}]
     S = result.slice_space
     check = {
         "name": "splitting",
@@ -626,7 +604,6 @@ def _cmd_split(X, options):
         "mismatches": int(result.mismatches),
         "forgiven": int(result.forgiven),
         "line": {
-            "size": len(gamma.indices),
             "value": float(gamma.value),
             "labels": [X.labels[i] for i in gamma.indices],
         },
@@ -636,7 +613,7 @@ def _cmd_split(X, options):
         },
         "samples": len(result.samples),
     }
-    return [check], len(result.samples) ** 2
+    return [check]
 
 
 # ---------------------------------------------------------------- driver
@@ -671,9 +648,9 @@ def _run_chunks(command: str, raw: bytes, options) -> tuple:
     X = _materialize(parsed, options)
     if command == "suspend":
         return _space_chunks(X), EXIT_PASS
-    checks, work_units = _CHECK_COMMANDS[command](X, options)
+    checks = _CHECK_COMMANDS[command](X, options)
     digest = hashlib.sha256(raw).hexdigest()
-    report = report_payload(command, options, parsed.kind, X.size, checks, work_units, digest)
+    report = report_payload(command, options, parsed.kind, X.size, checks, digest)
     code = EXIT_PASS if report["verdict"] else EXIT_FAIL
     return [_render_json(report)], code
 

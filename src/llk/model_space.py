@@ -18,7 +18,8 @@ entry, for ads_interval's bits in the curvature audits); ads_fiber_cosh
 inverts it for the fiber distance, and comparison_angles gives
 comparison_angle's signed angle over arrays, bit for bit.
 
-Curvature is normalized to K = -1 throughout; callers rescale.
+llk fixes the curvature at K = -1 throughout and no caller rescales;
+other K < 0 are ROADMAP item 8.
 Inverse-trig arguments are clamped into their legal domain when within
 ARG_SLACK of it and rejected otherwise.
 """
@@ -213,13 +214,20 @@ def ads_fiber_cosh(tau, s, t):
     return np.maximum(arg, 1.0)
 
 
-def embed_ads(p: AdsPrimePoint) -> AmbientPoint:
-    """Isometric embedding of the strip into the quadric patch s2 > 0."""
-    return AmbientPoint(
+def _embed(p: AdsPrimePoint) -> tuple[float, float, float]:
+    """(s1, s2, z) of embed_ads(p), without the quadric check: the
+    rounding of b(P, P) grows like cosh(x)^2 and outruns QUADRIC_TOL on
+    points that a valid long triangle side reaches."""
+    return (
         math.sin(p.t),
         math.cos(p.t) * math.cosh(p.x),
         math.cos(p.t) * math.sinh(p.x),
     )
+
+
+def embed_ads(p: AdsPrimePoint) -> AmbientPoint:
+    """Isometric embedding of the strip into the quadric patch s2 > 0."""
+    return AmbientPoint(*_embed(p))
 
 
 def ambient_tau(P: AmbientPoint, Q: AmbientPoint) -> IntervalResult:
@@ -436,18 +444,18 @@ def geodesic_through(
             f"geodesic parametrization needs p << q, got relation {res.relation!r}"
         )
     tau = res.tau
-    P = embed_ads(p)
-    Q = embed_ads(q)
+    p1, p2, p3 = _embed(p)
+    q1, q2, q3 = _embed(q)
     ct, st = math.cos(tau), math.sin(tau)
     # V is the unit tangent at P toward Q; its s1 component is positive
     # for a future-directed timelike pair.
-    v1 = (Q.s1 - ct * P.s1) / st
-    v2 = (Q.s2 - ct * P.s2) / st
-    v3 = (Q.z - ct * P.z) / st
-    lam_p = math.atan(P.s1 / v1)
+    v1 = (q1 - ct * p1) / st
+    v2 = (q2 - ct * p2) / st
+    v3 = (q3 - ct * p3) / st
+    lam_p = math.atan(p1 / v1)
     cl, sl = math.cos(lam_p), math.sin(lam_p)
-    e1, e2, e3 = cl * P.s1 - sl * v1, cl * P.s2 - sl * v2, cl * P.z - sl * v3
-    w1, w2, w3 = sl * P.s1 + cl * v1, sl * P.s2 + cl * v2, sl * P.z + cl * v3
+    e1, e2, e3 = cl * p1 - sl * v1, cl * p2 - sl * v2, cl * p3 - sl * v3
+    w1, w2, w3 = sl * p1 + cl * v1, sl * p2 + cl * v2, sl * p3 + cl * v3
     # e = (0, cosh c, sinh c) is the waist point, w the tangent there.
     c = math.asinh(e3)
     sinh_omega = w3 * e2 - w2 * e3

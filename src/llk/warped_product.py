@@ -389,12 +389,17 @@ def sample_warped_product(f: WarpingSpec, S: FiniteMetricSpace, t_grid) -> Finit
 def _separations(f: WarpingSpec, grid, a: int, dists: np.ndarray):
     """(leq, tau) from time level a to every level b at each distinct base
     distance, as (levels, distances) arrays; pairs with b < a are unrelated.
-    Cos classifies as the model strip, the others within NULL_BAND."""
+    Cos classifies as the model strip, apart from pairs within one level,
+    the others within NULL_BAND."""
     g = np.asarray(grid)
     if f.kind == COS:
         # the cos strip is symmetric in the two times: only the order
         # mask directs the pair from level a to level b
         leq, _, tau = ms.ads_separation(g[:, None], g[a:a + 1], dists, (g[a] <= g)[:, None])
+        # within one level the cone test reads 1 + (cosh d - 1) cos^2 t,
+        # which sinks into ARG_SLACK near the strip edge: two points of
+        # one level are related only at base distance 0
+        leq[a] = dists == 0.0
         return leq, tau
     if f.kind == CONSTANT:
         dt = (g - g[a])[:, None]
@@ -439,6 +444,7 @@ def _checked_grid(interval, t_grid):
 
 
 def sample_suspension(S: FiniteMetricSpace, t_grid) -> FiniteCausalSpace:
-    """The cos case of sample_warped_product: classified exactly as in
-    the model strip, the sample validates by construction."""
+    """The cos case of sample_warped_product: classified as in the model
+    strip, with the points of one level related only at base distance 0,
+    the sample validates by construction up to the strip edge."""
     return sample_warped_product(cos_warping(), S, t_grid)

@@ -899,7 +899,7 @@ def test_reductions_over_a_space_read_tau_in_place():
 def test_split_drops_the_chain_index():
     X = suspension_space()
     options = cli._build_parser().parse_args(["split", "--in", "x"])
-    checks, _ = cli._cmd_split(X, options)
+    checks = cli._cmd_split(X, options)
     assert checks[0]["verdict"]
     assert "_chain_index" not in vars(X)
 

@@ -630,7 +630,6 @@ def test_subdivide_reports_its_triangles(tmp_path, fixture, code, across, future
     assert (first["name"], second["name"]) == ("subdivision_across", "subdivision_future")
     assert (first["triangles"], second["triangles"]) == (across, future)
     assert (first["unrealizable"], first["undrawn"]) == (unrealizable, 0)
-    assert report["timings"]["work_units"] == first["checked"] + second["checked"]
 
 
 @pytest.mark.parametrize("fixture, seed, code, pinned", [
@@ -920,7 +919,7 @@ def test_grid_flag_refines_the_time_grid(tmp_path):
         == 0
     )
     doc = json.loads(out.read_text())
-    assert doc["checks"][0]["line"]["size"] == 11
+    assert len(doc["checks"][0]["line"]["labels"]) == 11
 
 
 def test_suspend_then_validate_passes(tmp_path):

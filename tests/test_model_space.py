@@ -290,6 +290,21 @@ def test_realized_sides_reproduce_inputs():
         assert abs(ms.ads_interval(tri.x1, tri.x3).tau - a13) < ROUND_TRIP
 
 
+@pytest.mark.parametrize("gap", [1e-4, 2.5e-4, 6.3e-4])
+def test_realize_triangles_whose_long_side_nears_pi(gap):
+    # far out along x the rounding of b(P, P) grows like cosh(x)^2 and
+    # outruns QUADRIC_TOL; each valid shape must still be realized
+    a13 = math.pi - gap
+    for i in range(1, 41):
+        for j in range(1, 20):
+            a12 = a13 * i / 41
+            a23 = (a13 - a12) * j / 20
+            tri = ms.realize_triangle(a12, a23, a13)
+            for side, want in (("12", a12), ("23", a23), ("13", a13)):
+                _, la, lb = tri.sides[side]
+                assert abs((lb - la) - want) < EXACT
+
+
 def test_realize_rejects_bad_side_data():
     with pytest.raises(SizeBoundError):
         ms.realize_triangle(1.0, 1.0, 4.0)

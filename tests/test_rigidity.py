@@ -228,6 +228,42 @@ def test_extreme_levels_are_excluded_not_judged():
     assert (np.minimum(np.cos(s[edge]), np.cos(t[edge])) < rg.EDGE_COS).all()
 
 
+def test_all_edge_fiber_pair_takes_the_median_of_every_entry():
+    # two fibers 0.3 apart sampled only within EDGE_COS of the edges:
+    # every entry of the pair is an edge entry, so the constant is the
+    # median of them all and the deviation, +inf, stays out of worst_dev
+    S = wp.FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.3], [0.3, 0.0]]))
+    X = wp.sample_suspension(S, [-1.55, -1.53, 1.53, 1.55])
+    diagnostics = {}
+    slice_space, fibers = rg.extract_slice(X, rg.find_line(X), diagnostics=diagnostics)
+    _, _, _, value, edge = rg._c_entries(X, *fibers)
+    assert edge.all() and len(edge) == 2
+    constant, deviation = rg._c_constant(value, edge)
+    assert deviation == math.inf
+    assert constant == float(np.median(value)) == slice_space.dist[0, 1]
+    assert abs(constant - 0.3) < LOOSE
+    assert diagnostics["worst_dev"] == 0.0
+
+
+def test_extract_slice_refuses_fibers_at_distance_zero():
+    # a hand-made table: a1 and a2 share a fiber, since their tau 0.95
+    # exceeds their fitted time gap 0.5 and so reads fiber distance 0;
+    # a2 then reads its time off a1 as 0.75, and its one timelike entry
+    # with b1 (tau 0.2 over the time gap 0.15) also reads 0
+    points = [ms.AdsPrimePoint(t, 0.0) for t in (-1.2, -0.4, 0.4, 1.2)]
+    points += [ms.AdsPrimePoint(-0.2, 0.5), ms.AdsPrimePoint(0.3, 0.5), ms.AdsPrimePoint(0.9, -0.3)]
+    model = cs.sample_model_points(points)
+    tau, leq = model.tau.copy(), model.leq.copy()
+    a1, a2, b1 = 4, 5, 6
+    tau[a1, a2] = 0.95
+    tau[a2, b1], leq[a2, b1] = 0.2, True
+    tau[a1, b1], leq[a1, b1] = 0.0, False
+    X = cs.FiniteCausalSpace(model.labels, tau, leq)
+    line = rg.Fiber((0, 1, 2, 3), (-1.2, -0.4, 0.4, 1.2))
+    with pytest.raises(ExtractionError, match="do not form a metric: off-diagonal"):
+        rg.extract_slice(X, line)
+
+
 def test_c_functions_need_cross_relations():
     near = [ms.AdsPrimePoint(t, 0.0) for t in (-0.5, 0.5)]
     far = [ms.AdsPrimePoint(t, 50.0) for t in (-0.5, 0.5)]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llk import causal_space as cs
 from llk import model_space as ms
 from llk import warped_product as wp
 from llk.errors import ConvergenceError, DomainError, ParameterError, StructuralError
@@ -730,6 +731,20 @@ def test_suspension_sample_layout_and_values():
     k = X.index("c02@1")
     res = ms.ads_interval(ms.AdsPrimePoint(-0.5, 0.0), ms.AdsPrimePoint(0.0, 1.0))
     assert abs(X.tau[i, k] - res.tau) < EXACT
+
+
+@pytest.mark.parametrize("margin", [1e-4, 1e-6])
+def test_suspension_near_the_strip_edge_validates(margin):
+    # at one level the cone test reads 1 + (cosh d - 1) cos^2 t, inside
+    # ARG_SLACK this near the edge: distinct points of a level must
+    # still be unrelated, or leq is neither antisymmetric nor transitive
+    S = circle_space()
+    grid = np.linspace(-ms.HALF_PI + margin, ms.HALF_PI - margin, 21)
+    X = wp.sample_suspension(S, grid)
+    for level in (0, 20):
+        block = slice(level * S.size, (level + 1) * S.size)
+        assert np.array_equal(X.leq[block, block], np.eye(S.size, dtype=bool))
+    assert cs.validate_space(X, tol=1e-8).verdict
 
 
 def test_suspension_rejects_grid_outside_strip():
