@@ -12,12 +12,12 @@ and violations, takes the worst deficit, keeps the first VIOLATION_CAP
 records in scan order and builds the ComparisonReport; merge_reports
 joins several reports under the same cap.
 
-Triangle comparison and angle monotonicity also run in blocks, for a
-curvature sweep: triangle_audit and fan_audit make every check of one
-triangle that can raise, and check_triangle_comparisons and
-check_monotonicities compare a block of triangles in one array pass,
-keeping the block's books in one _Tally sweep.  The one-triangle
-checkers are one-item calls of the blocks.
+Triangle comparison and angle monotonicity run only in blocks, as a
+curvature sweep runs them: triangle_audit and fan_audit make every
+check of one triangle that can raise, and check_triangle_comparisons
+and check_monotonicities, which cannot raise, compare a block of
+triangles in one array pass, keeping the block's books in one _Tally
+sweep.  One triangle is a block of one.
 
 Conventions: tau(i, j) is the forward time separation and is 0 whenever
 i is not below j; leq is reflexive; coords, when present, store a time
@@ -41,11 +41,7 @@ from .errors import (
     ParameterError,
     SizeBoundError,
     StructuralError,
-    UndefinedAngleError,
 )
-
-# Reverse-triangle audit slack on validated spaces.
-RTI_TOL = 1e-9
 
 # Reports keep at most this many violation records; counts stay exact.
 VIOLATION_CAP = 200
@@ -256,17 +252,6 @@ class FiniteCausalSpace:
             hi = lo
         return rank, byrank, W, heads, {}
 
-    def relation(self, i: int, j: int) -> str:
-        """Relation string of the ordered pair, matching the model-space
-        vocabulary."""
-        if self.tau[i, j] > 0.0:
-            return ms.TIMELIKE
-        if self.leq[i, j]:
-            return ms.NULL
-        if self.tau[j, i] > 0.0 or self.leq[j, i]:
-            return ms.PAST_DIRECTED
-        return ms.UNRELATED
-
 
 def sample_model_points(points) -> FiniteCausalSpace:
     """Finite causal space of model-strip points with closed-form tau.
@@ -386,7 +371,7 @@ def _composed(rel: np.ndarray) -> np.ndarray:
     return (a @ a) > 0.0
 
 
-def validate_space(X: FiniteCausalSpace, tol: float = RTI_TOL) -> ComparisonReport:
+def validate_space(X: FiniteCausalSpace, tol: float) -> ComparisonReport:
     """Exhaustive audit of the causal-space axioms.
 
     Checks timelikeness (tau > 0 implies leq), transitivity of leq, its
@@ -637,9 +622,11 @@ class FanAudit(NamedTuple):
 
 
 def triangle_audit(X: FiniteCausalSpace, verts, chains, eps: float) -> TriangleAudit:
-    """The part of check_triangle_comparison that can raise: the input
-    checks, the staleness check against eps, the realization of the
-    comparison triangle, and the comparison point of every chain point."""
+    """Every check of triangle comparison that can raise, and the map of
+    a chained timelike triangle into the model: chain ends, timelike
+    vertex pairs, chains eps-maximizing against tau, the comparison
+    triangle of the chain values and each chain point's comparison point
+    by cumulative parameter."""
     i, j, k = _check_triangle_inputs(X, verts, chains)
     c12, c23, c13 = chains
     _stale_check(X, chains, ((i, j), (j, k), (i, k)), eps)
@@ -661,35 +648,21 @@ def triangle_audit(X: FiniteCausalSpace, verts, chains, eps: float) -> TriangleA
     return TriangleAudit(keys, [p.t for p in points], [p.x for p in points], tuple(notes))
 
 
-def check_triangle_comparison(
-    X: FiniteCausalSpace, verts, chains, tol: float, eps: float = None
-) -> ComparisonReport:
-    """Triangle comparison of a chained timelike triangle against the model.
-
-    Realizes the comparison triangle for the chain values, maps every
-    chain point to its comparison point by cumulative parameter, and for
-    every ordered pair of mapped points checks the curvature bound
-    tau(u, v) <= tau_bar(u_bar, v_bar) + tol.  The reversed inequality
-    is tallied in the excess fields so a curvature-above audit can read
-    the same sweep.  Chains must be eps-maximizing against tau.  One
-    triangle through triangle_audit and check_triangle_comparisons.
-    """
-    audit = triangle_audit(X, verts, chains, tol if eps is None else eps)
-    return check_triangle_comparisons(X, [audit], tol)[0]
-
-
 def check_triangle_comparisons(X: FiniteCausalSpace, triangles, tol: float) -> tuple:
-    """(report, violated) of check_triangle_comparison over a block of
+    """(report, violated) of triangle comparison over a block of
     TriangleAudits: one report for the whole block, and how many of its
     triangles hold a violation.
 
-    The ordered pairs (u, v) of distinct mapped points of every triangle,
-    triangle by triangle and each in row-major order, are compared in one
-    _Tally sweep: tau(u, v) from one gather, the comparison tau from one
-    ms.ads_separation call on the pairs that run forward in time, with
-    math's trigonometry so that it is ads_interval's tau bit for bit;
-    it is 0 for a pair running back in time and for a forward pair that
-    is not timelike.  The notes are those of the triangles, in order.
+    Every ordered pair (u, v) of distinct mapped points of a triangle
+    must keep the curvature bound tau(u, v) <= tau_bar(u_bar, v_bar) +
+    tol; the reversed inequality is tallied in the excess fields.  The
+    pairs, triangle by triangle and each in row-major order, are
+    compared in one _Tally sweep: tau(u, v) from one gather, the
+    comparison tau from one ms.ads_separation call on the pairs that run
+    forward in time, with math's trigonometry so that it is
+    ads_interval's tau bit for bit; it is 0 for a pair running back in
+    time and for a forward pair that is not timelike.  The notes are
+    those of the triangles, in order.
     """
     sizes = np.array([len(a.keys) for a in triangles], dtype=int)
     keys = list(itertools.chain.from_iterable(a.keys for a in triangles))
@@ -732,8 +705,8 @@ def _ordered_pairs(sizes: np.ndarray):
 
 
 def fan_audit(vertex: int, alpha: Chain, beta: Chain) -> FanAudit:
-    """The part of check_monotonicity that raises before its grid: both
-    chains must start at the vertex and stay shorter than pi."""
+    """Every check of angle monotonicity that can raise: both chains must
+    start at the vertex and stay shorter than pi."""
     vertex = int(vertex)
     if alpha.indices[0] != vertex or beta.indices[0] != vertex:
         raise ParameterError("both chains must start at the vertex")
@@ -743,33 +716,19 @@ def fan_audit(vertex: int, alpha: Chain, beta: Chain) -> FanAudit:
     return FanAudit(vertex, alpha.indices[1:], beta.indices[1:])
 
 
-def check_monotonicity(
-    X: FiniteCausalSpace, vertex: int, alpha: Chain, beta: Chain, tol: float
-) -> ComparisonReport:
-    """Angle-monotonicity audit at a common vertex of two future chains.
-
-    Computes the signed comparison angle on the grid of chain points
-    where it is defined and verifies it is nondecreasing in each
-    argument within tol.  Undefined pairs (null or unrelated across the
-    chains) are skipped and counted.  One fan through fan_audit and
-    check_monotonicities.
-    """
-    return check_monotonicities(X, [fan_audit(vertex, alpha, beta)], tol)
-
-
 def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> ComparisonReport:
-    """The report of check_monotonicity over a block of FanAudits.
+    """Angle-monotonicity report of a block of FanAudits.
 
     The grid of a fan pairs each point a of alpha with each point b of
     beta, in row-major order, and holds the signed comparison angle at
     the vertex of (a, vertex, b); a cell with a == b or outside the
-    angle's domain is skipped.  The cells of every fan go through one
-    ms.comparison_angles call.  A fan whose grid holds no angle raises
-    UndefinedAngleError, the first such fan in order.  Then, fan by fan,
-    consecutive angles along every row of a grid, then along every
-    column, skipping the undefined cells, are compared in one _Tally
-    sweep: an angle that falls by more than tol is a violation recorded
-    as ("row", row, col0, col1) or ("col", col, row0, row1).
+    angle's domain is skipped, so a fan whose grid holds no angle counts
+    all its cells as skipped.  The cells of every fan go through one
+    ms.comparison_angles call.  Then, fan by fan, consecutive angles
+    along every row of a grid, then along every column, skipping the
+    undefined cells, are compared in one _Tally sweep: an angle that
+    falls by more than tol is a violation recorded as ("row", row, col0,
+    col1) or ("col", col, row0, row1).
     """
     rows = np.array([len(f.alpha) for f in fans], dtype=int)
     cols = np.array([len(f.beta) for f in fans], dtype=int)
@@ -786,10 +745,8 @@ def check_monotonicities(X: FiniteCausalSpace, fans, tol: float) -> ComparisonRe
     angle, defined = ms.comparison_angles(
         tau[a, x], tau[x, a], tau[x, b], tau[b, x], tau[a, b], tau[b, a]
     )
-    defined &= a != b
-    value = np.flatnonzero(defined & ~np.isnan(angle))
-    if (np.bincount(owner[value], minlength=len(fans)) == 0).any():
-        raise UndefinedAngleError("no grid pair admits a comparison angle")
+    defined &= (a != b) & ~np.isnan(angle)
+    value = np.flatnonzero(defined)
 
     def steps(order, line):
         """Each cell of order followed in order by the next of its line."""
@@ -954,7 +911,7 @@ def check_subdivision(
     return books.report(skipped=skipped, notes=tuple(notes))
 
 
-def myers_check(X: FiniteCausalSpace, tol: float = 1e-9) -> ComparisonReport:
+def myers_check(X: FiniteCausalSpace, tol: float) -> ComparisonReport:
     """Diameter audit: finite time separations may not exceed pi.
 
     Lists every finite entry above pi - tol as a watch record with

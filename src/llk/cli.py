@@ -482,34 +482,29 @@ def _sweep(X, options, sample, audit=None):
 
     With audit, a sample returns (cells, item), and the results are
     those of audit(X, items, tol), one per block of items of about
-    _AUDIT_CELLS cells, in order.  A sample that raises a GeometryError
-    has the samples before it audited first, so that the error of the
-    first sample to fail, in either step, is the one raised.
+    _AUDIT_CELLS cells, in order.  Every check that can raise runs in
+    sample, so the first sample to raise stops the sweep; audit does not
+    raise.
     """
     tol = _effective_tol_disc(options, X)
     results, block, cells = [], [], 0
     counts = {"unrealizable": 0, "undrawn": 0}
-    try:
-        for rng in _sample_streams(options.seed, options.samples):
-            try:
-                result = sample(X, rng, tol)
-            except SizeBoundError:
-                counts["unrealizable"] += 1
-                continue
-            if result is None:
-                counts["undrawn"] += 1
-            elif audit is None:
-                results.append(result)
-            else:
-                block.append(result[1])
-                cells += result[0]
-                if cells >= _AUDIT_CELLS:
-                    full, block, cells = block, [], 0
-                    results.append(audit(X, full, tol))
-    except GeometryError:
-        if block:
-            audit(X, block, tol)
-        raise
+    for rng in _sample_streams(options.seed, options.samples):
+        try:
+            result = sample(X, rng, tol)
+        except SizeBoundError:
+            counts["unrealizable"] += 1
+            continue
+        if result is None:
+            counts["undrawn"] += 1
+        elif audit is None:
+            results.append(result)
+        else:
+            block.append(result[1])
+            cells += result[0]
+            if cells >= _AUDIT_CELLS:
+                full, block, cells = block, [], 0
+                results.append(audit(X, full, tol))
     if block:
         results.append(audit(X, block, tol))
     return tol, results, counts

@@ -266,12 +266,10 @@ def _fiber_roots(X: cs.FiniteCausalSpace, th: np.ndarray, points: np.ndarray) ->
     return _roots(parent)
 
 
-def extract_slice(X: cs.FiniteCausalSpace, gamma, diagnostics: dict = None):
-    """The slice of fibers over the line gamma and its parallel-distance metric.
+def extract_slice(X: cs.FiniteCausalSpace, line: Fiber, diagnostics: dict = None):
+    """The slice of fibers over a line and its parallel-distance metric.
 
-    gamma is the line's chain, which line_from_chain checks and places
-    in the strip, or the Fiber line_from_chain made of it, which
-    build_splitting passes so that a split converts its chain once.
+    line is the Fiber that line_from_chain makes of the line's chain.
     Fits every point's time against the line and takes the fibers of the
     line's timelike domain by the closed-form fiber distance (see
     _fiber_roots).  Along a fiber tau is the elapsed time, so each fiber
@@ -295,7 +293,6 @@ def extract_slice(X: cs.FiniteCausalSpace, gamma, diagnostics: dict = None):
     Returns the slice and one Fiber per slice point, together holding
     every point of the line's timelike domain once.
     """
-    line = gamma if isinstance(gamma, Fiber) else line_from_chain(X, gamma)
     g_idx, g_par = np.array(line.indices, dtype=int), np.array(line.params, dtype=float)
     th, in_dom = _model_times(X, g_idx, g_par)
     points = np.nonzero(in_dom)[0]

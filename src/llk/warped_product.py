@@ -173,9 +173,6 @@ class FiniteMetricSpace:
         except ValueError:
             raise ParameterError(f"unknown base point label {label!r}") from None
 
-    def distance(self, a: str, b: str) -> float:
-        return float(self.dist[self.index(a), self.index(b)])
-
 
 def _check_inside(f: WarpingSpec, name: str, t: float) -> None:
     a, b = f.interval

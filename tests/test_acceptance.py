@@ -63,7 +63,8 @@ def draw_triangles(X, n_wanted, min_sep, tol):
         if verts is None:
             continue
         chains = cli._side_chains(X, verts)
-        reports.append(cs.check_triangle_comparison(X, verts, chains, tol))
+        audit = cs.triangle_audit(X, verts, chains, tol)
+        reports.append(cs.check_triangle_comparisons(X, [audit], tol)[0])
     assert len(reports) == n_wanted
     return reports
 

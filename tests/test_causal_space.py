@@ -32,11 +32,12 @@ from llk.errors import (
     ParameterError,
     SizeBoundError,
     StructuralError,
-    UndefinedAngleError,
 )
 
 EXACT = 1e-12
 GRID_TOL = 1e-6
+# the tolerance of these tests' axiom and diameter audits
+AXIOM_TOL = 1e-9
 
 
 def diamond_space(half_width=2.0, n=11):
@@ -162,15 +163,6 @@ def test_space_arrays_are_write_protected():
         X.tau[0, 1] = 5.0
 
 
-def test_relation_classification():
-    X, pts = diamond_space(1.0, 3)
-    i, j = 0, X.size - 1
-    assert X.relation(i, j) == "timelike"
-    assert X.relation(j, i) == "past-directed"
-    # a point is causally but not chronologically related to itself
-    assert X.relation(i, i) == "null"
-
-
 def test_sampled_model_points_match_pairwise_intervals():
     rng = np.random.default_rng(2)
     X = random_model_space(rng, 20)
@@ -189,7 +181,7 @@ def test_sampled_model_points_match_pairwise_intervals():
 
 def test_validate_passes_on_model_sample():
     X, _ = diamond_space(2.0, 11)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert rep.verdict and rep.violation_count == 0
 
 
@@ -210,7 +202,7 @@ def test_validate_flags_reverse_triangle_violation():
         ]
     )
     X = cs.FiniteCausalSpace(("a", "b", "c"), tau, leq)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert not rep.verdict
     assert any("reverse triangle" in v.note for v in rep.violations)
     assert abs(rep.max_deficit - 0.5) < EXACT
@@ -220,7 +212,7 @@ def test_validate_flags_positive_tau_without_leq():
     tau = np.array([[0.0, 1.0], [0.0, 0.0]])
     leq = np.eye(2, dtype=bool)
     X = cs.FiniteCausalSpace(("a", "b"), tau, leq)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert not rep.verdict
     assert any("timelike" in v.note for v in rep.violations)
 
@@ -230,7 +222,7 @@ def test_validate_flags_nontransitive_leq():
     leq = np.eye(3, dtype=bool)
     leq[0, 1] = leq[1, 2] = True
     X = cs.FiniteCausalSpace(("a", "b", "c"), tau, leq)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert not rep.verdict
     assert any("transitiv" in v.note for v in rep.violations)
 
@@ -248,7 +240,7 @@ def test_validate_flags_a_pair_related_both_ways():
     leq = np.triu(np.ones((4, 4), dtype=bool))
     leq[1, 0] = True
     X = cs.FiniteCausalSpace(("a", "b", "c", "d"), tau, leq)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert not rep.verdict
     assert rep.violations == (cs.Violation((0, 1), 1.0, 0.0, 1.0, "leq is not antisymmetric"),)
     assert rep == reference_validate(X)
@@ -271,11 +263,11 @@ def test_validate_flags_chronological_gap():
         ]
     )
     X = cs.FiniteCausalSpace(("a", "b", "c"), tau, leq)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert not rep.verdict
 
 
-def reference_validate(X, tol=cs.RTI_TOL):
+def reference_validate(X, tol=AXIOM_TOL):
     """Triple-loop audit in the documented scan order: stage by stage,
     the reverse triangle stage by middle point k, then (i, j) row-major."""
     tau, leq, n = X.tau, X.leq, X.size
@@ -373,7 +365,7 @@ VALIDATE_CASES = [
 @pytest.mark.parametrize("make", VALIDATE_CASES)
 def test_validate_matches_triple_loop_reference(make):
     X = make()
-    assert cs.validate_space(X) == reference_validate(X)
+    assert cs.validate_space(X, AXIOM_TOL) == reference_validate(X)
 
 
 def test_validate_matches_reference_at_zero_tolerance():
@@ -387,7 +379,7 @@ def test_validate_matches_reference_at_zero_tolerance():
 
 def test_validate_truncates_in_scan_order():
     X = scrambled_space(0)
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     assert rep.violation_count > cs.VIOLATION_CAP
     assert len(rep.violations) == cs.VIOLATION_CAP
     assert rep == reference_validate(X)
@@ -396,16 +388,16 @@ def test_validate_truncates_in_scan_order():
 @pytest.mark.parametrize("make", VALIDATE_CASES)
 def test_validate_summary_ignores_point_order(make):
     X = make()
-    rep = cs.validate_space(X)
+    rep = cs.validate_space(X, AXIOM_TOL)
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(X.size)
-        other = cs.validate_space(relabelled(X, perm))
+        other = cs.validate_space(relabelled(X, perm), AXIOM_TOL)
         assert (other.verdict, other.checked, other.violation_count, other.max_deficit) == (
             rep.verdict, rep.checked, rep.violation_count, rep.max_deficit
         )
 
 
-def reference_gather_validate(X, tol=cs.RTI_TOL):
+def reference_gather_validate(X, tol=AXIOM_TOL):
     """validate_space without its screen: every diamond J-(k) x J+(k) is
     gathered and compared cell by cell.  The oracle for sizes the triple
     loop cannot reach."""
@@ -478,7 +470,7 @@ def test_validate_flags_triples_within_the_rounding_margin(a, b, d, tol):
     assert rep == reference_validate(X, tol)
 
 
-@pytest.mark.parametrize("tol", [cs.RTI_TOL, 1e-3])
+@pytest.mark.parametrize("tol", [AXIOM_TOL, 1e-3])
 @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
 def test_validate_matches_reference_at_the_tolerance_boundary(tol, ulps):
     # tau(i, j) moved to tol below tau(i, k) + tau(k, j) and a few ulp
@@ -883,7 +875,7 @@ def test_reductions_over_a_space_read_tau_in_place():
     options = cli._build_parser().parse_args(["curvature", "--in", "x"])
     runs = (
         (lambda: cs.FiniteCausalSpace(X.labels, tau, leq, X.coords), 9 * n * n + 64 * 1024),
-        (lambda: cs.myers_check(X), 3 * n * n),
+        (lambda: cs.myers_check(X, AXIOM_TOL), 3 * n * n),
         (lambda: cli._effective_tol_disc(options, X), 3 * n * n),
     )
     for run, bound in runs:
@@ -996,7 +988,7 @@ def test_longest_chain_refuses_a_relation_that_is_not_transitive():
         nodes = np.nonzero(Y.leq[i] & Y.leq[:, j])[0]
         apart += not (a in nodes and b in nodes)
     assert apart >= 40
-    notes = {v.note for v in cs.validate_space(Y).violations}
+    notes = {v.note for v in cs.validate_space(Y, AXIOM_TOL).violations}
     assert "leq is not transitive" in notes
 
 
@@ -1013,7 +1005,7 @@ def test_chain_index_orders_by_past_size_when_time_breaks_leq():
 
 def test_validate_and_render_do_not_build_the_chain_index():
     X = shuffled_cos_space()
-    cs.validate_space(X)
+    cs.validate_space(X, AXIOM_TOL)
     cli.render_space(X)
     assert "_chain_index" not in X.__dict__
     cs.longest_chain(X, *sample_pairs(X, np.random.default_rng(0), 1)[0])
@@ -1109,7 +1101,8 @@ def test_audits_clamp_a_long_side_that_drifted_at_zero_eps():
     assert chains[2].indices == (0, 1, 2, 3)
     assert chains[2].value < chains[0].value + chains[1].value
     clamped = "long side clamped from 1.5499999999999998 to 1.55"
-    report = cs.check_triangle_comparison(X, (0, 1, 3), chains, tol=0.0, eps=0.0)
+    audit = cs.triangle_audit(X, (0, 1, 3), chains, 0.0)
+    report = cs.check_triangle_comparisons(X, [audit], 0.0)[0]
     assert clamped in report.notes
     report = cs.check_subdivision(X, (0, 1, 3), chains, 2, "across", tol=0.0, eps=0.0)
     assert clamped in report.notes
@@ -1130,7 +1123,8 @@ def test_triangle_comparison_is_equality_on_model_sample():
     X, _ = diamond_space(2.0, 11)
     rng = np.random.default_rng(7)
     for verts in triangle_vertices(X, rng, 25):
-        rep = cs.check_triangle_comparison(X, verts, cli._side_chains(X, verts), GRID_TOL)
+        audit = cs.triangle_audit(X, verts, cli._side_chains(X, verts), GRID_TOL)
+        rep = cs.check_triangle_comparisons(X, [audit], GRID_TOL)[0]
         assert rep.verdict
         assert rep.max_deficit < GRID_TOL
         assert rep.max_excess < GRID_TOL
@@ -1140,7 +1134,8 @@ def test_triangle_comparison_passes_on_suspension():
     X = suspension_space()
     rng = np.random.default_rng(8)
     for verts in triangle_vertices(X, rng, 25):
-        rep = cs.check_triangle_comparison(X, verts, cli._side_chains(X, verts), GRID_TOL)
+        audit = cs.triangle_audit(X, verts, cli._side_chains(X, verts), GRID_TOL)
+        rep = cs.check_triangle_comparisons(X, [audit], GRID_TOL)[0]
         assert rep.verdict, rep.violations[:1]
 
 
@@ -1150,7 +1145,8 @@ def test_triangle_comparison_fails_on_constant_strip():
     tris = triangle_vertices(X, rng, 60)
     failing = 0
     for verts in tris:
-        rep = cs.check_triangle_comparison(X, verts, cli._side_chains(X, verts), GRID_TOL)
+        audit = cs.triangle_audit(X, verts, cli._side_chains(X, verts), GRID_TOL)
+        rep = cs.check_triangle_comparisons(X, [audit], GRID_TOL)[0]
         if not rep.verdict:
             failing += 1
             worst = max(v.deficit for v in rep.violations)
@@ -1173,8 +1169,9 @@ def test_triangle_comparison_detects_value_mismatch():
         indices=(i, k),
         params=(0.0, float(X.tau[i, k]) - 0.5),
     )
+    chains = (full[0], full[1], truncated)
     with pytest.raises(ChainError):
-        cs.check_triangle_comparison(X, verts, (full[0], full[1], truncated), GRID_TOL)
+        cs.check_triangle_comparisons(X, [cs.triangle_audit(X, verts, chains, GRID_TOL)], GRID_TOL)
 
 
 def test_triangle_comparison_rejects_null_related_vertices():
@@ -1196,7 +1193,9 @@ def test_triangle_comparison_rejects_null_related_vertices():
         cs.longest_chain(X, a, c),
     )
     with pytest.raises(ParameterError):
-        cs.check_triangle_comparison(X, (a, b, c), chains, GRID_TOL)
+        cs.check_triangle_comparisons(
+            X, [cs.triangle_audit(X, (a, b, c), chains, GRID_TOL)], GRID_TOL
+        )
 
 
 # -------------------------------------------------------------- monotonicity
@@ -1225,10 +1224,7 @@ def test_monotonicity_holds_on_model_sample():
     rng = np.random.default_rng(5)
     for _ in range(15):
         v, ca, cb = chain_pair_from(X, rng)
-        try:
-            rep = cs.check_monotonicity(X, v, ca, cb, GRID_TOL)
-        except UndefinedAngleError:
-            continue
+        rep = cs.check_monotonicities(X, [cs.fan_audit(v, ca, cb)], GRID_TOL)
         assert rep.verdict, rep.violations[:1]
 
 
@@ -1238,10 +1234,7 @@ def test_monotonicity_fails_somewhere_on_constant_strip():
     failures = 0
     for _ in range(40):
         v, ca, cb = chain_pair_from(X, rng)
-        try:
-            rep = cs.check_monotonicity(X, v, ca, cb, GRID_TOL)
-        except UndefinedAngleError:
-            continue
+        rep = cs.check_monotonicities(X, [cs.fan_audit(v, ca, cb)], GRID_TOL)
         if not rep.verdict:
             failures += 1
     assert failures > 0
@@ -1252,7 +1245,7 @@ def test_monotonicity_requires_chains_from_vertex():
     rng = np.random.default_rng(5)
     v, ca, cb = chain_pair_from(X, rng)
     with pytest.raises(ParameterError):
-        cs.check_monotonicity(X, ca.indices[1], ca, cb, GRID_TOL)
+        cs.check_monotonicities(X, [cs.fan_audit(ca.indices[1], ca, cb)], GRID_TOL)
 
 
 def test_monotonicity_rejects_oversized_chains():
@@ -1261,7 +1254,7 @@ def test_monotonicity_rejects_oversized_chains():
     X = cs.FiniteCausalSpace(("a", "b"), tau, leq)
     ch = cs.make_chain(X, (0, 1))
     with pytest.raises(SizeBoundError):
-        cs.check_monotonicity(X, 0, ch, ch, GRID_TOL)
+        cs.check_monotonicities(X, [cs.fan_audit(0, ch, ch)], GRID_TOL)
 
 
 # ---------------------------------------------------------------- angles
@@ -1402,19 +1395,19 @@ def test_subdivision_rejects_unknown_kind():
 
 def test_myers_passes_on_suspension():
     X = suspension_space()
-    rep = cs.myers_check(X)
+    rep = cs.myers_check(X, AXIOM_TOL)
     assert rep.verdict and rep.violation_count == 0
 
 
 def test_myers_passes_on_model_sample():
     X, _ = diamond_space(2.0, 11)
-    rep = cs.myers_check(X)
+    rep = cs.myers_check(X, AXIOM_TOL)
     assert rep.verdict
 
 
 def test_myers_fails_on_tall_constant_strip():
     X = flat_strip_space()
-    rep = cs.myers_check(X)
+    rep = cs.myers_check(X, AXIOM_TOL)
     assert not rep.verdict
     assert rep.max_deficit > 0.5
     assert rep.violation_count > 0
@@ -1522,8 +1515,6 @@ def reference_check_monotonicity(X, vertex, alpha, beta, tol):
                 grid[ia, ib] = _signed_angle_at(X, a, vertex, b)[0]
             except GeometryError:
                 skipped += 1
-    if np.isnan(grid).all():
-        raise UndefinedAngleError("no grid pair admits a comparison angle")
 
     records = []
     count = 0
@@ -1900,13 +1891,15 @@ def test_triangle_and_monotonicity_match_reference():
         X, cases = audit_triangles(space)
         for verts, chains in cases:
             for tol in (GRID_TOL, -1.0):
-                new = outcome(cs.check_triangle_comparison, X, verts, chains, tol, GRID_TOL)
+                new = outcome(lambda: cs.check_triangle_comparisons(
+                    X, [cs.triangle_audit(X, verts, chains, GRID_TOL)], tol
+                )[0])
                 assert new == outcome(
                     reference_check_triangle_comparison, X, verts, chains, tol, GRID_TOL
                 )
-                args = (X, verts[0], chains[0], chains[2], tol)
-                mono = outcome(cs.check_monotonicity, *args)
-                assert mono == outcome(reference_check_monotonicity, *args)
+                fan = (verts[0], chains[0], chains[2])
+                mono = outcome(lambda: cs.check_monotonicities(X, [cs.fan_audit(*fan)], tol))
+                assert mono == outcome(reference_check_monotonicity, X, *fan, tol)
                 for rep in (new, mono):
                     if isinstance(rep, cs.ComparisonReport):
                         seen.add("pass" if rep.verdict else "fail")
@@ -2083,7 +2076,7 @@ def test_myers_keeps_passing_watch_records():
     rep = cs.myers_check(X, tol=1e-9)
     assert rep.violation_count == 2 and not rep.verdict
     assert cs.myers_check(X, tol=1e-2).verdict
-    assert cs.myers_check(flat_strip_space(24, 41)).violation_count > cs.VIOLATION_CAP
+    assert cs.myers_check(flat_strip_space(24, 41), AXIOM_TOL).violation_count > cs.VIOLATION_CAP
 
 
 def test_merge_reports_matches_reference():
@@ -2091,8 +2084,10 @@ def test_merge_reports_matches_reference():
     reports = []
     for verts, chains in cases:
         try:
-            reports.append(cs.check_triangle_comparison(X, verts, chains, GRID_TOL))
-            reports.append(cs.check_monotonicity(X, verts[0], chains[0], chains[2], GRID_TOL))
+            triangle = cs.triangle_audit(X, verts, chains, GRID_TOL)
+            fan = cs.fan_audit(verts[0], chains[0], chains[2])
+            reports.append(cs.check_triangle_comparisons(X, [triangle], GRID_TOL)[0])
+            reports.append(cs.check_monotonicities(X, [fan], GRID_TOL))
         except GeometryError:
             continue
     assert sum(r.violation_count for r in reports) > cs.VIOLATION_CAP
@@ -2128,15 +2123,14 @@ def test_batched_audits_match_one_item_calls():
                     continue
                 fans.append(cs.fan_audit(verts[0], chains[0], chains[2]))
                 expected.append((
-                    cs.check_triangle_comparison(X, verts, chains, tol, GRID_TOL),
-                    outcome(cs.check_monotonicity, X, verts[0], chains[0], chains[2], tol),
+                    cs.check_triangle_comparisons(X, triangles[-1:], tol)[0],
+                    cs.check_monotonicities(X, fans[-1:], tol),
                 ))
             assert cs.check_triangle_comparisons(X, triangles, tol) == (
                 merged(e[0] for e in expected),
                 sum(e[0].violation_count > 0 for e in expected),
             )
-            if all(isinstance(e[1], cs.ComparisonReport) for e in expected):
-                assert cs.check_monotonicities(X, fans, tol) == merged(e[1] for e in expected)
+            assert cs.check_monotonicities(X, fans, tol) == merged(e[1] for e in expected)
 
 
 def test_batched_audits_accept_an_empty_block():
@@ -2148,17 +2142,28 @@ def test_batched_audits_accept_an_empty_block():
     assert violated == 0
 
 
-def test_batched_monotonicity_raises_for_its_first_empty_grid():
-    X, cases = audit_triangles("cos21", count=4)
+def test_batched_monotonicity_skips_the_cells_of_a_fan_without_angles():
+    X, cases = audit_triangles("cos21")
     fans = [cs.fan_audit(v[0], c[0], c[2]) for v, c in cases]
-    i, j, _ = cases[1][0]
-    hop = cs.make_chain(X, (i, j))
-    # one grid cell, with a == b: no angle, where every other fan has some
-    fans[1] = cs.fan_audit(i, hop, hop)
-    with pytest.raises(UndefinedAngleError):
-        cs.check_monotonicities(X, fans, GRID_TOL)
-    with pytest.raises(UndefinedAngleError):
-        cs.check_monotonicity(X, i, hop, hop, GRID_TOL)
+    others = merged(cs.check_monotonicities(X, [f], GRID_TOL) for f in fans)
+    assert others.checked > 0
+    # two grids without an angle: one hop twice (a == b), and from point
+    # 19 the chain 30 -> 41 against point 31, spacelike to both
+    vertex, chain, lone = 19, (30, 41), 31
+    assert not (X.leq[chain, lone] | X.leq[lone, chain]).any()
+    hop = cs.make_chain(X, (vertex, lone))
+    empties = [
+        cs.fan_audit(vertex, hop, hop),
+        cs.fan_audit(vertex, cs.make_chain(X, (vertex, *chain)), hop),
+    ]
+    for empty in empties:
+        assert cs.check_monotonicities(X, [empty], GRID_TOL) == cs.ComparisonReport(
+            checked=0, violations=(), violation_count=0, max_deficit=0.0, verdict=True,
+            skipped=empty.cells,
+        )
+        for at in (0, 7, len(fans)):
+            report = cs.check_monotonicities(X, fans[:at] + [empty] + fans[at:], GRID_TOL)
+            assert report == dataclasses.replace(others, skipped=others.skipped + empty.cells)
 
 
 SWEEP_SPACES = ("ads_diamond_81.json", "suspension_circle12.json", "flat_strip.json", "cos41")
@@ -2181,8 +2186,8 @@ def spoiled_chains(X, verts, spoil):
     first side's value to a tenth (ChainError), "long" stretches the long
     side to 3.5 (SizeBoundError, or ChainError when the other two sides are
     longer), "undefined" gives the fan one hop to the middle vertex twice
-    (UndefinedAngleError), and "vertex" a fan from the middle vertex
-    (ParameterError)."""
+    (a grid without an angle, whose cell is skipped), and "vertex" a fan
+    from the middle vertex (ParameterError)."""
     c12, c23, c13 = cli._side_chains(X, verts)
     if spoil == "stale":
         c12 = cs.Chain(c12.indices, tuple(0.1 * s for s in c12.params))
@@ -2213,6 +2218,17 @@ def scripted_sample(spoils):
         return triangle.cells + fan.cells, (triangle, fan)
 
     return sample
+
+
+# one triangle's audits as blocks of one, with eps = tol
+ONE_ITEM = (
+    lambda X, verts, chains, tol: cs.check_triangle_comparisons(
+        X, [cs.triangle_audit(X, verts, chains, tol)], tol
+    )[0],
+    lambda X, vertex, alpha, beta, tol: cs.check_monotonicities(
+        X, [cs.fan_audit(vertex, alpha, beta)], tol
+    ),
+)
 
 
 def reference_sweep(X, options, spoils, check_triangle, check_fan):
@@ -2281,9 +2297,7 @@ def test_batched_sweep_matches_one_item_sweeps(space, seed, samples, spoils, tol
             batched = outcome(
                 cli._sweep, X, options, scripted_sample(spoils), cli._curvature_audits
             )
-    assert_blocks_merge(batched, outcome(
-        reference_sweep, X, options, spoils, cs.check_triangle_comparison, cs.check_monotonicity
-    ))
+    assert_blocks_merge(batched, outcome(reference_sweep, X, options, spoils, *ONE_ITEM))
     assert_blocks_merge(batched, outcome(
         reference_sweep, X, options, spoils,
         reference_check_triangle_comparison, reference_check_monotonicity,
@@ -2292,22 +2306,26 @@ def test_batched_sweep_matches_one_item_sweeps(space, seed, samples, spoils, tol
 
 @pytest.mark.parametrize("cells", [1, 1 << 16])
 def test_batched_sweep_raises_the_first_failing_samples_error(cells, monkeypatch):
-    # the empty grid of sample 2 is found only in the batch, after the
-    # stale chain of sample 5 stopped the per-sample checks
+    # a fan without an angle stops nothing: the stale chain of sample 5
+    # does, whether or not sample 2 comes before it
     X = sweep_space("suspension_circle12.json")
     options = cli._build_parser().parse_args(["curvature", "--in", "x", "--samples", "8"])
     monkeypatch.setattr(cli, "_AUDIT_CELLS", cells)
     for spoils, error in (
-        ({2: "undefined", 5: "stale"}, UndefinedAngleError),
+        ({2: "undefined", 5: "stale"}, ChainError),
         ({2: "stale", 5: "undefined"}, ChainError),
         ({2: "vertex", 5: "undefined"}, ParameterError),
     ):
         with pytest.raises(error):
             cli._sweep(X, options, scripted_sample(spoils), cli._curvature_audits)
         with pytest.raises(error):
-            reference_sweep(
-                X, options, spoils, cs.check_triangle_comparison, cs.check_monotonicity
-            )
+            reference_sweep(X, options, spoils, *ONE_ITEM)
+    # alone, it completes the sweep, its grid cell counted as skipped
+    spoils = {2: "undefined"}
+    swept = cli._sweep(X, options, scripted_sample(spoils), cli._curvature_audits)
+    assert sum(block[0] for block in swept[1]) == 8
+    for oracles in (ONE_ITEM, (reference_check_triangle_comparison, reference_check_monotonicity)):
+        assert_blocks_merge(swept, reference_sweep(X, options, spoils, *oracles))
     # a triangle too long for the strip only counts as unrealizable
     _, results, counts = cli._sweep(X, options, scripted_sample({3: "long"}),
                                     cli._curvature_audits)
@@ -2330,9 +2348,9 @@ def test_block_report_is_the_merge_when_one_triangle_fills_the_cap(cells, monkey
         fan = cs.fan_audit(verts[0], chains[0], chains[2])
         items.append((triangle.cells + fan.cells, (triangle, fan)))
     one_item = [(
-        cs.check_triangle_comparison(X, verts, chains, tol, GRID_TOL),
-        cs.check_monotonicity(X, verts[0], chains[0], chains[2], tol),
-    ) for verts, chains in cases]
+        cs.check_triangle_comparisons(X, [triangle], tol)[0],
+        cs.check_monotonicities(X, [fan], tol),
+    ) for _, (triangle, fan) in items]
     assert one_item[0][0].violation_count < cs.VIOLATION_CAP
     for report in one_item[1]:
         assert report.violation_count > cs.VIOLATION_CAP
@@ -2410,6 +2428,6 @@ def test_validate_and_myers_survive_time_reversal(seed):
     )
     for V in variants:
         R = time_reversed(V)
-        assert summary(cs.validate_space(R)) == summary(cs.validate_space(V))
-        assert summary(cs.myers_check(R)) == summary(cs.myers_check(V))
-        assert not cs.validate_space(V).verdict
+        for check in (cs.validate_space, cs.myers_check):
+            assert summary(check(R, AXIOM_TOL)) == summary(check(V, AXIOM_TOL))
+        assert not cs.validate_space(V, AXIOM_TOL).verdict

@@ -1130,6 +1130,15 @@ PARSER_REFUSALS = [
         ),
         "base: triangle inequality fails: d(0,2) > d(0,1) + d(1,2)",
     ),
+    (
+        # d(a, b) exceeds d(a, c) + d(c, b) by 50 METRIC_TOL
+        "suspend",
+        request_with(
+            base={"labels": ["a", "b", "c"],
+                  "dist": [[0, 2 + 5e-8, 1], [2 + 5e-8, 0, 1], [1, 1, 0]]}
+        ),
+        "base: triangle inequality fails: d(0,1) > d(0,2) + d(2,1)",
+    ),
     ("suspend", request_with(t_grid=[]), "t_grid: expected a nonempty list of times"),
 ]
 
@@ -1143,3 +1152,14 @@ def test_parser_refusals_are_usage_errors(tmp_path, capsys, command, raw, messag
     assert run_cli(command, infile, out) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"error [llk.errors.StructuralError] {message}\n"
+
+
+def test_base_within_metric_tol_of_the_triangle_inequality_is_accepted(tmp_path):
+    # d(a, b) exceeds d(a, c) + d(c, b) by half of METRIC_TOL
+    infile, out = tmp_path / "in.json", tmp_path / "out"
+    infile.write_bytes(request_with(
+        base={"labels": ["a", "b", "c"],
+              "dist": [[0, 2 + 5e-10, 1], [2 + 5e-10, 0, 1], [1, 1, 0]]}
+    ))
+    assert run_cli("suspend", infile, out) == 0
+    assert json.loads(out.read_bytes())["kind"] == "finite_causal"

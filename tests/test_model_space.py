@@ -148,6 +148,19 @@ def test_ambient_point_off_quadric_rejected():
         ms.AmbientPoint(0.0, 2.0, 0.0)
 
 
+def test_quadric_tolerance_is_relative_to_the_coordinates():
+    # b(P, P) of an embedded point rounds like cosh(x)^2: it reads
+    # -1.00000003, -1.0000019 and 0.0 at x = 10, 12 and 20
+    for x in (10.0, 12.0, 20.0):
+        P = ms.embed_ads(ms.AdsPrimePoint(0.3, x))
+        assert (P.s1, P.s2, P.z) == (
+            math.sin(0.3), math.cos(0.3) * math.cosh(x), math.cos(0.3) * math.sinh(x)
+        )
+    # b = -4 on coordinates of size 2 is off the quadric
+    with pytest.raises(DomainError, match=r"b\(P, P\) = -4"):
+        ms.AmbientPoint(0.0, 2.0, 0.0)
+
+
 def test_ambient_tau_requires_patch():
     P = ms.AmbientPoint(0.0, 1.0, 0.0)
     Q = ms.AmbientPoint(0.0, -1.0, 0.0)

@@ -59,6 +59,11 @@ def suspension_line(n_times=N_TIMES):
     return rg.find_line(suspension(n_times)[2])
 
 
+def strip_line(X):
+    """find_line's chain at its strip times."""
+    return rg.line_from_chain(X, rg.find_line(X))
+
+
 @functools.lru_cache(maxsize=None)
 def splitting(n_times=N_TIMES):
     _, _, X = suspension(n_times)
@@ -149,12 +154,22 @@ def test_line_from_chain_rejects_one_point():
     [
         (cs.Chain((0, 2), (0.0, 1.0)), "chain index 2 out of range for 2 points"),
         (cs.Chain((0, 1), (0.0, 0.5)), "do not match the sampled time separations"),
+        # a step off tau by 50 LINE_TOL
+        (cs.Chain((0, 1), (0.0, 1.0 + 5e-5)), "do not match the sampled time separations"),
     ],
 )
 def test_line_from_chain_rejects_chains_off_the_space(chain, message):
     X = tiny_space([[0.0, 1.0], [0.0, 0.0]], [[1, 1], [0, 1]])
     with pytest.raises(ParameterError, match=message):
         rg.line_from_chain(X, chain)
+
+
+def test_line_from_chain_accepts_a_step_within_line_tol():
+    # a step off tau by half of LINE_TOL
+    X = tiny_space([[0.0, 1.0], [0.0, 0.0]], [[1, 1], [0, 1]])
+    line = rg.line_from_chain(X, cs.Chain((0, 1), (0.0, 1.0 + 5e-7)))
+    assert line.indices == (0, 1)
+    assert line.params[1] - line.params[0] == pytest.approx(1.0 + 5e-7, abs=EXACT)
 
 
 # ---------------------------------------------------------------- parallelism
@@ -235,7 +250,7 @@ def test_all_edge_fiber_pair_takes_the_median_of_every_entry():
     S = wp.FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.3], [0.3, 0.0]]))
     X = wp.sample_suspension(S, [-1.55, -1.53, 1.53, 1.55])
     diagnostics = {}
-    slice_space, fibers = rg.extract_slice(X, rg.find_line(X), diagnostics=diagnostics)
+    slice_space, fibers = rg.extract_slice(X, strip_line(X), diagnostics=diagnostics)
     _, _, _, value, edge = rg._c_entries(X, *fibers)
     assert edge.all() and len(edge) == 2
     constant, deviation = rg._c_constant(value, edge)
@@ -380,11 +395,6 @@ def unlinked_suspension(seed, drop=0.03):
     return cs.FiniteCausalSpace(X.labels, tau, X.leq)
 
 
-def strip_line(X):
-    """find_line's chain at its strip times."""
-    return rg.line_from_chain(X, rg.find_line(X))
-
-
 def fibers_match_reference(X, gamma):
     """The fibers of the array code equal the loop version's; returns them."""
     g_idx, g_par = np.array(gamma.indices), np.array(gamma.params)
@@ -459,7 +469,7 @@ def test_extract_slice_tables_match_reference(monkeypatch):
         return entries
 
     monkeypatch.setattr(rg, "_c_entries", recorded)
-    rg.extract_slice(X, rg.find_line(X))
+    rg.extract_slice(X, strip_line(X))
     monkeypatch.undo()
     assert calls
     for alpha, beta, entries in calls:
@@ -526,7 +536,7 @@ def test_fibers_match_reference_on_permuted_points(perm):
 
 def test_extract_slice_recovers_the_base_metric():
     S, _, X = suspension()
-    recovered, fibers = rg.extract_slice(X, suspension_line())
+    recovered, fibers = rg.extract_slice(X, strip_line(X))
     assert len(fibers) == S.size
     assert recovered.size == S.size
     fibers = [int(label.split("@")[0][1:]) for label in recovered.labels]
@@ -537,7 +547,7 @@ def test_extract_slice_recovers_the_base_metric():
 
 def test_extract_slice_places_every_domain_point_on_its_fiber():
     S, grid, X = suspension()
-    recovered, fibers = rg.extract_slice(X, suspension_line())
+    recovered, fibers = rg.extract_slice(X, strip_line(X))
     points = sorted(p for f in fibers for p in f.indices)
     assert len(points) == len(set(points)) > X.size // 2
     for label, f in zip(recovered.labels, fibers):
@@ -769,7 +779,7 @@ def test_slice_metric_is_exactly_symmetric(seed):
     else:
         grid = np.linspace(-ms.HALF_PI + DELTA, ms.HALF_PI - DELTA, 21)
         X = wp.sample_warped_product(wp.cos_warping(), jittered_net(seed), tuple(grid))
-    S, _ = rg.extract_slice(X, rg.find_line(X))
+    S, _ = rg.extract_slice(X, strip_line(X))
     assert np.array_equal(S.dist, S.dist.T)
 
 
@@ -787,7 +797,7 @@ def test_extract_slice_rejects_unrepairable_metrics():
     X = cs.FiniteCausalSpace(labels, tau, leq, t[:, None])
     diagnostics = {}
     with pytest.raises(ExtractionError, match="triangle inequality"):
-        rg.extract_slice(X, rg.find_line(X), diagnostics=diagnostics)
+        rg.extract_slice(X, strip_line(X), diagnostics=diagnostics)
     assert diagnostics["slack"] == pytest.approx(1.0, abs=LOOSE)
     assert diagnostics["metric_slack"] == pytest.approx(GRID_TOL, abs=LOOSE)
 

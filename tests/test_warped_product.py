@@ -257,11 +257,6 @@ def test_metric_space_rejects_duplicate_labels():
         wp.FiniteMetricSpace(("a", "a"), np.zeros((2, 2)))
 
 
-def test_metric_space_distance_lookup_by_label():
-    S = segment_space(3, 0.5)
-    assert abs(S.distance("s0", "s2") - 1.0) < EXACT
-
-
 # ---------------------------------------------------------------- null offset
 
 
