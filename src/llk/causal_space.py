@@ -556,6 +556,17 @@ def _angles(names: str, a12: float, a23: float, a13: float) -> dict:
     return dict(zip(names, (ends[0], middle, ends[1])))
 
 
+def _cut_interval(host: float, u: float, d: float, c23: float, up: bool) -> ms.IntervalResult:
+    """Interval of the comparison segment from p_bar, at arc u along a host
+    side of length host from x_bar, to q_bar, at separations d from x_bar
+    and c23 from the side's other end e_bar, taken from p_bar when up."""
+    # on the quadric the point at arc u of the timelike geodesic from X to E
+    # is (sin(host - u) X + sin(u) E) / sin(host), and -b(A, Q) = cos tau(A, Q);
+    # p_bar << q_bar exactly when u < d, by the reverse triangle inequality
+    arg = (math.sin(host - u) * math.cos(d) + math.sin(u) * math.cos(c23)) / math.sin(host)
+    return ms._classify(arg, up == (u < d))
+
+
 def _check_triangle_inputs(X, verts, chains):
     i, j, k = (int(v) for v in verts)
     c12, c23, c13 = chains
@@ -796,8 +807,8 @@ def check_subdivision(
     (_angles): those of the whole comparison triangle, of the two
     sub-triangles whose sides are chain values, and of the two pieces
     that the comparison segment from p to q cuts from the whole
-    comparison triangle.  Only that segment's separation is read from
-    the realized whole triangle.
+    comparison triangle.  That segment's separation comes from side
+    lengths too (_cut_interval), so no triangle is realized.
     """
     if which not in ("across", "future"):
         raise ParameterError(f'which must be "across" or "future", got {which!r}')
@@ -814,7 +825,8 @@ def check_subdivision(
         )
     s_p = host.params[host.indices.index(p)]
 
-    whole, a13w, clamp_note = _realize_clamped(c12.value, c23.value, c13.value, eps + _drift(c13))
+    a13w, clamp_note = _clamp(c12.value, c23.value, c13.value, eps + _drift(c13))
+    whole = _angles("xyz", c12.value, c23.value, a13w)
     notes = [clamp_note] if clamp_note else []
 
     # Set-up: q is the vertex p connects to, the host side runs from x to
@@ -830,7 +842,7 @@ def check_subdivision(
             )
         pq = longest_chain(X, p, j) if up else longest_chain(X, j, p)
         subs = ("xpy", "pyz") if up else ("xyp", "ypz")
-        host_side, whole_host, scale, q_t = "13", a13w, a13w / c13.value, whole.x2
+        whole_host, u, d = a13w, s_p * (a13w / c13.value), c12.value
         flips, vertex_ge = (False, False), True
     else:
         q, q_name, e_name, up = k, "z", "y", True
@@ -840,7 +852,7 @@ def check_subdivision(
             )
         pq = longest_chain(X, p, k)
         subs = ("xpz", "pyz")
-        host_side, whole_host, scale, q_t = "12", c12.value, 1.0, whole.x3
+        whole_host, u, d = c12.value, s_p, a13w
         flips, vertex_ge = (False, True), False
     pq_name = "p" + q_name if up else q_name + "p"
 
@@ -861,12 +873,8 @@ def check_subdivision(
         a13, note = _clamp(a12, a23, a13, budget)
         notes += [note] if note else []
         bar.append(_angles(names, a12, a23, a13))
-    whole_q = _angles("xyz", c12.value, c23.value, a13w)[q_name]
 
-    g, la, _ = whole.sides[host_side]
-    u = s_p * scale
-    p_t = ms.geodesic_point(g, la + u)
-    res = ms.ads_interval(p_t, q_t) if up else ms.ads_interval(q_t, p_t)
+    res = _cut_interval(whole_host, u, d, c23.value, up)
     tau_pq = float(X.tau[p, q] if up else X.tau[q, p])
     skipped = 0
     tilde = None
@@ -902,7 +910,7 @@ def check_subdivision(
             for name, angles, tilde_angles, flip in zip(("sub1", "sub2"), bar, tilde, flips):
                 for label, angle in angles.items():
                     checks.append(((tag, name, label), angle, tilde_angles[label], base != flip))
-    checks.append((("vertex", q_name), bar[0][q_name] + bar[1][q_name], whole_q, vertex_ge))
+    checks.append((("vertex", q_name), bar[0][q_name] + bar[1][q_name], whole[q_name], vertex_ge))
     labels, lhs, rhs, ges = zip(*checks)
     books.sweep(
         labels, lhs, rhs, [r - l if ge else l - r for _, l, r, ge in checks],

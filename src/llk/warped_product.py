@@ -294,19 +294,11 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
     ends = np.append(f0, f1[-1])
     squares = ends * ends
     block = max(1, _SOLVE_CELLS // len(w))
-    rows = min(block, lanes.size)
-    knot_buf = np.empty((rows, len(ends)))
-    bufs = [np.empty((rows, len(w))) for _ in range(6)]
 
     def radii(p):
         """Contiguous (r0, r1) at the two ends of every piece, one row per p."""
-        r = knot_buf[:p.size]
-        np.add(squares, (p * p)[:, None], out=r)
-        np.sqrt(r, out=r)
-        r0, r1 = (buf[:p.size] for buf in bufs[:2])
-        np.copyto(r0, r[:, :-1])
-        np.copyto(r1, r[:, 1:])
-        return r0, r1
+        r = np.sqrt(squares + (p * p)[:, None])
+        return r[:, :-1].copy(), r[:, 1:].copy()
 
     for first in range(0, lanes.size, block):
         idx = lanes[first:first + block]
@@ -316,12 +308,11 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
         p_hi = np.full(idx.size, math.inf)
         for _ in range(_MAX_STEPS):
             r0, r1 = radii(p)
-            s, q, v, shrink = (buf[:idx.size] for buf in bufs[2:])
-            np.add(r0, r1, out=s)
-            np.divide(p[:, None], np.multiply(prod, s, out=q), out=q)
-            np.multiply(q, rise, out=v)
+            s = r0 + r1
+            q = p[:, None] / (prod * s)
+            v = q * rise
             v *= total
-            np.arcsinh(v, out=shrink)
+            shrink = np.arcsinh(v)
             if not v.all():
                 flat = v == 0.0
                 v[flat] = shrink[flat] = 1.0
@@ -329,9 +320,9 @@ def _table_tau(pieces, elapsed: float, dx: np.ndarray, reach: float) -> np.ndarr
             q *= span
             q *= shrink
             gap = np.sum(q, axis=1) - target
-            np.multiply(r0, r1, out=v)
+            v = r0 * r1
             v *= s
-            slope = np.sum(np.divide(span, v, out=v), axis=1)
+            slope = np.sum(span / v, axis=1)
             hit = gap == 0.0
             below = gap < 0.0
             p_lo = np.where(below, p, p_lo)

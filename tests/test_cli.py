@@ -884,6 +884,15 @@ def test_chain_audits_run_at_zero_tol_disc(tmp_path, capsys, fixture):
     assert "ChainError" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["curvature", "subdivide"])
+def test_tol_disc_falls_back_to_tol_exact_without_timelike_pairs(tmp_path, command):
+    infile = tmp_path / "unrelated.json"
+    infile.write_bytes(doc_bytes(square_doc()))
+    out = tmp_path / "x.json"
+    assert run_cli(command, infile, out, "--tol-exact", "0.125") == 0
+    assert [check["tol"] for check in json.loads(out.read_text())["checks"]] == [0.125, 0.125]
+
+
 def test_split_fails_the_check_when_the_slice_cannot_be_metrized(tmp_path):
     # b and c sit 6.8 apart, so their fibers share no timelike pair
     doc = json.loads((FIXTURES / "suspension_circle12.json").read_text())
@@ -1002,6 +1011,16 @@ def test_too_many_points_are_a_usage_error(tmp_path, capsys, monkeypatch, comman
     assert not out.exists()
     err = capsys.readouterr().err
     assert "error [llk.errors.ParameterError] 12 base points at 100000 times" in err
+
+
+@pytest.mark.parametrize("command, grid", [("suspend", "1"), ("validate", "0")])
+def test_grid_below_two_on_a_request_is_a_usage_error(tmp_path, capsys, monkeypatch, command, grid):
+    monkeypatch.setattr(wp, "sample_warped_product", _refuse_sampling)
+    out = tmp_path / "x.json"
+    assert run_cli(command, FIXTURES / "suspension_circle12.json", out, "--grid", grid) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error [llk.errors.ParameterError] --grid must be at least 2, got {grid}" in err
 
 
 def test_point_bound_counts_base_points_times_levels(tmp_path, capsys, monkeypatch):
